@@ -66,39 +66,43 @@ func rowSquareSum(a *tensor.Dense, i int, eps float64) float64 {
 }
 
 // pwlInterpInto evaluates Eq. (1)'s piece-wise linear interpolation into
-// the column vector out: per row, p linearly interpolated at threshold
-// tq over the non-decreasing knots tau, clamped to [tau_0, tau_last].
+// the column vector out, one PWLAt per row.
 func pwlInterpInto(out, tau, p, tq *tensor.Dense) {
-	rows, L := tau.Rows(), tau.Cols()
-	for r := 0; r < rows; r++ {
-		trow := tau.Row(r)
-		prow := p.Row(r)
-		x := tq.At(r, 0)
-		switch {
-		case x <= trow[0]:
-			out.Set(r, 0, prow[0])
-		case x >= trow[L-1]:
-			out.Set(r, 0, prow[L-1])
-		default:
-			// Binary search for the first tau >= x.
-			lo, hi := 1, L-1
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if trow[mid] >= x {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			i := lo
-			den := trow[i] - trow[i-1]
-			var w float64
-			if den > 0 {
-				w = (x - trow[i-1]) / den
-			}
-			out.Set(r, 0, prow[i-1]+w*(prow[i]-prow[i-1]))
+	for r := 0; r < tau.Rows(); r++ {
+		out.Set(r, 0, PWLAt(tau.Row(r), p.Row(r), tq.At(r, 0)))
+	}
+}
+
+// PWLAt evaluates one row of Eq. (1): p linearly interpolated at
+// threshold x over the non-decreasing knots tau, clamped to
+// [tau_0, tau_last]. It is the arithmetic of every compiled PWL kernel,
+// so a caller interpolating a plan's Tau/P outputs itself gets the
+// plan's estimate bit for bit.
+func PWLAt(tau, p []float64, x float64) float64 {
+	L := len(tau)
+	switch {
+	case x <= tau[0]:
+		return p[0]
+	case x >= tau[L-1]:
+		return p[L-1]
+	}
+	// Binary search for the first tau >= x.
+	lo, hi := 1, L-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if tau[mid] >= x {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
+	i := lo
+	den := tau[i] - tau[i-1]
+	var w float64
+	if den > 0 {
+		w = (x - tau[i-1]) / den
+	}
+	return p[i-1] + w*(p[i]-p[i-1])
 }
 
 // blockLinearInto applies the per-block linear decoder into out:

@@ -82,6 +82,55 @@ func SquaredL2(a, b []float64) float64 {
 	return s
 }
 
+// L2Within reports L2(a, b) <= thr, the same decision bit for bit, but
+// returns false as soon as a partial sum proves the distance exceeds
+// thr. The sum is accumulated exactly as SquaredL2 does and checked
+// every 8 coordinates against thr² padded by a relative 1e-9 — far more
+// than the rounding of thr*thr and of the final square root, so an
+// early false is never one the full computation would call true. The
+// early exit is armed only when thr is finite and positive and thr*thr
+// is a normal float; NaN, negative, overflowing and subnormal
+// thresholds run the full sum.
+func L2Within(a, b []float64, thr float64) bool {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("distance: dimension mismatch %d vs %d", len(a), len(b)))
+	}
+	bound := math.Inf(1)
+	if sq := thr * thr; thr > 0 && sq >= 0x1p-1022 && sq <= math.MaxFloat64 {
+		bound = sq * (1 + 1e-9)
+	}
+	var s float64
+	// Unrolled by hand: a ranged inner loop over 8-element reslices runs
+	// the full sum at half the speed of SquaredL2.
+	for len(a) >= 8 {
+		d := a[0] - b[0]
+		s += d * d
+		d = a[1] - b[1]
+		s += d * d
+		d = a[2] - b[2]
+		s += d * d
+		d = a[3] - b[3]
+		s += d * d
+		d = a[4] - b[4]
+		s += d * d
+		d = a[5] - b[5]
+		s += d * d
+		d = a[6] - b[6]
+		s += d * d
+		d = a[7] - b[7]
+		s += d * d
+		if s > bound {
+			return false
+		}
+		a, b = a[8:], b[8:]
+	}
+	for i, av := range a {
+		d := av - b[i]
+		s += d * d
+	}
+	return math.Sqrt(s) <= thr
+}
+
 // Dot returns the inner product of a and b.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -25,6 +25,48 @@ func TestL2DimensionMismatchPanics(t *testing.T) {
 	L2([]float64{1}, []float64{1, 2})
 }
 
+func TestL2WithinDimensionMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("expected panic")
+		}
+	}()
+	L2Within([]float64{1}, []float64{1, 2}, 1)
+}
+
+// L2Within must make exactly the decision L2(a, b) <= thr makes, early
+// exit or not: at the computed distance and one ulp either side, at the
+// degenerate thresholds that disarm the early exit, and at scales where
+// thr*thr underflows or overflows.
+func TestL2WithinMatchesL2(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, dim := range []int{0, 1, 2, 3, 8, 13, 64} {
+		for _, scale := range []float64{1, 1e-160, 1e160} {
+			for trial := 0; trial < 20; trial++ {
+				a, b := randVec(rng, dim), randVec(rng, dim)
+				for i := range a {
+					a[i] *= scale
+					b[i] *= scale
+				}
+				if trial == 0 && dim > 0 {
+					b[dim-1] = math.NaN()
+				}
+				d := L2(a, b)
+				for _, thr := range []float64{
+					d, math.Nextafter(d, math.Inf(-1)), math.Nextafter(d, math.Inf(1)),
+					d / 2, d * 2, 0, math.Copysign(0, -1), -1, -d,
+					math.NaN(), math.Inf(1), math.Inf(-1),
+					1e-200, 0x1p-1030, 1e200, math.MaxFloat64,
+				} {
+					if got, want := L2Within(a, b, thr), d <= thr; got != want {
+						t.Fatalf("dim %d scale %g: L2Within(thr=%g) = %v, L2 = %g says %v", dim, scale, thr, got, d, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestCosineBasic(t *testing.T) {
 	a := []float64{1, 0}
 	b := []float64{0, 1}

@@ -162,6 +162,9 @@ const maxClasses = 16
 type PoolStats struct {
 	// Checkouts counts plan checkouts (Get calls).
 	Checkouts uint64 `json:"checkouts"`
+	// Rows sums the rows requested through Get — the rows pushed through
+	// plans, not the batch-class capacity that served them.
+	Rows uint64 `json:"rows"`
 	// Misses counts checkouts that missed the class's resident fast
 	// path and fell through to the overflow pool or a compile — the
 	// contention signal for concurrent same-class checkouts.
@@ -185,6 +188,7 @@ type Pool struct {
 	epoch    atomic.Uint64 // bumped by Drop; stale plans die on Put
 
 	checkouts atomic.Uint64
+	rows      atomic.Uint64
 	misses    atomic.Uint64
 	compiles  atomic.Uint64
 	drops     atomic.Uint64
@@ -235,6 +239,7 @@ func (p *Pool) Get(n int) *Plan {
 		panic("infer: Pool.Get batch out of range")
 	}
 	p.checkouts.Add(1)
+	p.rows.Add(uint64(n))
 	cl := &p.classes[p.classFor(n)]
 	if pl := cl.resident.Swap(nil); pl != nil {
 		return pl
@@ -295,6 +300,7 @@ func (p *Pool) Drop() {
 func (p *Pool) Stats() PoolStats {
 	return PoolStats{
 		Checkouts: p.checkouts.Load(),
+		Rows:      p.rows.Load(),
 		Misses:    p.misses.Load(),
 		Compiles:  p.compiles.Load(),
 		Drops:     p.drops.Load(),
@@ -306,6 +312,7 @@ func (p *Pool) Stats() PoolStats {
 func (s PoolStats) Merge(s2 PoolStats) PoolStats {
 	return PoolStats{
 		Checkouts: s.Checkouts + s2.Checkouts,
+		Rows:      s.Rows + s2.Rows,
 		Misses:    s.Misses + s2.Misses,
 		Compiles:  s.Compiles + s2.Compiles,
 		Drops:     s.Drops + s2.Drops,

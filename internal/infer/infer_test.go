@@ -52,6 +52,10 @@ func TestPoolClassRounding(t *testing.T) {
 		}
 		p.Put(pl)
 	}
+	// Rows counts the rows requested, not the capacity that served them.
+	if st := p.Stats(); st.Rows != 1+2+3+4+5+33+64 {
+		t.Fatalf("Rows = %d, want %d", st.Rows, 1+2+3+4+5+33+64)
+	}
 }
 
 func TestPoolReusesResidentPlan(t *testing.T) {
@@ -122,10 +126,10 @@ func TestPoolGetOutOfRangePanics(t *testing.T) {
 }
 
 func TestPoolStatsMerge(t *testing.T) {
-	a := PoolStats{Checkouts: 1, Misses: 2, Compiles: 3, Drops: 4}
-	b := PoolStats{Checkouts: 10, Misses: 20, Compiles: 30, Drops: 40}
+	a := PoolStats{Checkouts: 1, Rows: 5, Misses: 2, Compiles: 3, Drops: 4}
+	b := PoolStats{Checkouts: 10, Rows: 50, Misses: 20, Compiles: 30, Drops: 40}
 	got := a.Merge(b)
-	want := PoolStats{Checkouts: 11, Misses: 22, Compiles: 33, Drops: 44}
+	want := PoolStats{Checkouts: 11, Rows: 55, Misses: 22, Compiles: 33, Drops: 44}
 	if got != want {
 		t.Fatalf("Merge = %+v, want %+v", got, want)
 	}

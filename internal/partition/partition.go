@@ -102,7 +102,9 @@ func (p *Partitioning) Indicator(x []float64, t float64) []bool {
 // IndicatorInto is the allocation-free Indicator used by the serving hot
 // path: out (len K) receives the per-cluster activations and qbuf
 // (len(x), scratch) holds the normalized query for cosine datasets. out
-// and qbuf are fully overwritten.
+// and qbuf are fully overwritten. Each ball test is distance.L2Within,
+// which abandons a ball once a partial sum proves it out of reach; the
+// decisions are exactly those of L2(x, center) <= t + radius.
 func (p *Partitioning) IndicatorInto(out []bool, qbuf, x []float64, t float64) {
 	if p.allActive {
 		for i := range out {
@@ -125,7 +127,7 @@ func (p *Partitioning) IndicatorInto(out []bool, qbuf, x []float64, t float64) {
 	for i, c := range p.Clusters {
 		out[i] = false
 		for _, b := range c.Balls {
-			if distance.L2(qx, b.Center) <= qt+b.Radius {
+			if distance.L2Within(qx, b.Center, qt+b.Radius) {
 				out[i] = true
 				break
 			}

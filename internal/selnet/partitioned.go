@@ -295,11 +295,13 @@ func (p *Partitioned) Estimate(x []float64, t float64) float64 {
 }
 
 // EstimateBatch estimates selectivities for several (query, threshold)
-// pairs at once, matching row-by-row Estimate exactly. One encoder plan
-// pass computes the shared enhanced input [x; z_x] per chunk, and each
-// local head whose region is active for at least one row runs a single
-// batched head-plan pass (gather, not mask), so per-head cost scales
-// with active pairs rather than cluster count times batch size. Like
+// pairs at once, matching row-by-row Estimate exactly. Adjacent rows
+// with bit-identical vectors share one evaluation: one encoder plan pass
+// computes the shared enhanced input [x; z_x] per chunk of distinct
+// vectors, and each local head whose region is active for at least one
+// row runs a single batched head-plan pass over those vectors (gather,
+// not mask), so per-head cost scales with active distinct vectors
+// rather than cluster count times batch size. Like
 // Net.EstimateBatch it is read-only on the parameters and safe for
 // concurrent use (but not concurrently with Fit/HandleUpdate). The
 // allocation-free variant is EstimateBatchInto.

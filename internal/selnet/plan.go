@@ -1,6 +1,7 @@
 package selnet
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -105,8 +106,14 @@ func (n *Net) PlanStats() infer.PoolStats {
 
 // EstimateBatchInto is the allocation-free EstimateBatch: it writes one
 // estimate per row of x into out (len(out) == x.Rows() == len(ts)).
-// Steady state performs zero heap allocations — the serving hot path
-// calls this with reused buffers.
+// Control points depend on x alone, so adjacent rows with bit-identical
+// vectors — a threshold ladder — share one plan row: each run's vector
+// goes through the plan once and every row of the run is interpolated
+// from that row's Tau/P with autodiff.PWLAt, the plan's own PWL
+// arithmetic. PR 10's per-element determinism contract makes control
+// points independent of batch composition, so every output equals
+// Estimate bit for bit. Steady state performs zero heap allocations —
+// the serving hot path calls this with reused buffers.
 func (n *Net) EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64) {
 	if x.Rows() != len(ts) || len(out) != len(ts) {
 		panic("selnet: EstimateBatchInto length mismatch")
@@ -115,27 +122,56 @@ func (n *Net) EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64) {
 		panic("selnet: EstimateBatchInto query dim mismatch")
 	}
 	pool := n.planPool()
+	var ends [maxPlanBatch]int
 	for start := 0; start < len(ts); {
-		c := len(ts) - start
-		if c > pool.MaxBatch() {
-			c = pool.MaxBatch()
-		}
-		pl := pool.Get(c)
-		for i := 0; i < c; i++ {
-			copy(pl.X.Row(i), x.Row(start+i))
-			pl.T.Set(i, 0, clamp(ts[start+i], 0, n.cfg.TMax))
+		runs := ladderRuns(ends[:], x, start)
+		pl := pool.Get(runs)
+		row := start
+		for r := 0; r < runs; r++ {
+			copy(pl.X.Row(r), x.Row(row))
+			row = ends[r]
 		}
 		pl.Run()
-		for i := 0; i < c; i++ {
-			v := pl.Out.At(i, 0)
-			if v < 0 {
-				v = 0
+		row = start
+		for r := 0; r < runs; r++ {
+			tau, p := pl.Tau.Row(r), pl.P.Row(r)
+			for ; row < ends[r]; row++ {
+				v := autodiff.PWLAt(tau, p, clamp(ts[row], 0, n.cfg.TMax))
+				if v < 0 {
+					v = 0
+				}
+				out[row] = v
 			}
-			out[start+i] = v
 		}
 		pool.Put(pl)
-		start += c
+		start = ends[runs-1]
 	}
+}
+
+// ladderRuns splits the rows of x from start on into runs of adjacent
+// rows whose vectors are bit-identical (math.Float64bits, so +0 and -0
+// differ), recording the exclusive end row of each run in ends until
+// ends is full or x is exhausted. It returns the number of runs.
+func ladderRuns(ends []int, x *tensor.Dense, start int) int {
+	runs := 0
+	for row := start; row < x.Rows() && runs < len(ends); runs++ {
+		end := row + 1
+		for end < x.Rows() && sameBits(x.Row(row), x.Row(end)) {
+			end++
+		}
+		ends[runs] = end
+		row = end
+	}
+	return runs
+}
+
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // estimateBatchTape is the pre-plan reference implementation: one fresh
@@ -173,11 +209,14 @@ type partPlans struct {
 	scratch sync.Pool // *partScratch
 }
 
-// partScratch holds one request's allocation-free bookkeeping.
+// partScratch holds one request's allocation-free bookkeeping for a
+// chunk of at most maxPlanBatch runs (ladderRuns).
 type partScratch struct {
-	active []bool    // row-major [maxPlanBatch x K] indicator matrix
-	rows   []int     // gathered row indices for one head
-	qbuf   []float64 // normalized-query scratch for cosine indicators
+	ends      []int     // [maxPlanBatch] exclusive end row of each run
+	active    []bool    // row-major [chunk rows x K] indicator matrix; grows with the longest chunk
+	runActive []bool    // row-major [maxPlanBatch x K]: cluster active for any row of the run
+	gather    []int     // run indices gathered for one head
+	qbuf      []float64 // normalized-query scratch for cosine indicators
 }
 
 type partPlanState struct {
@@ -202,9 +241,11 @@ func (p *Partitioned) planState() *partPlans {
 	k, dim := p.K(), p.dim
 	ps.scratch.New = func() any {
 		return &partScratch{
-			active: make([]bool, maxPlanBatch*k),
-			rows:   make([]int, 0, maxPlanBatch),
-			qbuf:   make([]float64, dim),
+			ends:      make([]int, maxPlanBatch),
+			active:    make([]bool, maxPlanBatch*k),
+			runActive: make([]bool, maxPlanBatch*k),
+			gather:    make([]int, 0, maxPlanBatch),
+			qbuf:      make([]float64, dim),
 		}
 	}
 	p.plans.state.Store(ps)
@@ -253,9 +294,15 @@ func (p *Partitioned) PlanStats() infer.PoolStats {
 	return s
 }
 
-// EstimateBatchInto is the allocation-free partitioned batch estimate:
-// one encoder plan pass per chunk, then one head plan pass per cluster
-// over the rows whose region is active, summed per row into out.
+// EstimateBatchInto is the allocation-free partitioned batch estimate.
+// Like Net.EstimateBatchInto it evaluates each run of adjacent
+// bit-identical vectors once: per chunk of up to maxPlanBatch runs, one
+// encoder plan pass over the runs' vectors, then per cluster one head
+// plan pass over the runs whose region is active for at least one of
+// their rows. Gating stays per row (the t = 0 end of a ladder prunes
+// best), and each active row adds autodiff.PWLAt over its run's head
+// Tau/P, clamped and summed in cluster order exactly as Estimate does —
+// outputs equal Estimate bit for bit.
 func (p *Partitioned) EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64) {
 	if x.Rows() != len(ts) || len(out) != len(ts) {
 		panic("selnet: EstimateBatchInto length mismatch")
@@ -263,50 +310,69 @@ func (p *Partitioned) EstimateBatchInto(out []float64, x *tensor.Dense, ts []flo
 	if x.Cols() != p.dim {
 		panic("selnet: EstimateBatchInto query dim mismatch")
 	}
-	n := x.Rows()
-	if n == 0 {
+	if x.Rows() == 0 {
 		return
 	}
 	ps := p.planState()
 	k := p.K()
+	tmax := p.pcfg.Model.TMax
 	sc := ps.scratch.Get().(*partScratch)
-	for start := 0; start < n; {
-		c := n - start
-		if c > ps.enc.MaxBatch() {
-			c = ps.enc.MaxBatch()
+	for start := 0; start < x.Rows(); {
+		runs := ladderRuns(sc.ends, x, start)
+		end := sc.ends[runs-1]
+		if need := (end - start) * k; len(sc.active) < need {
+			sc.active = make([]bool, need)
 		}
-		encPl := ps.enc.Get(c)
-		for i := 0; i < c; i++ {
-			copy(encPl.X.Row(i), x.Row(start+i))
-			p.part.IndicatorInto(sc.active[i*k:(i+1)*k], sc.qbuf, x.Row(start+i), ts[start+i])
-			out[start+i] = 0
+		encPl := ps.enc.Get(runs)
+		row := start
+		for r := 0; r < runs; r++ {
+			copy(encPl.X.Row(r), x.Row(row))
+			ra := sc.runActive[r*k : (r+1)*k]
+			clear(ra)
+			for ; row < sc.ends[r]; row++ {
+				act := sc.active[(row-start)*k : (row-start+1)*k]
+				p.part.IndicatorInto(act, sc.qbuf, x.Row(row), ts[row])
+				for ci, a := range act {
+					ra[ci] = ra[ci] || a
+				}
+				out[row] = 0
+			}
 		}
 		encPl.Run()
 		for ci := range p.locals {
-			rows := sc.rows[:0]
-			for i := 0; i < c; i++ {
-				if sc.active[i*k+ci] {
-					rows = append(rows, i)
+			gather := sc.gather[:0]
+			for r := 0; r < runs; r++ {
+				if sc.runActive[r*k+ci] {
+					gather = append(gather, r)
 				}
 			}
-			if len(rows) == 0 {
+			if len(gather) == 0 {
 				continue
 			}
-			hp := ps.heads[ci].Get(len(rows))
-			for j, i := range rows {
-				copy(hp.X.Row(j), encPl.Out.Row(i))
-				hp.T.Set(j, 0, clamp(ts[start+i], 0, p.pcfg.Model.TMax))
+			hp := ps.heads[ci].Get(len(gather))
+			for j, r := range gather {
+				copy(hp.X.Row(j), encPl.Out.Row(r))
 			}
 			hp.Run()
-			for j, i := range rows {
-				if v := hp.Out.At(j, 0); v > 0 {
-					out[start+i] += v
+			for j, r := range gather {
+				tau, pp := hp.Tau.Row(j), hp.P.Row(j)
+				row := start
+				if r > 0 {
+					row = sc.ends[r-1]
+				}
+				for ; row < sc.ends[r]; row++ {
+					if !sc.active[(row-start)*k+ci] {
+						continue
+					}
+					if v := autodiff.PWLAt(tau, pp, clamp(ts[row], 0, tmax)); v > 0 {
+						out[row] += v
+					}
 				}
 			}
 			ps.heads[ci].Put(hp)
 		}
 		ps.enc.Put(encPl)
-		start += c
+		start = end
 	}
 	ps.scratch.Put(sc)
 }

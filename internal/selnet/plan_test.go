@@ -1,14 +1,17 @@
 package selnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"selnet/internal/autodiff"
+	"selnet/internal/distance"
 	"selnet/internal/infer"
 	"selnet/internal/tensor"
+	"selnet/internal/vecdata"
 )
 
 // planTestNet returns an untrained net with random weights: estimation
@@ -31,6 +34,68 @@ func randQueries(seed int64, n, dim int) (*tensor.Dense, []float64) {
 	return x, ts
 }
 
+// ladderQueries builds a batch of threshold ladders — runs of adjacent
+// rows sharing one vector, the shape EstimateBatchInto evaluates once per
+// run: runs of 1, 8 and 65 rows, more than maxPlanBatch distinct runs, a
+// vector repeated non-adjacently, two rows differing only in the sign of
+// a zero, and thresholds unsorted within a run (the 64 short runs ascend,
+// like selbench's batch_scan).
+func ladderQueries(seed int64, dim int) (*tensor.Dense, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	var rows [][]float64
+	var ts []float64
+	vec := func() []float64 {
+		v := make([]float64, dim)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		return v
+	}
+	run := func(v []float64, n int, ascending bool) {
+		for i := 0; i < n; i++ {
+			rows = append(rows, v)
+			t := rng.Float64()*1.6 - 0.3
+			if ascending {
+				t = float64(i)/float64(n)*1.6 - 0.3
+			}
+			ts = append(ts, t)
+		}
+	}
+	first := vec()
+	run(first, 8, false)
+	run(vec(), 1, false)
+	run(vec(), 65, false)
+	pos := vec()
+	pos[0] = 0
+	neg := append([]float64(nil), pos...)
+	neg[0] = math.Copysign(0, -1)
+	run(pos, 1, false)
+	run(neg, 1, false)
+	for i := 0; i < maxPlanBatch; i++ {
+		run(vec(), 1+i%8, true)
+	}
+	run(first, 3, false)
+	return tensor.FromRows(rows), ts
+}
+
+type testBatch struct {
+	name string
+	x    *tensor.Dense
+	ts   []float64
+}
+
+// testBatches returns randQueries batches of the given row counts
+// followed by a ladderQueries batch, all of width dim.
+func testBatches(dim int, sizes ...int) []testBatch {
+	var out []testBatch
+	for _, rows := range sizes {
+		x, ts := randQueries(int64(rows), rows, dim)
+		out = append(out, testBatch{fmt.Sprintf("random-%d", rows), x, ts})
+	}
+	x, ts := ladderQueries(int64(dim), dim)
+	return append(out, testBatch{"ladder", x, ts})
+}
+
 // The plan path must reproduce the tape path bit for bit: same kernels,
 // same order, same buffers semantics.
 func TestPlanMatchesTapePath(t *testing.T) {
@@ -46,13 +111,12 @@ func TestPlanMatchesTapePath(t *testing.T) {
 			cfg := tinyConfig(1)
 			tc.mod(&cfg)
 			n := NewNet(rand.New(rand.NewSource(7)), 5, cfg)
-			for _, rows := range []int{1, 2, 3, 64, 65, 200} {
-				x, ts := randQueries(int64(rows), rows, 5)
-				got := n.EstimateBatch(x, ts)
-				want := n.estimateBatchTape(x, ts)
+			for _, b := range testBatches(5, 1, 2, 3, 64, 65, 200) {
+				got := n.EstimateBatch(b.x, b.ts)
+				want := n.estimateBatchTape(b.x, b.ts)
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("rows=%d row %d: plan %v, tape %v", rows, i, got[i], want[i])
+						t.Fatalf("%s row %d: plan %v, tape %v", b.name, i, got[i], want[i])
 					}
 				}
 			}
@@ -62,11 +126,12 @@ func TestPlanMatchesTapePath(t *testing.T) {
 
 func TestEstimateMatchesBatch(t *testing.T) {
 	n := planTestNet(1, 6)
-	x, ts := randQueries(2, 32, 6)
-	batch := n.EstimateBatch(x, ts)
-	for i := range ts {
-		if got := n.Estimate(x.Row(i), ts[i]); got != batch[i] {
-			t.Fatalf("row %d: Estimate %v, EstimateBatch %v", i, got, batch[i])
+	for _, b := range testBatches(6, 32) {
+		batch := n.EstimateBatch(b.x, b.ts)
+		for i := range b.ts {
+			if got := n.Estimate(b.x.Row(i), b.ts[i]); got != batch[i] {
+				t.Fatalf("%s row %d: Estimate %v, EstimateBatch %v", b.name, i, got, batch[i])
+			}
 		}
 	}
 }
@@ -142,14 +207,13 @@ func TestEstimateBatchZeroAllocs(t *testing.T) {
 		t.Skip("race detector instruments allocations")
 	}
 	n := planTestNet(8, 16)
-	for _, rows := range []int{1, 64} {
-		x, ts := randQueries(int64(rows), rows, 16)
-		out := make([]float64, rows)
-		n.EstimateBatchInto(out, x, ts) // compile outside the measurement
+	for _, b := range testBatches(16, 1, 64) {
+		out := make([]float64, len(b.ts))
+		n.EstimateBatchInto(out, b.x, b.ts) // compile outside the measurement
 		if got := testing.AllocsPerRun(100, func() {
-			n.EstimateBatchInto(out, x, ts)
+			n.EstimateBatchInto(out, b.x, b.ts)
 		}); got != 0 {
-			t.Fatalf("batch-%d EstimateBatchInto allocates %v per run, want 0", rows, got)
+			t.Fatalf("%s EstimateBatchInto allocates %v per run, want 0", b.name, got)
 		}
 	}
 	q := make([]float64, 16)
@@ -166,17 +230,16 @@ func TestPartitionedEstimateBatchZeroAllocs(t *testing.T) {
 	}
 	db, wl := testWorkload(31, 300, 8, 8, 4)
 	p := NewPartitioned(rand.New(rand.NewSource(32)), db, tinyPartitionedConfig(wl.TMax))
-	for _, rows := range []int{1, 64} {
-		x, ts := randQueries(int64(rows), rows, 8)
-		for i := range ts {
-			ts[i] *= wl.TMax
+	for _, b := range testBatches(8, 1, 64) {
+		for i := range b.ts {
+			b.ts[i] *= wl.TMax
 		}
-		out := make([]float64, rows)
-		p.EstimateBatchInto(out, x, ts)
+		out := make([]float64, len(b.ts))
+		p.EstimateBatchInto(out, b.x, b.ts)
 		if got := testing.AllocsPerRun(100, func() {
-			p.EstimateBatchInto(out, x, ts)
+			p.EstimateBatchInto(out, b.x, b.ts)
 		}); got != 0 {
-			t.Fatalf("batch-%d partitioned EstimateBatchInto allocates %v per run, want 0", rows, got)
+			t.Fatalf("%s partitioned EstimateBatchInto allocates %v per run, want 0", b.name, got)
 		}
 	}
 	q := make([]float64, 8)
@@ -193,26 +256,28 @@ func TestPartitionedEstimateBatchZeroAllocs(t *testing.T) {
 func TestPartitionedPlanMatchesLocalTapes(t *testing.T) {
 	db, wl := testWorkload(33, 250, 6, 8, 4)
 	p := NewPartitioned(rand.New(rand.NewSource(34)), db, tinyPartitionedConfig(wl.TMax))
-	x, ts := randQueries(35, 40, 6)
-	for i := range ts {
-		ts[i] *= wl.TMax
-	}
-	got := p.EstimateBatch(x, ts)
-	for i := range ts {
-		ind := p.part.Indicator(x.Row(i), ts[i])
-		tc := clamp(ts[i], 0, p.pcfg.Model.TMax)
-		var want float64
-		for ci, active := range ind {
-			if !active {
-				continue
+	for _, b := range testBatches(6, 40) {
+		x, ts := b.x, b.ts
+		for i := range ts {
+			ts[i] *= wl.TMax
+		}
+		got := p.EstimateBatch(x, ts)
+		for i := range ts {
+			ind := p.part.Indicator(x.Row(i), ts[i])
+			tc := clamp(ts[i], 0, p.pcfg.Model.TMax)
+			var want float64
+			for ci, active := range ind {
+				if !active {
+					continue
+				}
+				want += p.locals[ci].estimateBatchTape(tensor.RowVector(x.Row(i)), []float64{tc})[0]
 			}
-			want += p.locals[ci].estimateBatchTape(tensor.RowVector(x.Row(i)), []float64{tc})[0]
-		}
-		if math.Abs(got[i]-want) > 1e-12 {
-			t.Fatalf("row %d: plan %v, local tapes %v", i, got[i], want)
-		}
-		if e := p.Estimate(x.Row(i), ts[i]); e != got[i] {
-			t.Fatalf("row %d: Estimate %v != EstimateBatch %v", i, e, got[i])
+			if math.Abs(got[i]-want) > 1e-12 {
+				t.Fatalf("%s row %d: plan %v, local tapes %v", b.name, i, got[i], want)
+			}
+			if e := p.Estimate(x.Row(i), ts[i]); e != got[i] {
+				t.Fatalf("%s row %d: Estimate %v != EstimateBatch %v", b.name, i, e, got[i])
+			}
 		}
 	}
 }
@@ -345,5 +410,27 @@ func BenchmarkNetEstimateBatch64Tape(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.estimateBatchTape(x, ts)
+	}
+}
+
+// BenchmarkPartitionedEstimateBatchLadder is selbench's batch_scan
+// request in process: 32 query vectors x 8 ascending thresholds, rows
+// of one vector adjacent, dim 64, on a default-sized K=3 partitioned
+// model — the ladder shape EstimateBatchInto evaluates once per vector.
+func BenchmarkPartitionedEstimateBatchLadder(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	db := vecdata.SyntheticFasttext(rng, 2000, 64, distance.Euclidean)
+	wl := vecdata.GeometricWorkload(rng, db, 32, 8)
+	pcfg := DefaultPartitionedConfig()
+	pcfg.Model.TMax = wl.TMax
+	p := NewPartitioned(rng, db, pcfg)
+	x, tcol, _ := vecdata.Matrices(wl.Queries)
+	ts := tcol.Data()
+	out := make([]float64, len(ts))
+	p.EstimateBatchInto(out, x, ts) // compile
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.EstimateBatchInto(out, x, ts)
 	}
 }

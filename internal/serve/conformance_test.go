@@ -49,6 +49,44 @@ func probes(dim int, tmax float64) ([][]float64, []float64) {
 	return qs, ts
 }
 
+// ladderProbes builds threshold ladders — runs of adjacent rows sharing
+// one vector, the shape batch estimators may evaluate once per run: runs
+// of 1, 8 and 65 rows, more than 64 distinct runs, a vector repeated
+// non-adjacently, two rows differing only in the sign of a zero, and
+// thresholds unsorted within a run.
+func ladderProbes(dim int, tmax float64) (*tensor.Dense, []float64) {
+	var rows [][]float64
+	var ts []float64
+	vec := func(i int) []float64 {
+		q := make([]float64, dim)
+		for j := range q {
+			q[j] = math.Cos(float64(i*dim+j)*0.7) * 0.8
+		}
+		return q
+	}
+	run := func(q []float64, n int) {
+		for i := 0; i < n; i++ {
+			// Unsorted: 0, 3/7, 6/7, 2/7, ... of [-0.1, 1.1]·tmax.
+			ts = append(ts, (float64(i*3%7)/7*1.2-0.1)*tmax)
+			rows = append(rows, q)
+		}
+	}
+	run(vec(0), 8)
+	run(vec(1), 1)
+	run(vec(2), 65)
+	pos := vec(3)
+	pos[0] = 0
+	neg := append([]float64(nil), pos...)
+	neg[0] = math.Copysign(0, -1)
+	run(pos, 1)
+	run(neg, 1)
+	for i := 0; i < 70; i++ {
+		run(vec(4+i), 1+i%8)
+	}
+	run(vec(0), 3)
+	return tensor.FromRows(rows), ts
+}
+
 func TestEstimatorConformance(t *testing.T) {
 	builders := modeltest.Builders()
 	for _, kind := range kindsInOrder(builders) {
@@ -93,6 +131,15 @@ func TestEstimatorConformance(t *testing.T) {
 			for i := range want {
 				if diff := math.Abs(got[i] - want[i]); diff > 1e-9*(1+math.Abs(want[i])) {
 					t.Errorf("pair %d: batch %g vs scalar %g", i, got[i], want[i])
+				}
+			}
+
+			// Ladders must agree exactly: grouping rows by vector is an
+			// evaluation strategy, never a change in the answer.
+			lx, lts := ladderProbes(est.Dim(), est.TMax())
+			for i, y := range est.EstimateBatch(lx, lts) {
+				if want := est.Estimate(lx.Row(i), lts[i]); y != want {
+					t.Errorf("ladder row %d: batch %g vs scalar %g", i, y, want)
 				}
 			}
 

@@ -839,6 +839,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			st := ps.PlanStats()
 			p.Value("selestd_plan_checkouts_total", "Compiled-plan checkouts from the model's pools.",
 				"counter", float64(st.Checkouts), "model", m.Name)
+			p.Value("selestd_plan_rows_total", "Rows pushed through compiled plans (requested, not batch-class capacity).",
+				"counter", float64(st.Rows), "model", m.Name)
 			p.Value("selestd_plan_pool_misses_total", "Plan checkouts that missed the resident fast path.",
 				"counter", float64(st.Misses), "model", m.Name)
 			p.Value("selestd_plan_compiles_total", "Forward-pass compilations (lazy, per batch-size class).",
