@@ -4,9 +4,6 @@
 //
 //   - -fail-zero-allocs: any listed benchmark reporting allocs/op > 0
 //     fails the run (the compiled-plan hot path must stay allocation-free).
-//   - -max-allocs: listed benchmarks must not exceed a pinned allocs/op
-//     budget (paths that legitimately allocate, like the coalescer's
-//     per-request reply channel, must not grow new allocations).
 //   - -baseline + -regress: listed benchmarks (exact name or "name/"
 //     sub-benchmark prefix) must not regress ns/op by more than
 //     -max-regress-pct versus a previously committed benchjson document.
@@ -19,7 +16,6 @@
 //	go test -bench=... -benchmem -run '^$' ./... | benchjson \
 //	    -o BENCH_infer.json \
 //	    -fail-zero-allocs BenchmarkNetEstimatePlan,BenchmarkNetEstimateBatch64Plan \
-//	    -max-allocs 'BenchmarkServeCoalesced=2' \
 //	    -baseline BENCH_infer.base.json -regress BenchmarkMatMul -max-regress-pct 20
 package main
 
@@ -70,8 +66,6 @@ func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout")
 	failZero := flag.String("fail-zero-allocs", "",
 		"comma-separated benchmark names that must report 0 allocs/op")
-	maxAllocs := flag.String("max-allocs", "",
-		"comma-separated name=N pins; each benchmark must report allocs/op <= N")
 	baselinePath := flag.String("baseline", "",
 		"prior benchjson document to diff ns/op against")
 	regress := flag.String("regress", "",
@@ -110,7 +104,6 @@ func main() {
 	}
 
 	problems := checkZeroAllocs(doc.Benchmarks, *failZero)
-	problems = append(problems, checkMaxAllocs(doc.Benchmarks, *maxAllocs)...)
 	if *baselinePath != "" && *regress != "" {
 		base, err := readBaseline(*baselinePath)
 		if err != nil {
@@ -150,38 +143,6 @@ func checkZeroAllocs(results []Result, list string) []string {
 			found = true
 			if r.AllocsPerOp != 0 {
 				problems = append(problems, fmt.Sprintf("%s reports %v allocs/op, want 0", name, r.AllocsPerOp))
-			}
-		}
-		if !found {
-			problems = append(problems, fmt.Sprintf("required benchmark %s missing from input", name))
-		}
-	}
-	return problems
-}
-
-// checkMaxAllocs enforces -max-allocs name=N pins: each listed benchmark
-// must be present and report allocs/op <= N.
-func checkMaxAllocs(results []Result, spec string) []string {
-	var problems []string
-	for _, pin := range splitList(spec) {
-		name, nStr, ok := strings.Cut(pin, "=")
-		if !ok {
-			problems = append(problems, fmt.Sprintf("bad -max-allocs entry %q, want name=N", pin))
-			continue
-		}
-		limit, err := strconv.ParseFloat(nStr, 64)
-		if err != nil {
-			problems = append(problems, fmt.Sprintf("bad -max-allocs limit %q: %v", pin, err))
-			continue
-		}
-		found := false
-		for _, r := range results {
-			if r.Name != name {
-				continue
-			}
-			found = true
-			if r.AllocsPerOp > limit {
-				problems = append(problems, fmt.Sprintf("%s reports %v allocs/op, pinned at %v", name, r.AllocsPerOp, limit))
 			}
 		}
 		if !found {

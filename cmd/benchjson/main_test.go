@@ -94,25 +94,6 @@ func TestCheckZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestCheckMaxAllocs(t *testing.T) {
-	results := []Result{
-		{Name: "BenchmarkServeCoalesced", AllocsPerOp: 2},
-		{Name: "BenchmarkServeNaive", AllocsPerOp: 1},
-	}
-	if p := checkMaxAllocs(results, "BenchmarkServeCoalesced=2,BenchmarkServeNaive=1"); p != nil {
-		t.Fatalf("within-budget flagged: %v", p)
-	}
-	if p := checkMaxAllocs(results, "BenchmarkServeCoalesced=1"); len(p) != 1 {
-		t.Fatalf("over-budget not flagged: %v", p)
-	}
-	if p := checkMaxAllocs(results, "BenchmarkGone=1"); len(p) != 1 {
-		t.Fatalf("missing benchmark not flagged: %v", p)
-	}
-	if p := checkMaxAllocs(results, "BenchmarkServeNaive"); len(p) != 1 {
-		t.Fatalf("malformed pin not flagged: %v", p)
-	}
-}
-
 func TestCheckRegressions(t *testing.T) {
 	base := []Result{
 		{Name: "BenchmarkMatMul/64x64x64", NsPerOp: 100_000},

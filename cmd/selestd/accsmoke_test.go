@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"selnet/internal/modelcodec"
 	"selnet/internal/partition"
 	"selnet/internal/selnet"
 	"selnet/internal/vecdata"
@@ -88,7 +89,7 @@ func TestAccuracySmoke(t *testing.T) {
 	cut := len(wl.Queries) * 3 / 4
 	m.Fit(tc, db, wl.Queries[:cut], wl.Queries[cut:])
 	modelPath := filepath.Join(dir, "model.gob")
-	if err := selnet.SaveModelFile(modelPath, m); err != nil {
+	if err := modelcodec.SaveFile(modelPath, m); err != nil {
 		t.Fatal(err)
 	}
 	csvPath := filepath.Join(dir, "data.csv")

@@ -86,22 +86,19 @@ func (p *Program) Run() {
 }
 
 // Plan is one compiled forward pass for a fixed batch capacity: the
-// program plus the buffers a caller fills (X, T) and reads (Out, Tau,
-// P). A plan is single-threaded — check one out of a Pool per request —
-// and valid as long as the model's parameter tensors are alive: kernels
-// read parameter values through the same Dense objects the optimizer
-// updates in place.
+// program plus the buffer a caller fills (X) and the buffers it reads
+// (Out, Tau, P). A plan is single-threaded — check one out of a Pool per
+// request — and valid as long as the model's parameter tensors are
+// alive: kernels read parameter values through the same Dense objects
+// the optimizer updates in place.
 type Plan struct {
 	// Batch is the row capacity; callers may fill fewer rows and ignore
 	// the padding rows' outputs.
 	Batch int
 	// X is the input buffer the caller fills (Batch x inputDim).
 	X *tensor.Dense
-	// T is the per-row threshold column (Batch x 1); nil for plans that
-	// stop at an intermediate output (e.g. the partitioned encoder plan).
-	T *tensor.Dense
-	// Out is the primary output (estimates, or an intermediate such as
-	// the enhanced representation).
+	// Out is the primary output (e.g. SelNet's enhanced representation
+	// [x; z_x]); nil for plans that only surface control points.
 	Out *tensor.Dense
 	// Tau and P are the control-point outputs (nil when the plan does
 	// not surface them).
@@ -126,9 +123,9 @@ type Plan struct {
 // one model generation, and any in-place parameter mutation afterwards
 // must be followed by dropping the plans (selnet's training entry
 // points do this).
-func NewPlan(batch int, prog *Program, x, t, out, tau, p *tensor.Dense, bufs []*tensor.Dense) *Plan {
+func NewPlan(batch int, prog *Program, x, out, tau, p *tensor.Dense, bufs []*tensor.Dense) *Plan {
 	packs := prog.optimize(out, tau, p)
-	return &Plan{Batch: batch, X: x, T: t, Out: out, Tau: tau, P: p, prog: prog, bufs: bufs, packs: packs}
+	return &Plan{Batch: batch, X: x, Out: out, Tau: tau, P: p, prog: prog, bufs: bufs, packs: packs}
 }
 
 // Run executes the forward pass in place over the plan's buffers.

@@ -34,7 +34,7 @@ func newTestPool(maxBatch int, compiles *int) *Pool {
 		if compiles != nil {
 			*compiles++
 		}
-		return NewPlan(batch, NewProgram(), nil, nil, nil, nil, nil, nil)
+		return NewPlan(batch, NewProgram(), nil, nil, nil, nil, nil)
 	})
 }
 
@@ -95,7 +95,7 @@ func TestPoolDropReleasesAndRecompiles(t *testing.T) {
 	p := NewPool(4, func(batch int) *Plan {
 		compiles++
 		buf := tensor.NewPooled(batch, 4)
-		return NewPlan(batch, NewProgram(), buf, nil, buf, nil, nil, []*tensor.Dense{buf})
+		return NewPlan(batch, NewProgram(), buf, buf, nil, nil, []*tensor.Dense{buf})
 	})
 	pl := p.Get(4)
 	p.Put(pl)
@@ -160,7 +160,7 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 func TestPoolPutAfterDropReleases(t *testing.T) {
 	p := NewPool(4, func(batch int) *Plan {
 		buf := tensor.NewPooled(batch, 4)
-		return NewPlan(batch, NewProgram(), buf, nil, buf, nil, nil, []*tensor.Dense{buf})
+		return NewPlan(batch, NewProgram(), buf, buf, nil, nil, []*tensor.Dense{buf})
 	})
 	pl := p.Get(4)
 	p.Drop()

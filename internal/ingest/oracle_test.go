@@ -119,6 +119,9 @@ func TestDBOracleConcurrentMutateAndRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := vecdata.SyntheticFasttext(rng, 4000, 4, distance.Euclidean)
 	o := NewDBOracle(db, OracleConfig{Budget: 500})
+	// Copy the probe before the writer starts: reading db.Vecs outside
+	// BeginMutate/EndMutate would itself race with the append.
+	x := append([]float64(nil), db.Vecs[0]...)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -131,7 +134,6 @@ func TestDBOracleConcurrentMutateAndRead(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		x := append([]float64(nil), db.Vecs[0]...)
 		for i := 0; i < 200; i++ {
 			o.TrueSelectivity(x, 1.0)
 		}

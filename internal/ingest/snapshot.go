@@ -76,9 +76,9 @@ func writeSnapshot(path, name string, s modelSnapshot) error {
 		return fmt.Errorf("ingest: encode snapshot vectors: %w", err)
 	}
 	if s.model != nil {
-		// The kind-tagged container is byte-compatible with the old
-		// selnet.SaveModel stream, so pre-existing snapshots still load
-		// and selnet-kind snapshots stay readable by older builds.
+		// The kind-tagged container keeps the byte layout older builds
+		// wrote, so pre-existing snapshots still load and selnet-kind
+		// snapshots stay readable by older builds.
 		if err := modelcodec.Save(bw, s.model); err != nil {
 			f.Close()
 			return err

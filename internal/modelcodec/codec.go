@@ -3,12 +3,13 @@
 // estimator kind — SelNet (single and partitioned) plus the six baseline
 // estimators (KDE, LSH sampling, LightGBM, DNN, MoE, RMI, DLN, UMNN).
 //
-// The container layout is byte-compatible with selnet.SaveModel (an
-// 8-byte magic, a gob-encoded kind string, then the model's own Save
-// stream), so model files and snapshots written before this package
-// existed load unchanged, and selnet-kind files written here load with
-// the old selnet.LoadModel. Legacy untagged files ('selest train'
-// output, bare Save streams) are sniffed through selnet's decoders.
+// It is the only model container. Its layout — an 8-byte magic, a
+// gob-encoded kind string, then the model's own Save stream — is the one
+// selnet's retired container wrote, so model files and snapshots written
+// before this package existed load unchanged, and selnet-kind files
+// written here load with older builds. Legacy untagged files ('selest
+// train' output, bare Save streams) are sniffed through selnet's
+// decoders. testdata/ holds one file of each legacy form.
 //
 // The package sits below internal/serve: serve, ingest and the daemons
 // import it, and its Estimator interface is structurally identical to
@@ -44,12 +45,13 @@ type Estimator interface {
 	Name() string
 }
 
-// magic prefixes the kind-tagged container; identical to the selnet
-// container so pre-existing files remain loadable in both directions.
+// magic prefixes the kind-tagged container; identical to the retired
+// selnet container so pre-existing files remain loadable in both
+// directions.
 const magic = "SELMODL1"
 
-// Wire kind strings. The selnet kinds must never change: they are the
-// strings selnet.SaveModel has written since PR 3.
+// Wire kind strings. The selnet kinds must never change: model files on
+// disk carry them (testdata/net-tagged.model).
 const (
 	kindNet  = "selnet.Net"
 	kindPart = "selnet.Partitioned"
@@ -130,7 +132,7 @@ func Save(w io.Writer, est Estimator) error {
 	return save(w)
 }
 
-// Load reads one container written by Save (or by selnet.SaveModel).
+// Load reads one container written by Save (or by an older build).
 // The reader may sit mid-stream, e.g. inside a snapshot file; exactly
 // one container is consumed.
 func Load(r io.Reader) (Estimator, error) {

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"testing"
 
 	"selnet/internal/modelcodec"
 	"selnet/internal/modeltest"
-	"selnet/internal/selnet"
 	"selnet/internal/tensor"
 )
 
@@ -109,51 +110,73 @@ func builders(t *testing.T, kind string) modelcodec.Estimator {
 	return b()
 }
 
-// TestSelnetInterop verifies the container stays byte-compatible with
-// the pre-codec selnet.SaveModel format in both directions.
-func TestSelnetInterop(t *testing.T) {
-	net := modeltest.TinySelNet(11, 3)
+// legacyFixtures are model files in the formats earlier builds wrote —
+// the selnet kind-tagged container and bare (*Net).Save /
+// (*Partitioned).Save streams — each written from the modeltest builder
+// of its kind.
+var legacyFixtures = []struct {
+	file, kind string
+}{
+	{"net-tagged.model", "selnet"},
+	{"net-bare.gob", "selnet"},
+	{"part-bare.gob", "selnet-part"},
+}
 
-	// Old writer -> new reader.
-	var legacy bytes.Buffer
-	if err := selnet.SaveModel(&legacy, net); err != nil {
-		t.Fatalf("selnet.SaveModel: %v", err)
+// TestSelnetInterop verifies the container stays byte-compatible with
+// the selnet container older builds wrote: the tagged fixture reloads,
+// and both it and a freshly built twin re-save to its exact bytes. gob
+// numbers wire types per process in order of first use, so the
+// comparison runs in a fresh process of this test binary, as the
+// fixture was written.
+func TestSelnetInterop(t *testing.T) {
+	if os.Getenv("MODELCODEC_INTEROP_CHILD") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSelnetInterop$")
+		cmd.Env = append(os.Environ(), "MODELCODEC_INTEROP_CHILD=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("fresh-process check: %v\n%s", err, out)
+		}
+		return
 	}
-	got, err := modelcodec.Load(bytes.NewReader(legacy.Bytes()))
+	want, err := os.ReadFile(filepath.Join("testdata", "net-tagged.model"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := modelcodec.Load(bytes.NewReader(want))
 	if err != nil {
 		t.Fatalf("modelcodec.Load(selnet container): %v", err)
 	}
 	if modelcodec.Kind(got) != "selnet" {
 		t.Fatalf("kind = %q", modelcodec.Kind(got))
 	}
-
-	// New writer -> old reader.
-	var fresh bytes.Buffer
-	if err := modelcodec.Save(&fresh, net); err != nil {
-		t.Fatalf("modelcodec.Save: %v", err)
-	}
-	if !bytes.Equal(legacy.Bytes(), fresh.Bytes()) {
-		t.Fatalf("selnet container bytes diverged between writers")
-	}
-	if _, err := selnet.LoadModel(bytes.NewReader(fresh.Bytes())); err != nil {
-		t.Fatalf("selnet.LoadModel(modelcodec container): %v", err)
+	for name, est := range map[string]modelcodec.Estimator{"reloaded": got, "rebuilt": builders(t, "selnet")} {
+		var buf bytes.Buffer
+		if err := modelcodec.Save(&buf, est); err != nil {
+			t.Fatalf("%s: modelcodec.Save: %v", name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s: container bytes diverged from the legacy file", name)
+		}
 	}
 }
 
-// TestLegacySniffing verifies an untagged 'selest train'-style Net file
-// still loads through LoadFile.
+// TestLegacySniffing verifies every legacy fixture — tagged or untagged
+// — loads through LoadFile as the right concrete type and answers == to
+// the model it was written from.
 func TestLegacySniffing(t *testing.T) {
-	net := modeltest.TinySelNet(11, 3)
-	path := filepath.Join(t.TempDir(), "legacy.selnet")
-	if err := net.SaveFile(path); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, err := modelcodec.LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile(legacy): %v", err)
-	}
-	if modelcodec.Kind(got) != "selnet" {
-		t.Fatalf("kind = %q", modelcodec.Kind(got))
+	for _, f := range legacyFixtures {
+		got, err := modelcodec.LoadFile(filepath.Join("testdata", f.file))
+		if err != nil {
+			t.Fatalf("LoadFile(%s): %v", f.file, err)
+		}
+		if modelcodec.Kind(got) != f.kind {
+			t.Fatalf("%s: kind = %q, want %q", f.file, modelcodec.Kind(got), f.kind)
+		}
+		want := queryProbe(builders(t, f.kind))
+		for i, v := range queryProbe(got) {
+			if v != want[i] {
+				t.Fatalf("%s probe %d: loaded estimate %v, rebuilt %v", f.file, i, v, want[i])
+			}
+		}
 	}
 }
 
@@ -165,5 +188,16 @@ func TestLoadCorrupt(t *testing.T) {
 	}
 	if _, err := modelcodec.Load(bytes.NewReader([]byte("NOTMAGIC"))); err == nil {
 		t.Fatal("bad magic loaded without error")
+	}
+	dir := t.TempDir()
+	if _, err := modelcodec.LoadFile(filepath.Join(dir, "missing.gob")); err == nil {
+		t.Fatal("missing file loaded")
+	}
+	garbage := filepath.Join(dir, "garbage.gob")
+	if err := os.WriteFile(garbage, []byte("SELMODL1 is not followed by a model"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := modelcodec.LoadFile(garbage); err == nil {
+		t.Fatal("garbage tagged container loaded")
 	}
 }

@@ -123,7 +123,7 @@ type Net struct {
 	mDecB  *nn.Param // 1 x (L+2) per-block decoder biases
 
 	name  string
-	plans netPlans // compiled inference plans, built lazily (plan.go)
+	plans planCache // compiled inference plans, built lazily (plan.go)
 }
 
 // NewNet builds a SelNet for dim-dimensional queries. cfg.TMax must be
@@ -243,30 +243,18 @@ func (n *Net) forward(tp *autodiff.Tape, x, t *autodiff.Node) (yhat, aeLoss *aut
 
 // Estimate returns the estimated selectivity for a single query. The
 // threshold is clamped into [0, TMax]; Lemma 1 guarantees the result is
-// non-decreasing in t.
+// non-decreasing in t. It is a one-row EstimateBatchInto, so a NaN
+// threshold estimates 0.
 //
 // Estimate, EstimateBatch and ControlPoints are safe for concurrent use:
-// each call checks a compiled plan out of the model's pool (plan.go) and
+// each call checks compiled plans out of the model's pools (plan.go) and
 // only reads the shared parameter tensors. They must not run
 // concurrently with Fit or Update, which mutate the parameters in place
 // — the serving layer (internal/serve) gets this isolation by
 // hot-swapping whole models instead of retraining live ones. Steady
 // state performs zero heap allocations.
 func (n *Net) Estimate(x []float64, t float64) float64 {
-	if len(x) != n.dim {
-		panic(fmt.Sprintf("selnet: query has dim %d, model expects %d", len(x), n.dim))
-	}
-	pool := n.planPool()
-	pl := pool.Get(1)
-	copy(pl.X.Row(0), x)
-	pl.T.Set(0, 0, clamp(t, 0, n.cfg.TMax))
-	pl.Run()
-	v := pl.Out.At(0, 0)
-	pool.Put(pl)
-	if v < 0 {
-		v = 0
-	}
-	return v
+	return n.planState().estimate(x, t)
 }
 
 // EstimateBatch estimates selectivities for several (query, threshold)
@@ -287,14 +275,16 @@ func (n *Net) ControlPoints(x []float64) (tau, p []float64) {
 	if len(x) != n.dim {
 		panic(fmt.Sprintf("selnet: query has dim %d, model expects %d", len(x), n.dim))
 	}
-	pool := n.planPool()
-	pl := pool.Get(1)
-	copy(pl.X.Row(0), x)
-	pl.T.Set(0, 0, 0)
-	pl.Run()
-	tau = append([]float64(nil), pl.Tau.Row(0)...)
-	p = append([]float64(nil), pl.P.Row(0)...)
-	pool.Put(pl)
+	ps := n.planState()
+	enc, head := ps.enc.Get(1), ps.heads[0].Get(1)
+	copy(enc.X.Row(0), x)
+	enc.Run()
+	copy(head.X.Row(0), enc.Out.Row(0))
+	head.Run()
+	tau = append([]float64(nil), head.Tau.Row(0)...)
+	p = append([]float64(nil), head.P.Row(0)...)
+	ps.heads[0].Put(head)
+	ps.enc.Put(enc)
 	return tau, p
 }
 

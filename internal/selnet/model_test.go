@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"selnet/internal/distance"
+	"selnet/internal/tensor"
 	"selnet/internal/vecdata"
 )
 
@@ -184,6 +185,21 @@ func TestEstimateClampsThreshold(t *testing.T) {
 	}
 	if got, want := net.Estimate(x, 99), net.Estimate(x, 1.0); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("huge t should clamp to TMax: %v vs %v", got, want)
+	}
+	// A NaN threshold estimates 0 on both model types, single and batched.
+	db, wl := testWorkload(6, 200, 3, 5, 4)
+	part := NewPartitioned(rng, db, tinyPartitionedConfig(wl.TMax))
+	for _, m := range []interface {
+		Estimate(x []float64, t float64) float64
+		EstimateBatch(x *tensor.Dense, ts []float64) []float64
+	}{net, part} {
+		if got := m.Estimate(x, math.NaN()); got != 0 {
+			t.Fatalf("%T: Estimate(x, NaN) = %v, want 0", m, got)
+		}
+		got := m.EstimateBatch(tensor.FromRows([][]float64{x, x, x}), []float64{0.5, math.NaN(), 0.5})
+		if got[1] != 0 || got[0] != m.Estimate(x, 0.5) || got[2] != got[0] {
+			t.Fatalf("%T: EstimateBatch with a NaN row = %v", m, got)
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ type Partitioned struct {
 	// local ground truth stays computable across database updates.
 	clusterVecs [][][]float64
 
-	plans partPlanState // compiled inference plans, built lazily (plan.go)
+	plans planCache // compiled inference plans, built lazily (plan.go)
 }
 
 // NewPartitioned builds the partitioned estimator over db's current
@@ -146,96 +146,76 @@ func (p *Partitioned) Fit(tc TrainConfig, db *vecdata.Database, train, valid []v
 	p.DropPlans()
 	rng := rand.New(rand.NewSource(tc.Seed))
 	p.locals[0].pretrainAE(rng, tc, db)
+	js := p.newJointSet(train)
 
 	// Stage 1: local pretraining on cluster-local labels.
-	localTrain := make([][]vecdata.Query, p.K())
-	for ci := range p.locals {
-		localTrain[ci] = p.localQueries(ci, train)
+	for ci, l := range p.locals {
 		if p.pcfg.PretrainEpochs > 0 {
 			ltc := tc
 			ltc.Epochs = p.pcfg.PretrainEpochs
 			ltc.EvalEvery = 0
 			ltc.AEPretrainEpochs = 0 // already done
 			ltc.Seed = tc.Seed + int64(ci+1)
-			p.locals[ci].Fit(ltc, nil, localTrain[ci], nil)
+			l.Fit(ltc, nil, js.local[ci], nil)
 		}
 	}
 
 	// Stage 2: joint training.
-	x, t, y := vecdata.Matrices(train)
-	indicators := p.indicatorMatrix(train)
-	localY := make([]*tensor.Dense, p.K())
-	for ci := range localY {
-		_, _, ly := vecdata.Matrices(localTrain[ci])
-		localY[ci] = ly
-	}
 	opt := nn.NewAdam(tc.LR)
-	nTrain := len(train)
-	idx := make([]int, nTrain)
-	for i := range idx {
-		idx[i] = i
+	idx := identity(len(train))
+	fitEpochs(p, tc, valid, func(int) { p.jointEpoch(tc, rng, opt, js, idx) })
+}
+
+// jointSet is a query set prepared for the joint objective: each
+// cluster's locally labelled copy, the global matrices, and the
+// indicators f_c.
+type jointSet struct {
+	local              [][]vecdata.Query
+	x, t, y            *tensor.Dense
+	localY, indicators []*tensor.Dense
+}
+
+// newJointSet prepares queries, labelled against the whole database,
+// for the joint objective.
+func (p *Partitioned) newJointSet(queries []vecdata.Query) *jointSet {
+	js := &jointSet{local: make([][]vecdata.Query, p.K()), localY: make([]*tensor.Dense, p.K())}
+	for ci := range p.locals {
+		js.local[ci] = p.localQueries(ci, queries)
+		_, _, js.localY[ci] = vecdata.Matrices(js.local[ci])
 	}
-	var best []*tensor.Dense
-	bestLoss := math.Inf(1)
-	snapshot := func() {
-		if len(valid) == 0 {
-			return
-		}
-		l := p.Loss(tc, valid)
-		if l < bestLoss {
-			bestLoss = l
-			best = best[:0]
-			for _, pr := range p.Params() {
-				best = append(best, pr.Value.Clone())
+	js.x, js.t, js.y = vecdata.Matrices(queries)
+	js.indicators = p.indicatorMatrix(queries)
+	return js
+}
+
+// jointEpoch runs one epoch of the joint objective over js: a shuffle of
+// idx by rng, then one opt step per mini-batch.
+func (p *Partitioned) jointEpoch(tc TrainConfig, rng *rand.Rand, opt *nn.Adam, js *jointSet, idx []int) {
+	shuffledBatches(rng, idx, tc.Batch, func(b []int) {
+		tp := autodiff.NewTape()
+		xb := tp.Input(tensor.GatherRows(js.x, b))
+		tb := tp.Input(tensor.GatherRows(js.t, b))
+		yb := tp.Input(tensor.GatherRows(js.y, b))
+		aeLoss, z := p.ae.ReconstructionLoss(tp, xb)
+		enhanced := tp.ConcatCols(xb, z)
+		var global *autodiff.Node
+		loss := tp.Scale(aeLoss, p.pcfg.Model.Lambda)
+		for ci, l := range p.locals {
+			tau, pp := l.controlPointsFromEnhanced(tp, enhanced)
+			yhat := tp.PWLInterp(tau, pp, tb)
+			lyb := tp.Input(tensor.GatherRows(js.localY[ci], b))
+			loss = tp.Add(loss, tp.Scale(estLoss(tp, tc, yhat, lyb), p.pcfg.Beta))
+			gated := tp.Mul(yhat, tp.Input(tensor.GatherRows(js.indicators[ci], b)))
+			if global == nil {
+				global = gated
+			} else {
+				global = tp.Add(global, gated)
 			}
 		}
-	}
-	for e := 0; e < tc.Epochs; e++ {
-		rng.Shuffle(nTrain, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for s := 0; s < nTrain; s += tc.Batch {
-			end := s + tc.Batch
-			if end > nTrain {
-				end = nTrain
-			}
-			b := idx[s:end]
-			tp := autodiff.NewTape()
-			xb := tp.Input(tensor.GatherRows(x, b))
-			tb := tp.Input(tensor.GatherRows(t, b))
-			yb := tp.Input(tensor.GatherRows(y, b))
-			aeLoss, z := p.ae.ReconstructionLoss(tp, xb)
-			enhanced := tp.ConcatCols(xb, z)
-			var global *autodiff.Node
-			loss := tp.Scale(aeLoss, p.pcfg.Model.Lambda)
-			for ci, l := range p.locals {
-				tau, pp := l.controlPointsFromEnhanced(tp, enhanced)
-				yhat := tp.PWLInterp(tau, pp, tb)
-				lyb := tp.Input(tensor.GatherRows(localY[ci], b))
-				loss = tp.Add(loss, tp.Scale(estLoss(tp, tc, yhat, lyb), p.pcfg.Beta))
-				gated := tp.Mul(yhat, tp.Input(tensor.GatherRows(indicators[ci], b)))
-				if global == nil {
-					global = gated
-				} else {
-					global = tp.Add(global, gated)
-				}
-			}
-			loss = tp.Add(loss, estLoss(tp, tc, global, yb))
-			tp.Backward(loss)
-			opt.Step(p.Params())
-		}
-		if tc.EvalEvery > 0 && (e+1)%tc.EvalEvery == 0 {
-			snapshot()
-		}
-	}
-	snapshot()
-	if best != nil {
-		for i, pr := range p.Params() {
-			pr.Value.CopyFrom(best[i])
-		}
-	}
-	// Drop plans compiled against mid-training weights: plans pack
-	// weight panels at compile time, so a parameter restore under them
-	// would leave stale panels serving.
-	p.DropPlans()
+		loss = tp.Add(loss, estLoss(tp, tc, global, yb))
+		tp.Backward(loss)
+		opt.Step(p.Params())
+	})
 }
 
 // indicatorMatrix precomputes f_c for every query, one column vector per
@@ -258,53 +238,24 @@ func (p *Partitioned) indicatorMatrix(queries []vecdata.Query) []*tensor.Dense {
 
 // Estimate returns fˆ*(x, t): the sum of active local estimates. Each
 // local estimate is non-negative and monotone in t, and the active set
-// only grows with t, so the global estimate is consistent. Like
-// Net.Estimate it runs on compiled plans (plan.go): one encoder plan
-// computes the shared enhanced input, then each active cluster's head
-// plan produces its local estimate. Zero heap allocations at steady
+// only grows with t, so the global estimate is consistent. It is a
+// one-row EstimateBatchInto on compiled plans (plan.go): one encoder
+// plan computes the shared enhanced input, then each active cluster's
+// head plan produces its control points. Zero heap allocations at steady
 // state.
 func (p *Partitioned) Estimate(x []float64, t float64) float64 {
-	if len(x) != p.dim {
-		panic(fmt.Sprintf("selnet: query has dim %d, model expects %d", len(x), p.dim))
-	}
-	ps := p.planState()
-	sc := ps.scratch.Get().(*partScratch)
-	k := p.K()
-	p.part.IndicatorInto(sc.active[:k], sc.qbuf, x, t)
-	tc := clamp(t, 0, p.pcfg.Model.TMax)
-	encPl := ps.enc.Get(1)
-	copy(encPl.X.Row(0), x)
-	encPl.Run()
-	var sum float64
-	for ci := range p.locals {
-		if !sc.active[ci] {
-			continue
-		}
-		hp := ps.heads[ci].Get(1)
-		copy(hp.X.Row(0), encPl.Out.Row(0))
-		hp.T.Set(0, 0, tc)
-		hp.Run()
-		if v := hp.Out.At(0, 0); v > 0 {
-			sum += v
-		}
-		ps.heads[ci].Put(hp)
-	}
-	ps.enc.Put(encPl)
-	ps.scratch.Put(sc)
-	return sum
+	return p.planState().estimate(x, t)
 }
 
 // EstimateBatch estimates selectivities for several (query, threshold)
-// pairs at once, matching row-by-row Estimate exactly. Adjacent rows
-// with bit-identical vectors share one evaluation: one encoder plan pass
-// computes the shared enhanced input [x; z_x] per chunk of distinct
-// vectors, and each local head whose region is active for at least one
-// row runs a single batched head-plan pass over those vectors (gather,
-// not mask), so per-head cost scales with active distinct vectors
-// rather than cluster count times batch size. Like
-// Net.EstimateBatch it is read-only on the parameters and safe for
-// concurrent use (but not concurrently with Fit/HandleUpdate). The
-// allocation-free variant is EstimateBatchInto.
+// pairs at once, matching row-by-row Estimate exactly. Each local head
+// whose region is active for at least one row runs a single batched
+// head-plan pass over those rows' distinct vectors (gather, not mask),
+// so per-head cost scales with active distinct vectors rather than
+// cluster count times batch size. Like Net.EstimateBatch it is read-only
+// on the parameters and safe for concurrent use (but not concurrently
+// with Fit/HandleUpdate). The allocation-free variant is
+// EstimateBatchInto.
 func (p *Partitioned) EstimateBatch(x *tensor.Dense, ts []float64) []float64 {
 	if x.Rows() != len(ts) {
 		panic(fmt.Sprintf("selnet: %d query rows but %d thresholds", x.Rows(), len(ts)))
@@ -333,16 +284,7 @@ func (p *Partitioned) Loss(tc TrainConfig, queries []vecdata.Query) float64 {
 }
 
 // MAE computes the mean absolute error on a query set.
-func (p *Partitioned) MAE(queries []vecdata.Query) float64 {
-	if len(queries) == 0 {
-		return 0
-	}
-	var s float64
-	for _, q := range queries {
-		s += math.Abs(p.Estimate(q.X, q.T) - q.Y)
-	}
-	return s / float64(len(queries))
-}
+func (p *Partitioned) MAE(queries []vecdata.Query) float64 { return mae(p, queries) }
 
 // Name returns the paper's model name for the full estimator.
 func (p *Partitioned) Name() string { return "SelNet" }

@@ -1,150 +1,253 @@
 package selnet
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 
 	"selnet/internal/autodiff"
 	"selnet/internal/infer"
+	"selnet/internal/nn"
+	"selnet/internal/partition"
 	"selnet/internal/tensor"
 )
 
 // This file puts SelNet inference on the compiled-plan engine
-// (internal/infer). The first estimate against a model records its
-// forward pass once per batch-size class into an infer.Plan — a
-// topologically ordered list of forward kernels bound to preallocated
-// buffers — and every later call checks a plan out of the model's pool,
-// fills its input buffers in place, replays the kernels, and reads the
-// outputs. Steady-state inference performs zero heap allocations and
-// never rebuilds a tape.
+// (internal/infer). Both model types serve through one plan state: an
+// encoder plan pool (x -> [x; z_x]), one head plan pool per local model
+// ([x; z_x] -> control points τ, p), and one estimate loop that gates
+// each head by its cluster's indicator and interpolates every row with
+// autodiff.PWLAt. A Partitioned model has one head per cluster (Sec.
+// 5.3: the locals "share the same transformed input [x; z_x], but each
+// has its own networks"); a Net is the one-head case behind an
+// always-active one-cluster partitioning. The first estimate records
+// each pass once per batch-size class into an infer.Plan — forward
+// kernels bound to preallocated buffers — and later calls check plans
+// out of the pools, fill their inputs in place and replay the kernels.
+// Steady-state inference performs zero heap allocations and never
+// rebuilds a tape.
 //
 // A compiled plan snapshots the model's weights: the optimize pass
 // (infer's fuse.go) packs each constant weight matrix into a blocked
 // panel layout at compile time, so a plan belongs to one parameter
-// generation. Every code path that mutates parameters in place —
-// optimizer steps inside Fit/HandleUpdate, best-snapshot restores —
-// calls DropPlans before the next plan-based evaluation, and the
-// serving layer drops plans when it discards a model generation after
-// a hot-swap. Dropped plans are recompiled (and re-packed) lazily on
-// next use. Clones and deserialized models are fresh objects and start
-// with no plans.
+// generation. The remaining DropPlans sites are the training entry
+// points — Net.Fit and Partitioned.Fit (on entry and after the
+// best-snapshot restore), the δ_U prologue of HandleUpdate, and the
+// patience loop (after every epoch and after its restore) — plus the
+// serving layer, which drops a model generation's plans when a hot-swap
+// retires it. Dropped plans recompile (and re-pack) lazily on next use.
+// Clones and deserialized models are fresh objects and start with no
+// plans.
 
 // maxPlanBatch is the largest batch one compiled plan covers; larger
 // EstimateBatch calls are chunked. Classes are powers of two, so a pool
 // holds at most log2(maxPlanBatch)+1 resident plans.
 const maxPlanBatch = 64
 
-// netPlans is the lazily built plan pool of a Net.
-type netPlans struct {
-	mu   sync.Mutex
-	pool atomic.Pointer[infer.Pool]
+// alwaysActive gates a Net: one cluster, active for every (x, t).
+var alwaysActive = partition.Restore(partition.Random, []partition.Cluster{{}}, false, true)
+
+// plans is a model's compiled inference state: the encoder pool, one
+// head pool per cluster of part, and a scratch pool for the per-call
+// indicator and gather bookkeeping.
+type plans struct {
+	dim     int
+	tmax    float64
+	part    *partition.Partitioning
+	enc     *infer.Pool
+	heads   []*infer.Pool
+	scratch sync.Pool // *planScratch
 }
 
-// planPool returns the Net's plan pool, building it on first use.
-func (n *Net) planPool() *infer.Pool {
-	if p := n.plans.pool.Load(); p != nil {
-		return p
+// planScratch holds one call's allocation-free bookkeeping for a chunk
+// of at most maxPlanBatch runs (ladderRuns).
+type planScratch struct {
+	ends      []int         // [maxPlanBatch] exclusive end row of each run
+	active    []bool        // row-major [chunk rows x K] indicator matrix; grows with the longest chunk
+	runActive []bool        // row-major [maxPlanBatch x K]: cluster active for any row of the run
+	gather    []int         // run indices gathered for one head
+	qbuf      []float64     // normalized-query scratch for cosine indicators
+	x         *tensor.Dense // 1 x dim query of a single-row Estimate
+	t, out    [1]float64    // threshold and estimate of a single-row Estimate
+}
+
+// planCache holds a model's plans, built lazily on first use.
+type planCache struct {
+	mu    sync.Mutex
+	state atomic.Pointer[plans]
+}
+
+// load returns the cached plans, calling build on first use.
+func (c *planCache) load(build func() *plans) *plans {
+	if ps := c.state.Load(); ps != nil {
+		return ps
 	}
-	n.plans.mu.Lock()
-	defer n.plans.mu.Unlock()
-	if p := n.plans.pool.Load(); p != nil {
-		return p
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ps := c.state.Load(); ps != nil {
+		return ps
 	}
-	p := infer.NewPool(maxPlanBatch, n.compilePlan)
-	n.plans.pool.Store(p)
-	return p
+	ps := build()
+	c.state.Store(ps)
+	return ps
 }
 
-// compilePlan records the full inference pass (encode, control points,
-// PWL interpolation) for one batch capacity.
-func (n *Net) compilePlan(batch int) *infer.Plan {
-	prog := infer.NewProgram()
-	tp := autodiff.NewForwardTape(prog)
-	x := tensor.NewPooled(batch, n.dim)
-	tcol := tensor.NewPooled(batch, 1)
-	tau, p := n.controlPointsInference(tp, tp.Input(x))
-	yhat := tp.PWLInterp(tau, p, tp.Input(tcol))
-	bufs := append(tp.PooledBuffers(), x, tcol)
-	return infer.NewPlan(batch, prog, x, tcol, yhat.Value, tau.Value, p.Value, bufs)
+// drop invalidates the encoder and every head pool.
+func (c *planCache) drop() {
+	if ps := c.state.Load(); ps != nil {
+		ps.enc.Drop()
+		for _, h := range ps.heads {
+			h.Drop()
+		}
+	}
 }
 
-// compileHeadPlan records the control-point generators and PWL
-// interpolation from a precomputed enhanced input [x; z_x] — the
-// per-cluster plan of the partitioned estimator, which shares one
-// encoder pass across all local heads.
+// stats merges the encoder and head pool counters into one figure.
+func (c *planCache) stats() infer.PoolStats {
+	var s infer.PoolStats
+	if ps := c.state.Load(); ps != nil {
+		s = ps.enc.Stats()
+		for _, h := range ps.heads {
+			s = s.Merge(h.Stats())
+		}
+	}
+	return s
+}
+
+// newPlans builds the plan state for heads over the shared autoencoder
+// ae, gated by part (cluster i of part gates heads[i]).
+func newPlans(dim int, tmax float64, part *partition.Partitioning, ae *nn.Autoencoder, heads []*Net) *plans {
+	ps := &plans{dim: dim, tmax: tmax, part: part}
+	ps.enc = infer.NewPool(maxPlanBatch, func(batch int) *infer.Plan {
+		prog := infer.NewProgram()
+		tp := autodiff.NewForwardTape(prog)
+		x := tensor.NewPooled(batch, dim)
+		xn := tp.Input(x)
+		enh := tp.ConcatCols(xn, ae.Encode(tp, xn))
+		return infer.NewPlan(batch, prog, x, enh.Value, nil, nil, append(tp.PooledBuffers(), x))
+	})
+	for _, h := range heads {
+		ps.heads = append(ps.heads, infer.NewPool(maxPlanBatch, h.compileHeadPlan))
+	}
+	k := len(heads)
+	ps.scratch.New = func() any {
+		return &planScratch{
+			ends:      make([]int, maxPlanBatch),
+			active:    make([]bool, maxPlanBatch*k),
+			runActive: make([]bool, maxPlanBatch*k),
+			gather:    make([]int, 0, maxPlanBatch),
+			qbuf:      make([]float64, dim),
+			x:         tensor.New(1, dim),
+		}
+	}
+	return ps
+}
+
+// compileHeadPlan records the control-point generators from a
+// precomputed enhanced input [x; z_x]; rows are interpolated from the
+// plan's Tau/P by autodiff.PWLAt.
 func (n *Net) compileHeadPlan(batch int) *infer.Plan {
 	prog := infer.NewProgram()
 	tp := autodiff.NewForwardTape(prog)
 	e := tensor.NewPooled(batch, n.dim+n.cfg.AELatent)
-	tcol := tensor.NewPooled(batch, 1)
 	tau, p := n.controlPointsFromEnhanced(tp, tp.Input(e))
-	yhat := tp.PWLInterp(tau, p, tp.Input(tcol))
-	bufs := append(tp.PooledBuffers(), e, tcol)
-	return infer.NewPlan(batch, prog, e, tcol, yhat.Value, tau.Value, p.Value, bufs)
+	return infer.NewPlan(batch, prog, e, nil, tau.Value, p.Value, append(tp.PooledBuffers(), e))
 }
 
-// DropPlans invalidates every compiled plan, returning their buffers to
-// the tensor pool. Plans recompile lazily on the next estimate; calls
-// holding a checked-out plan are unaffected. The serving layer calls
-// this when a model generation is swapped out; training entry points
-// call it so post-training inference recompiles against settled
-// parameters.
-func (n *Net) DropPlans() {
-	if p := n.plans.pool.Load(); p != nil {
-		p.Drop()
+// estimate is the single-row estimate: a one-row call of the shared
+// loop over the scratch's 1 x dim query.
+func (ps *plans) estimate(x []float64, t float64) float64 {
+	if len(x) != ps.dim {
+		panic(fmt.Sprintf("selnet: query has dim %d, model expects %d", len(x), ps.dim))
 	}
+	sc := ps.scratch.Get().(*planScratch)
+	copy(sc.x.Data(), x)
+	sc.t[0] = t
+	ps.run(sc, sc.out[:], sc.x, sc.t[:])
+	v := sc.out[0]
+	ps.scratch.Put(sc)
+	return v
 }
 
-// PlanStats snapshots the plan pool's counters (zero before first use).
-func (n *Net) PlanStats() infer.PoolStats {
-	if p := n.plans.pool.Load(); p != nil {
-		return p.Stats()
-	}
-	return infer.PoolStats{}
-}
-
-// EstimateBatchInto is the allocation-free EstimateBatch: it writes one
-// estimate per row of x into out (len(out) == x.Rows() == len(ts)).
-// Control points depend on x alone, so adjacent rows with bit-identical
-// vectors — a threshold ladder — share one plan row: each run's vector
-// goes through the plan once and every row of the run is interpolated
-// from that row's Tau/P with autodiff.PWLAt, the plan's own PWL
-// arithmetic. PR 10's per-element determinism contract makes control
-// points independent of batch composition, so every output equals
-// Estimate bit for bit. Steady state performs zero heap allocations —
-// the serving hot path calls this with reused buffers.
-func (n *Net) EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64) {
+// estimateInto is EstimateBatchInto for both model types.
+func (ps *plans) estimateInto(out []float64, x *tensor.Dense, ts []float64) {
 	if x.Rows() != len(ts) || len(out) != len(ts) {
 		panic("selnet: EstimateBatchInto length mismatch")
 	}
-	if x.Cols() != n.dim {
+	if x.Cols() != ps.dim {
 		panic("selnet: EstimateBatchInto query dim mismatch")
 	}
-	pool := n.planPool()
-	var ends [maxPlanBatch]int
-	for start := 0; start < len(ts); {
-		runs := ladderRuns(ends[:], x, start)
-		pl := pool.Get(runs)
+	sc := ps.scratch.Get().(*planScratch)
+	ps.run(sc, out, x, ts)
+	ps.scratch.Put(sc)
+}
+
+// run is the one estimate loop. Per chunk of up to maxPlanBatch runs of
+// adjacent bit-identical vectors (ladderRuns), it makes one encoder plan
+// pass over the runs' vectors, then per cluster one head plan pass over
+// the runs whose cluster is active for at least one of their rows.
+// Gating stays per row (the t = 0 end of a ladder prunes best), and each
+// active row adds autodiff.PWLAt over its run's head Tau/P at the
+// clamped threshold when positive, summed in cluster order.
+func (ps *plans) run(sc *planScratch, out []float64, x *tensor.Dense, ts []float64) {
+	k := len(ps.heads)
+	for start := 0; start < x.Rows(); {
+		runs := ladderRuns(sc.ends, x, start)
+		end := sc.ends[runs-1]
+		if need := (end - start) * k; len(sc.active) < need {
+			sc.active = make([]bool, need)
+		}
+		encPl := ps.enc.Get(runs)
 		row := start
 		for r := 0; r < runs; r++ {
-			copy(pl.X.Row(r), x.Row(row))
-			row = ends[r]
-		}
-		pl.Run()
-		row = start
-		for r := 0; r < runs; r++ {
-			tau, p := pl.Tau.Row(r), pl.P.Row(r)
-			for ; row < ends[r]; row++ {
-				v := autodiff.PWLAt(tau, p, clamp(ts[row], 0, n.cfg.TMax))
-				if v < 0 {
-					v = 0
+			copy(encPl.X.Row(r), x.Row(row))
+			ra := sc.runActive[r*k : (r+1)*k]
+			clear(ra)
+			for ; row < sc.ends[r]; row++ {
+				act := sc.active[(row-start)*k : (row-start+1)*k]
+				ps.part.IndicatorInto(act, sc.qbuf, x.Row(row), ts[row])
+				for ci, a := range act {
+					ra[ci] = ra[ci] || a
 				}
-				out[row] = v
+				out[row] = 0
 			}
 		}
-		pool.Put(pl)
-		start = ends[runs-1]
+		encPl.Run()
+		for ci, heads := range ps.heads {
+			gather := sc.gather[:0]
+			for r := 0; r < runs; r++ {
+				if sc.runActive[r*k+ci] {
+					gather = append(gather, r)
+				}
+			}
+			if len(gather) == 0 {
+				continue
+			}
+			hp := heads.Get(len(gather))
+			for j, r := range gather {
+				copy(hp.X.Row(j), encPl.Out.Row(r))
+			}
+			hp.Run()
+			for j, r := range gather {
+				tau, pp := hp.Tau.Row(j), hp.P.Row(j)
+				row := start
+				if r > 0 {
+					row = sc.ends[r-1]
+				}
+				for ; row < sc.ends[r]; row++ {
+					if !sc.active[(row-start)*k+ci] {
+						continue
+					}
+					if v := autodiff.PWLAt(tau, pp, clamp(ts[row], 0, ps.tmax)); v > 0 {
+						out[row] += v
+					}
+				}
+			}
+			heads.Put(hp)
+		}
+		ps.enc.Put(encPl)
+		start = end
 	}
 }
 
@@ -174,6 +277,56 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// planState returns the Net's plans: its one head over its own
+// autoencoder, always active.
+func (n *Net) planState() *plans {
+	return n.plans.load(func() *plans { return newPlans(n.dim, n.cfg.TMax, alwaysActive, n.ae, []*Net{n}) })
+}
+
+// planState returns the partitioned model's plans: one head per
+// cluster over the shared autoencoder, gated by the region indicators.
+func (p *Partitioned) planState() *plans {
+	return p.plans.load(func() *plans { return newPlans(p.dim, p.pcfg.Model.TMax, p.part, p.ae, p.locals) })
+}
+
+// DropPlans invalidates every compiled plan, returning their buffers to
+// the tensor pool. Plans recompile lazily on the next estimate; calls
+// holding a checked-out plan are unaffected.
+func (n *Net) DropPlans() { n.plans.drop() }
+
+// DropPlans invalidates every compiled plan (see Net.DropPlans).
+func (p *Partitioned) DropPlans() { p.plans.drop() }
+
+// PlanStats snapshots the encoder and head pool counters, merged (zero
+// before first use).
+func (n *Net) PlanStats() infer.PoolStats { return n.plans.stats() }
+
+// PlanStats snapshots the encoder and head pool counters, merged (zero
+// before first use).
+func (p *Partitioned) PlanStats() infer.PoolStats { return p.plans.stats() }
+
+// EstimateBatchInto is the allocation-free EstimateBatch: it writes one
+// estimate per row of x into out (len(out) == x.Rows() == len(ts)). It
+// runs the shared estimate loop with the Net's one always-active head.
+// Control points depend on x alone, so each run of adjacent bit-identical
+// vectors — a threshold ladder — goes through the plans once, and every
+// row of the run is interpolated from that plan row's Tau/P with
+// autodiff.PWLAt. The kernels' per-element determinism contract makes
+// control points independent of batch composition, so every output equals
+// Estimate bit for bit. Steady state performs zero heap allocations —
+// the serving hot path calls this with reused buffers.
+func (n *Net) EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64) {
+	n.planState().estimateInto(out, x, ts)
+}
+
+// EstimateBatchInto is the allocation-free partitioned batch estimate:
+// the shared estimate loop of Net.EstimateBatchInto with one head per
+// cluster, each gated per row by its region indicator. Outputs equal
+// Estimate bit for bit.
+func (p *Partitioned) EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64) {
+	p.planState().estimateInto(out, x, ts)
+}
+
 // estimateBatchTape is the pre-plan reference implementation: one fresh
 // tape per call. Kept for equivalence tests and the tape-vs-plan
 // benchmark; production inference goes through the plan path.
@@ -194,185 +347,4 @@ func (n *Net) estimateBatchTape(x *tensor.Dense, ts []float64) []float64 {
 		out[i] = v
 	}
 	return out
-}
-
-// ----------------------------------------------------------------------------
-// Partitioned plans
-
-// partPlans is the lazily built plan state of a Partitioned model: one
-// encoder pool (x -> [x; z_x]), one head pool per cluster (enhanced ->
-// estimate), and a scratch pool for the per-request indicator and
-// gather bookkeeping.
-type partPlans struct {
-	enc     *infer.Pool
-	heads   []*infer.Pool
-	scratch sync.Pool // *partScratch
-}
-
-// partScratch holds one request's allocation-free bookkeeping for a
-// chunk of at most maxPlanBatch runs (ladderRuns).
-type partScratch struct {
-	ends      []int     // [maxPlanBatch] exclusive end row of each run
-	active    []bool    // row-major [chunk rows x K] indicator matrix; grows with the longest chunk
-	runActive []bool    // row-major [maxPlanBatch x K]: cluster active for any row of the run
-	gather    []int     // run indices gathered for one head
-	qbuf      []float64 // normalized-query scratch for cosine indicators
-}
-
-type partPlanState struct {
-	mu    sync.Mutex
-	state atomic.Pointer[partPlans]
-}
-
-// planState returns the model's plan pools, building them on first use.
-func (p *Partitioned) planState() *partPlans {
-	if ps := p.plans.state.Load(); ps != nil {
-		return ps
-	}
-	p.plans.mu.Lock()
-	defer p.plans.mu.Unlock()
-	if ps := p.plans.state.Load(); ps != nil {
-		return ps
-	}
-	ps := &partPlans{enc: infer.NewPool(maxPlanBatch, p.compileEncPlan)}
-	for _, l := range p.locals {
-		ps.heads = append(ps.heads, infer.NewPool(maxPlanBatch, l.compileHeadPlan))
-	}
-	k, dim := p.K(), p.dim
-	ps.scratch.New = func() any {
-		return &partScratch{
-			ends:      make([]int, maxPlanBatch),
-			active:    make([]bool, maxPlanBatch*k),
-			runActive: make([]bool, maxPlanBatch*k),
-			gather:    make([]int, 0, maxPlanBatch),
-			qbuf:      make([]float64, dim),
-		}
-	}
-	p.plans.state.Store(ps)
-	return ps
-}
-
-// compileEncPlan records the shared encoder pass: X in, the enhanced
-// representation [x; z_x] out (no threshold, no control points).
-func (p *Partitioned) compileEncPlan(batch int) *infer.Plan {
-	prog := infer.NewProgram()
-	tp := autodiff.NewForwardTape(prog)
-	x := tensor.NewPooled(batch, p.dim)
-	xn := tp.Input(x)
-	enh := tp.ConcatCols(xn, p.ae.Encode(tp, xn))
-	bufs := append(tp.PooledBuffers(), x)
-	return infer.NewPlan(batch, prog, x, nil, enh.Value, nil, nil, bufs)
-}
-
-// DropPlans invalidates the encoder and every head pool (and any pools
-// the local nets built for direct use).
-func (p *Partitioned) DropPlans() {
-	if ps := p.plans.state.Load(); ps != nil {
-		ps.enc.Drop()
-		for _, h := range ps.heads {
-			h.Drop()
-		}
-	}
-	for _, l := range p.locals {
-		l.DropPlans()
-	}
-}
-
-// PlanStats merges the encoder and per-cluster head pool counters into
-// one figure.
-func (p *Partitioned) PlanStats() infer.PoolStats {
-	var s infer.PoolStats
-	if ps := p.plans.state.Load(); ps != nil {
-		s = ps.enc.Stats()
-		for _, h := range ps.heads {
-			s = s.Merge(h.Stats())
-		}
-	}
-	for _, l := range p.locals {
-		s = s.Merge(l.PlanStats())
-	}
-	return s
-}
-
-// EstimateBatchInto is the allocation-free partitioned batch estimate.
-// Like Net.EstimateBatchInto it evaluates each run of adjacent
-// bit-identical vectors once: per chunk of up to maxPlanBatch runs, one
-// encoder plan pass over the runs' vectors, then per cluster one head
-// plan pass over the runs whose region is active for at least one of
-// their rows. Gating stays per row (the t = 0 end of a ladder prunes
-// best), and each active row adds autodiff.PWLAt over its run's head
-// Tau/P, clamped and summed in cluster order exactly as Estimate does —
-// outputs equal Estimate bit for bit.
-func (p *Partitioned) EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64) {
-	if x.Rows() != len(ts) || len(out) != len(ts) {
-		panic("selnet: EstimateBatchInto length mismatch")
-	}
-	if x.Cols() != p.dim {
-		panic("selnet: EstimateBatchInto query dim mismatch")
-	}
-	if x.Rows() == 0 {
-		return
-	}
-	ps := p.planState()
-	k := p.K()
-	tmax := p.pcfg.Model.TMax
-	sc := ps.scratch.Get().(*partScratch)
-	for start := 0; start < x.Rows(); {
-		runs := ladderRuns(sc.ends, x, start)
-		end := sc.ends[runs-1]
-		if need := (end - start) * k; len(sc.active) < need {
-			sc.active = make([]bool, need)
-		}
-		encPl := ps.enc.Get(runs)
-		row := start
-		for r := 0; r < runs; r++ {
-			copy(encPl.X.Row(r), x.Row(row))
-			ra := sc.runActive[r*k : (r+1)*k]
-			clear(ra)
-			for ; row < sc.ends[r]; row++ {
-				act := sc.active[(row-start)*k : (row-start+1)*k]
-				p.part.IndicatorInto(act, sc.qbuf, x.Row(row), ts[row])
-				for ci, a := range act {
-					ra[ci] = ra[ci] || a
-				}
-				out[row] = 0
-			}
-		}
-		encPl.Run()
-		for ci := range p.locals {
-			gather := sc.gather[:0]
-			for r := 0; r < runs; r++ {
-				if sc.runActive[r*k+ci] {
-					gather = append(gather, r)
-				}
-			}
-			if len(gather) == 0 {
-				continue
-			}
-			hp := ps.heads[ci].Get(len(gather))
-			for j, r := range gather {
-				copy(hp.X.Row(j), encPl.Out.Row(r))
-			}
-			hp.Run()
-			for j, r := range gather {
-				tau, pp := hp.Tau.Row(j), hp.P.Row(j)
-				row := start
-				if r > 0 {
-					row = sc.ends[r-1]
-				}
-				for ; row < sc.ends[r]; row++ {
-					if !sc.active[(row-start)*k+ci] {
-						continue
-					}
-					if v := autodiff.PWLAt(tau, pp, clamp(ts[row], 0, tmax)); v > 0 {
-						out[row] += v
-					}
-				}
-			}
-			ps.heads[ci].Put(hp)
-		}
-		ps.enc.Put(encPl)
-		start = end
-	}
-	ps.scratch.Put(sc)
 }

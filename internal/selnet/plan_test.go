@@ -174,12 +174,13 @@ func TestPlanSurvivesRepeatedUse(t *testing.T) {
 			}
 		}
 	}
+	// Counters merge the encoder and head pools: two checkouts per call.
 	st := n.PlanStats()
-	if st.Checkouts != 51 {
-		t.Fatalf("checkouts = %d, want 51", st.Checkouts)
+	if st.Checkouts != 102 {
+		t.Fatalf("checkouts = %d, want 102", st.Checkouts)
 	}
-	if st.Compiles != 1 {
-		t.Fatalf("compiles = %d, want 1 (plans must be reused)", st.Compiles)
+	if st.Compiles != 2 {
+		t.Fatalf("compiles = %d, want 2 (plans must be reused)", st.Compiles)
 	}
 }
 
@@ -194,8 +195,8 @@ func TestDropPlansRecompilesConsistently(t *testing.T) {
 			t.Fatalf("row %d after DropPlans: %v != %v", i, got[i], want[i])
 		}
 	}
-	if st := n.PlanStats(); st.Drops != 1 || st.Compiles != 2 {
-		t.Fatalf("stats %+v, want 1 drop, 2 compiles", st)
+	if st := n.PlanStats(); st.Drops != 2 || st.Compiles != 4 {
+		t.Fatalf("stats %+v, want 2 drops, 4 compiles (encoder + head pool)", st)
 	}
 }
 

@@ -2,7 +2,6 @@ package selnet
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -12,8 +11,6 @@ import (
 	"selnet/internal/distance"
 	"selnet/internal/nn"
 	"selnet/internal/partition"
-	"selnet/internal/tensor"
-	"selnet/internal/vecdata"
 )
 
 // netHeader is the gob wire form of a Net's architecture.
@@ -133,139 +130,4 @@ func LoadNetFile(path string) (*Net, error) {
 	}
 	defer f.Close()
 	return LoadNet(f)
-}
-
-// ----------------------------------------------------------------------------
-// Kind-tagged model container
-
-// Model is the common surface of the serializable model types (*Net and
-// *Partitioned): inference, metadata, and the Sec. 5.4 update procedure.
-// It structurally satisfies both serve.Estimator and ingest.Updatable,
-// so a model loaded through LoadModel can be served and attached for
-// streaming updates without knowing its concrete type.
-type Model interface {
-	Name() string
-	Dim() int
-	TMax() float64
-	Estimate(x []float64, t float64) float64
-	EstimateBatch(x *tensor.Dense, ts []float64) []float64
-	MAE(queries []vecdata.Query) float64
-	HandleUpdate(tc TrainConfig, uc UpdateConfig, db *vecdata.Database,
-		train, valid []vecdata.Query) UpdateResult
-}
-
-// modelMagic prefixes the kind-tagged container written by SaveModel.
-// Files produced by the bare (*Net).Save / (*Partitioned).Save carry no
-// tag; LoadModelFile falls back to sniffing those.
-const modelMagic = "SELMODL1"
-
-const (
-	kindNet         = "selnet.Net"
-	kindPartitioned = "selnet.Partitioned"
-)
-
-// SaveModel writes m to w in the kind-tagged container format: an 8-byte
-// magic, a gob-encoded kind string, then the model's own Save stream.
-func SaveModel(w io.Writer, m Model) error {
-	var kind string
-	switch m.(type) {
-	case *Net:
-		kind = kindNet
-	case *Partitioned:
-		kind = kindPartitioned
-	default:
-		return fmt.Errorf("selnet: cannot save model of type %T", m)
-	}
-	if _, err := io.WriteString(w, modelMagic); err != nil {
-		return fmt.Errorf("selnet: write model magic: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(kind); err != nil {
-		return fmt.Errorf("selnet: encode model kind: %w", err)
-	}
-	switch v := m.(type) {
-	case *Net:
-		return v.Save(w)
-	case *Partitioned:
-		return v.Save(w)
-	}
-	panic("unreachable")
-}
-
-// LoadModel reads a model written by SaveModel. The reader may sit
-// mid-stream (e.g. inside a snapshot file); exactly one container is
-// consumed.
-func LoadModel(r io.Reader) (Model, error) {
-	if _, ok := r.(io.ByteReader); !ok {
-		r = bufio.NewReader(r)
-	}
-	magic := make([]byte, len(modelMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("selnet: read model magic: %w", err)
-	}
-	if string(magic) != modelMagic {
-		return nil, fmt.Errorf("selnet: bad model magic %q", magic)
-	}
-	var kind string
-	if err := gob.NewDecoder(r).Decode(&kind); err != nil {
-		return nil, fmt.Errorf("selnet: decode model kind: %w", err)
-	}
-	switch kind {
-	case kindNet:
-		return LoadNet(r)
-	case kindPartitioned:
-		return LoadPartitioned(r)
-	}
-	return nil, fmt.Errorf("selnet: unknown model kind %q", kind)
-}
-
-// SaveModelFile writes m to path in the kind-tagged container format.
-func SaveModelFile(path string, m Model) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := SaveModel(f, m); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadModelFile reads a model of any supported kind from path. Tagged
-// containers (SaveModelFile) dispatch on their kind; legacy untagged
-// files — 'selest train' output, or a bare (*Partitioned).Save stream —
-// are sniffed by attempting each decoder in turn, so the daemon loads
-// single and partitioned models through one entry point.
-func LoadModelFile(path string) (Model, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if bytes.HasPrefix(b, []byte(modelMagic)) {
-		return tryLoad(func() (Model, error) { return LoadModel(bytes.NewReader(b)) })
-	}
-	n, netErr := tryLoad(func() (Model, error) { return LoadNet(bytes.NewReader(b)) })
-	if netErr == nil {
-		return n, nil
-	}
-	p, partErr := tryLoad(func() (Model, error) { return LoadPartitioned(bytes.NewReader(b)) })
-	if partErr == nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("selnet: %s decodes as neither a single model (%w) nor a partitioned one (%w)",
-		path, netErr, partErr)
-}
-
-// tryLoad converts a decoder panic into an error: sniffing a legacy
-// file can feed one kind's stream to the other kind's decoder, and a
-// half-matching gob header may pass decoding yet yield a nonsensical
-// architecture the constructors reject by panicking. A daemon loading
-// an operator-supplied path must survive that.
-func tryLoad(fn func() (Model, error)) (m Model, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, fmt.Errorf("selnet: model decode: %v", r)
-		}
-	}()
-	return fn()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -97,67 +96,5 @@ func TestPartitionedSaveLoadRoundTrip(t *testing.T) {
 func TestLoadNetRejectsGarbage(t *testing.T) {
 	if _, err := LoadNet(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatalf("expected error for garbage input")
-	}
-}
-
-// TestLoadModelFileDispatch exercises the single entry point the daemon
-// loads through: tagged containers for both kinds, plus legacy untagged
-// files ('selest train' output and bare Partitioned streams), must all
-// come back as the right concrete type with identical estimates.
-func TestLoadModelFileDispatch(t *testing.T) {
-	db, wl := testWorkload(66, 300, 4, 10, 4)
-	rng := rand.New(rand.NewSource(67))
-	net := NewNet(rng, db.Dim, tinyConfig(wl.TMax))
-	part := NewPartitioned(rng, db, tinyPartitionedConfig(wl.TMax))
-	dir := t.TempDir()
-	x, tt := db.Vecs[0], wl.TMax/2
-
-	cases := []struct {
-		file string
-		want Model
-		save func(path string) error
-	}{
-		{"net-tagged.gob", net, func(p string) error { return SaveModelFile(p, net) }},
-		{"part-tagged.gob", part, func(p string) error { return SaveModelFile(p, part) }},
-		{"net-legacy.gob", net, net.SaveFile},
-		{"part-legacy.gob", part, func(p string) error {
-			f, err := os.Create(p)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return part.Save(f)
-		}},
-	}
-	for _, c := range cases {
-		path := filepath.Join(dir, c.file)
-		if err := c.save(path); err != nil {
-			t.Fatalf("%s: save: %v", c.file, err)
-		}
-		got, err := LoadModelFile(path)
-		if err != nil {
-			t.Fatalf("%s: load: %v", c.file, err)
-		}
-		if _, isPart := c.want.(*Partitioned); isPart {
-			if _, ok := got.(*Partitioned); !ok {
-				t.Fatalf("%s: loaded as %T, want *Partitioned", c.file, got)
-			}
-		} else if _, ok := got.(*Net); !ok {
-			t.Fatalf("%s: loaded as %T, want *Net", c.file, got)
-		}
-		if math.Abs(got.Estimate(x, tt)-c.want.Estimate(x, tt)) > 1e-12 {
-			t.Fatalf("%s: estimates diverge after load", c.file)
-		}
-	}
-
-	if _, err := LoadModelFile(filepath.Join(dir, "missing.gob")); err == nil {
-		t.Fatal("missing file loaded")
-	}
-	garbage := filepath.Join(dir, "garbage.gob")
-	if err := os.WriteFile(garbage, []byte("SELMODL1 is not followed by a model"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModelFile(garbage); err == nil {
-		t.Fatal("garbage tagged container loaded")
 	}
 }

@@ -2,7 +2,9 @@ package selnet
 
 import (
 	"math"
+	"math/rand"
 
+	"selnet/internal/nn"
 	"selnet/internal/vecdata"
 )
 
@@ -44,17 +46,44 @@ type UpdateResult struct {
 	MAEBefore, MAEAfter float64
 }
 
-// HandleUpdate implements Sec. 5.4 for the single model. db must already
-// reflect the update. The procedure: (1) refresh validation labels and
-// re-test MAE; (2) if the change is within δ_U, skip; (3) otherwise
-// refresh training labels too and continue training from the current
-// parameters until validation MAE stops improving for Patience epochs.
-// train and valid are relabelled in place.
+// HandleUpdate implements Sec. 5.4 for the single model (see
+// handleUpdate). Retraining is FitEpochsUntilNoImprovement: one Adam
+// carried across epochs and a shuffle seeded by tc.Seed+7.
 func (n *Net) HandleUpdate(tc TrainConfig, uc UpdateConfig, db *vecdata.Database, train, valid []vecdata.Query) UpdateResult {
-	n.DropPlans()          // incremental training may mutate parameters
-	oldMAE := n.MAE(valid) // MAE against stale labels
+	return handleUpdate(n, uc, db, train, valid, func(float64) int {
+		return n.FitEpochsUntilNoImprovement(tc, train, valid, uc.Patience, uc.MaxEpochs)
+	})
+}
+
+// HandleUpdate implements Sec. 5.4 for the partitioned model (see
+// handleUpdate). The caller must first register the physical change via
+// ApplyInsert/ApplyDelete (so cluster-local labels stay correct) and
+// apply it to db. Retraining continues the joint objective from the
+// current parameters — "the training does not start from scratch" —
+// without local re-pretraining; epoch e runs with a fresh Adam and a
+// shuffle seeded by tc.Seed+e.
+func (p *Partitioned) HandleUpdate(tc TrainConfig, uc UpdateConfig, db *vecdata.Database, train, valid []vecdata.Query) UpdateResult {
+	return handleUpdate(p, uc, db, train, valid, func(mae float64) int {
+		js := p.newJointSet(train)
+		return untilNoImprovement(p, valid, mae, uc.Patience, uc.MaxEpochs, func(e int) {
+			p.jointEpoch(tc, rand.New(rand.NewSource(tc.Seed+int64(e))), nn.NewAdam(tc.LR), js, identity(len(train)))
+		})
+	})
+}
+
+// handleUpdate is the Sec. 5.4 procedure shared by both model types. db
+// must already reflect the update; train and valid are relabelled in
+// place. It (1) refreshes the validation labels and re-tests MAE; (2)
+// leaves the model as-is when the change from the reference MAE
+// (uc.BaselineMAE, or else the MAE against the stale labels) is within
+// δ_U; (3) otherwise refreshes the training labels too and calls retrain
+// with the refreshed MAE, which continues training from the current
+// parameters and returns the epochs it ran.
+func handleUpdate(m trainable, uc UpdateConfig, db *vecdata.Database, train, valid []vecdata.Query, retrain func(mae float64) int) UpdateResult {
+	m.DropPlans()          // incremental training may mutate parameters
+	oldMAE := m.MAE(valid) // MAE against stale labels
 	vecdata.Relabel(valid, db)
-	newMAE := n.MAE(valid) // MAE against refreshed labels
+	newMAE := m.MAE(valid) // MAE against refreshed labels
 	res := UpdateResult{MAEBefore: newMAE, MAEAfter: newMAE}
 	ref := oldMAE
 	if uc.BaselineMAE > 0 {
@@ -65,61 +94,33 @@ func (n *Net) HandleUpdate(tc TrainConfig, uc UpdateConfig, db *vecdata.Database
 	}
 	vecdata.Relabel(train, db)
 	res.Retrained = true
-	res.EpochsRun = n.FitEpochsUntilNoImprovement(tc, train, valid, uc.Patience, uc.MaxEpochs)
-	res.MAEAfter = n.MAE(valid)
+	res.EpochsRun = retrain(newMAE)
+	res.MAEAfter = m.MAE(valid)
 	return res
 }
 
-// HandleUpdate implements Sec. 5.4 for the partitioned model. The caller
-// must first register the physical change via ApplyInsert/ApplyDelete (so
-// cluster-local labels stay correct) and apply it to db. Incremental
-// training reuses the joint objective from the current parameters.
-func (p *Partitioned) HandleUpdate(tc TrainConfig, uc UpdateConfig, db *vecdata.Database, train, valid []vecdata.Query) UpdateResult {
-	p.DropPlans() // incremental training may mutate parameters
-	oldMAE := p.MAE(valid)
-	vecdata.Relabel(valid, db)
-	newMAE := p.MAE(valid)
-	res := UpdateResult{MAEBefore: newMAE, MAEAfter: newMAE}
-	ref := oldMAE
-	if uc.BaselineMAE > 0 {
-		ref = uc.BaselineMAE
-	}
-	if math.Abs(newMAE-ref) <= uc.DeltaU {
-		return res
-	}
-	vecdata.Relabel(train, db)
-	res.Retrained = true
-	// Continue joint training epoch by epoch with the patience rule. We
-	// reuse Fit with a single epoch per call to keep the incremental
-	// semantics ("the training does not start from scratch").
-	bestMAE := newMAE
-	best := snapshotParams(p.Params())
-	bad := 0
-	itc := tc
-	itc.Epochs = 1
-	itc.EvalEvery = 0
-	itc.AEPretrainEpochs = 0
-	pcfgPretrain := p.pcfg.PretrainEpochs
-	p.pcfg.PretrainEpochs = 0 // no local re-pretraining during updates
-	defer func() { p.pcfg.PretrainEpochs = pcfgPretrain }()
-	for res.EpochsRun < uc.MaxEpochs {
-		itc.Seed = tc.Seed + int64(res.EpochsRun)
-		p.Fit(itc, nil, train, nil)
-		res.EpochsRun++
-		mae := p.MAE(valid)
-		if mae < bestMAE-1e-12 {
-			bestMAE = mae
-			best = snapshotParams(p.Params())
-			bad = 0
-		} else {
-			bad++
-			if bad >= uc.Patience {
-				break
-			}
+// untilNoImprovement is the patience loop of Sec. 5.4: it runs epoch
+// until the validation MAE fails to improve on bestMAE (by more than
+// 1e-12) for patience consecutive epochs or maxEpochs have run, then
+// restores the best parameters seen, the starting ones included. It
+// returns the number of epochs run.
+func untilNoImprovement(m trainable, valid []vecdata.Query, bestMAE float64, patience, maxEpochs int, epoch func(e int)) int {
+	best := snapshotParams(m.Params())
+	bad, epochs := 0, 0
+	for epochs < maxEpochs {
+		epoch(epochs)
+		epochs++
+		// The epoch mutated the parameters in place; the MAE below
+		// compiles fresh plans, which pack the weights they see, so the
+		// previous epoch's plans must go first.
+		m.DropPlans()
+		if mae := m.MAE(valid); mae < bestMAE-1e-12 {
+			bestMAE, best, bad = mae, snapshotParams(m.Params()), 0
+		} else if bad++; bad >= patience {
+			break
 		}
 	}
-	restoreParams(p.Params(), best)
-	p.DropPlans() // restore mutated parameters under the last epoch's plans
-	res.MAEAfter = p.MAE(valid)
-	return res
+	restoreParams(m.Params(), best)
+	m.DropPlans() // the restore mutated parameters under compiled plans
+	return epochs
 }
