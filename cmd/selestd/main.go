@@ -172,9 +172,9 @@ func main() {
 	var models, data repeatedFlags
 	addr := flag.String("addr", ":8080", "listen address")
 	maxBatch := flag.Int("max-batch", 32, "max requests fused into one inference batch")
-	flush := flag.Duration("flush", 2*time.Millisecond, "max wait for a batch to fill before flushing")
+	flush := flag.Duration("flush", 2*time.Millisecond, "max wait for a queued lone request while another submitter is in flight")
 	lanes := flag.Int("workers", 0, "coalescer lanes per model (independent batching shards; 0 = GOMAXPROCS)")
-	cacheSize := flag.Int("cache", 4096, "LRU estimate cache capacity (0 disables)")
+	cacheSize := flag.Int("cache", 4096, "LRU estimate cache capacity; a key is cached on its second miss (0 disables)")
 	quantum := flag.Float64("quantum", 1e-6, "cache key quantization step for query coordinates and thresholds")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 	updateQueue := flag.Int("update-queue", 64, "pending update batches per model before 429 backpressure")

@@ -66,7 +66,7 @@ func main() {
 	// virtual names ("default", "auto") — cmd/selestd wires exactly this
 	// with -router auto.
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
 		Cache:   serve.CacheConfig{Capacity: 1024},
 	})
 	defer srv.Close()

@@ -47,7 +47,7 @@ func main() {
 	// 2. Start the serving stack — the same serve.Server that cmd/selestd
 	// runs behind a real listener.
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
 		Cache:   serve.CacheConfig{Capacity: 1024},
 	})
 	defer srv.Close()
@@ -58,11 +58,12 @@ func main() {
 	// 3. Load the model over the API.
 	post(ts.URL+"/v1/models/default", map[string]string{"path": modelPath})
 
-	// 4. Single estimate, then the identical request again: the second is
-	// answered from the LRU cache.
+	// 4. Single estimate, then the identical request twice more: the
+	// cache admits a key on its second miss, so the third is answered
+	// from the LRU cache.
 	q := db.Vecs[0]
 	t := wl.TMax / 2
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		var resp struct {
 			Estimate float64 `json:"estimate"`
 			Cached   bool    `json:"cached"`

@@ -67,7 +67,7 @@ func main() {
 	defer shadow.Close()
 
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
 	})
 	defer srv.Close()
 	srv.SetShadow(shadow) // before Handler(): registers /debug/accuracy

@@ -57,7 +57,7 @@ func main() {
 	// the same wiring as 'selestd -model ... -data ... -journal-dir ...'.
 	// No defers on this stack: the demo crashes it on purpose below.
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
 		Cache:   serve.CacheConfig{Capacity: 1024},
 	})
 	if _, err := srv.Registry().Publish("default", net, "in-memory"); err != nil {
@@ -173,7 +173,7 @@ func main() {
 	// stack, the pristine database reloaded, and Attach replaying the
 	// journal's surviving records through the normal δ_U pipeline.
 	srv2 := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
 		Cache:   serve.CacheConfig{Capacity: 1024},
 	})
 	defer srv2.Close()

@@ -31,7 +31,7 @@ func TestHTTPUpdateShadowRetrainHotSwap(t *testing.T) {
 	m.Fit(tc, db, train, valid)
 
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: serve.BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Lanes: 2},
 		Cache:   serve.CacheConfig{Capacity: 256},
 	})
 	defer srv.Close()

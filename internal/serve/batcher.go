@@ -28,9 +28,10 @@ type BatcherConfig struct {
 	// MaxBatch is the largest number of requests fused into one
 	// EstimateBatch call (default 32).
 	MaxBatch int
-	// FlushInterval bounds how long a lone request waits for company
-	// before its batch is flushed anyway (default 2ms). Once at least
-	// two requests are fused, a drained queue flushes immediately.
+	// FlushInterval bounds how long a queued lone request waits for
+	// company while another submitter is in flight (default 2ms). With
+	// no other submitter in flight, or once at least two requests are
+	// fused, a drained queue flushes immediately.
 	FlushInterval time.Duration
 	// Lanes is the number of independent coalescing lanes. Each lane owns
 	// its own queue, gather goroutine, and reusable inference buffers, so
@@ -38,9 +39,6 @@ type BatcherConfig struct {
 	// point — the single batcher goroutine stops being a throughput
 	// ceiling on multicore. Default: GOMAXPROCS.
 	Lanes int
-	// Workers is the deprecated name for Lanes, honored when Lanes is 0
-	// so existing configurations keep their meaning.
-	Workers int
 	// QueueDepth is each lane's request-channel buffer (default
 	// 4*MaxBatch).
 	QueueDepth int
@@ -52,9 +50,6 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 2 * time.Millisecond
-	}
-	if c.Lanes <= 0 {
-		c.Lanes = c.Workers
 	}
 	if c.Lanes <= 0 {
 		c.Lanes = runtime.GOMAXPROCS(0)
@@ -93,13 +88,16 @@ type BatcherStats struct {
 // Batcher coalesces concurrent single-query estimate requests for one
 // model into batched EstimateBatch calls — the hot path of serving,
 // since one compiled-plan pass over a B-row tensor is far cheaper than
-// B passes over 1-row tensors. The batcher is sharded into lanes:
-// Submit round-robins requests across per-lane queues, and each lane's
-// goroutine greedily gathers every request queued with it (up to
-// MaxBatch) and flushes as soon as its queue drains, never stalling
-// fused work; only a lone request waits, up to FlushInterval, for a
-// companion. Each lane owns reusable input/output buffers sized to
-// MaxBatch, so with a BatchIntoEstimator the fused pass allocates
+// B passes over 1-row tensors. A submitter that finds no other
+// submitter in flight has nothing to fuse with, so it runs its
+// Estimate on its own goroutine and skips the lanes entirely. Every
+// other request goes to the lanes: Submit round-robins them across
+// per-lane queues, and each lane's goroutine greedily gathers every
+// request queued with it (up to MaxBatch) and flushes as soon as its
+// queue drains, never stalling fused work; only a lone request waits,
+// up to FlushInterval and only while another submitter is in flight,
+// for a companion. Each lane owns reusable input/output buffers sized
+// to MaxBatch, so with a BatchIntoEstimator the fused pass allocates
 // nothing.
 type Batcher struct {
 	est  Estimator
@@ -113,9 +111,12 @@ type Batcher struct {
 
 	mu       sync.Mutex // guards closed + inflight Add
 	closed   bool
-	inflight sync.WaitGroup // submitters inside the reqs channel handoff
+	inflight sync.WaitGroup // submitters between admission and return
 
 	requests atomic.Uint64
+	// active counts submitters between admission and reply; a submitter
+	// that raises it to 1 is alone and runs inline.
+	active atomic.Int64
 }
 
 // lane is one coalescing shard: a queue, a gather goroutine, and the
@@ -127,6 +128,9 @@ type lane struct {
 	// fuse immediately instead of every client stalling a FlushInterval
 	// in its own lane when clients are fewer than lanes.
 	waiting atomic.Int32
+	// wake tells a lingering worker that its lone request's last
+	// possible companion has left (see leave).
+	wake chan struct{}
 
 	batches  atomic.Uint64
 	maxFused atomic.Uint64
@@ -182,6 +186,7 @@ func NewBatcher(est Estimator, cfg BatcherConfig) *Batcher {
 	for i := 0; i < cfg.Lanes; i++ {
 		l := &lane{
 			reqs:  make(chan batchReq, cfg.QueueDepth),
+			wake:  make(chan struct{}, 1),
 			sizes: NewHistogram(BatchSizeBuckets()...),
 			buf:   make([]batchReq, 0, cfg.MaxBatch),
 			x:     tensor.New(cfg.MaxBatch, dim),
@@ -209,7 +214,8 @@ func (b *Batcher) Submit(ctx context.Context, x []float64, t float64) (float64, 
 }
 
 // SubmitTimed is Submit plus the request's coalescer timing breakdown
-// (zero on error paths that never reached a lane worker).
+// (zero on error paths that never reached an estimate). An inline run
+// reports only Execute, with BatchSize 1.
 func (b *Batcher) SubmitTimed(ctx context.Context, x []float64, t float64) (float64, BatchTiming, error) {
 	if len(x) != b.dim {
 		// The lanes copy into fixed dim-wide buffers, so a mismatched
@@ -227,6 +233,15 @@ func (b *Batcher) SubmitTimed(ctx context.Context, x []float64, t float64) (floa
 	defer b.inflight.Done()
 
 	b.requests.Add(1)
+	if err := ctx.Err(); err != nil {
+		return 0, BatchTiming{}, err
+	}
+	defer b.leave()
+	if b.active.Add(1) == 1 {
+		// No other submitter is in flight, so there is nothing to fuse
+		// with: answer on this goroutine.
+		return b.runInline(x, t)
+	}
 	l := b.pickLane()
 	r := batchReq{x: x, t: t, enq: time.Now(), out: make(chan batchRes, 1)}
 	select {
@@ -244,6 +259,22 @@ func (b *Batcher) SubmitTimed(ctx context.Context, x []float64, t float64) (floa
 	}
 }
 
+// leave ends a submitter's stay. When only one submitter remains, a
+// lane lingering for company will get none, so it is woken to flush.
+func (b *Batcher) leave() {
+	if b.active.Add(-1) != 1 {
+		return
+	}
+	for _, l := range b.lanes {
+		if l.waiting.Load() != 0 {
+			select {
+			case l.wake <- struct{}{}:
+			default: // a wake is already pending
+			}
+		}
+	}
+}
+
 // pickLane chooses where to queue a request: a lane whose worker is
 // lingering on a lone request gets joined (the pair flushes as soon as
 // it fuses — under light load this keeps latency at fuse time, not
@@ -255,11 +286,16 @@ func (b *Batcher) pickLane() *lane {
 			return l
 		}
 	}
+	return b.roundRobin()
+}
+
+func (b *Batcher) roundRobin() *lane {
 	return b.lanes[b.next.Add(1)%uint64(len(b.lanes))]
 }
 
-// Close stops accepting submissions, waits for queued requests to be
-// answered, and stops the lane workers. It is idempotent.
+// Close stops accepting submissions, waits for inline runs and queued
+// requests to be answered, and stops the lane workers. It is
+// idempotent.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -269,7 +305,7 @@ func (b *Batcher) Close() {
 	}
 	b.closed = true
 	b.mu.Unlock()
-	b.inflight.Wait() // no submitter is mid-handoff once this returns
+	b.inflight.Wait() // no submitter is inline or mid-handoff once this returns
 	for _, l := range b.lanes {
 		close(l.reqs) // workers drain their buffers, then exit
 	}
@@ -350,11 +386,18 @@ func (b *Batcher) worker(l *lane) {
 			// Queue drained. With two or more requests fused there is
 			// nothing to wait for — stalling here would add the flush
 			// interval to every closed-loop client's latency. A lone
-			// request lingers up to the flush interval for company.
+			// request lingers up to the flush interval for company, but
+			// only while another submitter is in flight to provide it.
+			// waiting is raised before active is read, so a submitter
+			// leaving in between sees it and wakes this lane.
 			if len(batch) > 1 {
 				break gather
 			}
 			l.waiting.Store(1)
+			if b.active.Load() <= 1 {
+				l.waiting.Store(0)
+				break gather
+			}
 			select {
 			case r, ok := <-l.reqs:
 				l.waiting.Store(0)
@@ -363,6 +406,8 @@ func (b *Batcher) worker(l *lane) {
 				}
 				r.deq = time.Now()
 				batch = append(batch, r)
+			case <-l.wake:
+				l.waiting.Store(0) // re-check for company on the next pass
 			case <-timer.C:
 				l.waiting.Store(0)
 				l.timeouts.Add(1)
@@ -379,12 +424,43 @@ func (b *Batcher) worker(l *lane) {
 	}
 }
 
+// catchPanic turns a panic in the estimator into the error a submitter
+// sees; both the lane path and the inline path defer it.
+func catchPanic(err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("serve: batched inference panicked: %v", p)
+	}
+}
+
+// record counts one batch of n requests on the lane. Inline runs record
+// on a lane too, so its counters may have several writers.
+func (l *lane) record(n int) {
+	l.batches.Add(1)
+	l.sizes.Observe(float64(n))
+	for {
+		cur := l.maxFused.Load()
+		if uint64(n) <= cur || l.maxFused.CompareAndSwap(cur, uint64(n)) {
+			return
+		}
+	}
+}
+
+// runInline answers a lone submitter's request on its own goroutine,
+// counted as a batch of one on a round-robin lane.
+func (b *Batcher) runInline(x []float64, t float64) (v float64, bt BatchTiming, err error) {
+	defer catchPanic(&err)
+	b.roundRobin().record(1)
+	start := time.Now()
+	v = b.est.Estimate(x, t)
+	return v, BatchTiming{Execute: time.Since(start), BatchSize: 1}, nil
+}
+
 // run executes one fused EstimateBatch call over the lane's buffers and
 // distributes results.
 func (b *Batcher) run(l *lane, batch []batchReq) {
+	var err error
 	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("serve: batched inference panicked: %v", p)
+		if err != nil {
 			for _, r := range batch {
 				// Buffered reply channels: never blocks, even if the
 				// submitter already gave up on ctx.
@@ -392,12 +468,9 @@ func (b *Batcher) run(l *lane, batch []batchReq) {
 			}
 		}
 	}()
+	defer catchPanic(&err)
 	n := len(batch)
-	l.batches.Add(1)
-	l.sizes.Observe(float64(n))
-	if cur := l.maxFused.Load(); uint64(n) > cur {
-		l.maxFused.CompareAndSwap(cur, uint64(n)) // single writer per lane
-	}
+	l.record(n)
 	x := l.views[n]
 	ts := l.ts[:n]
 	for i, r := range batch {

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -42,10 +43,18 @@ type CacheStats struct {
 // model's registry generation — not just its name — makes hot-swaps
 // self-invalidating: entries for the old weights simply stop being
 // requested and age out.
+//
+// A key is admitted on its second miss: a direct-mapped doorkeeper of
+// Capacity key hashes remembers the first, so a stream of distinct
+// requests neither retains keys nor evicts entries that do repeat. The
+// LRU compares full keys, so a hash collision can only admit a key one
+// miss early, never return a wrong estimate.
 type Cache struct {
-	cfg CacheConfig
+	cfg  CacheConfig
+	seed maphash.Seed
 
 	mu    sync.Mutex
+	door  []uint64   // door[h%len] = h for the last first-miss key hashing there
 	ll    *list.List // front = most recent
 	items map[string]*list.Element
 
@@ -65,6 +74,8 @@ func NewCache(cfg CacheConfig) *Cache {
 	cfg = cfg.withDefaults()
 	return &Cache{
 		cfg:   cfg,
+		seed:  maphash.MakeSeed(),
+		door:  make([]uint64, max(cfg.Capacity, 0)),
 		ll:    list.New(),
 		items: make(map[string]*list.Element),
 	}
@@ -121,17 +132,24 @@ func (c *Cache) Get(key string) (float64, bool) {
 	return v, true
 }
 
-// Put stores an estimate, evicting the least recently used entry when
-// over capacity.
+// Put refreshes a cached estimate, or stores a new one if its key
+// already missed once before, evicting the least recently used entry
+// when over capacity. A key's first Put only marks it in the doorkeeper.
 func (c *Cache) Put(key string, val float64) {
 	if c.cfg.Capacity <= 0 {
 		return
 	}
+	h := maphash.String(c.seed, key)
+	slot := &c.door[h%uint64(len(c.door))]
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*cacheEntry).val = val
 		c.ll.MoveToFront(el)
+		return
+	}
+	if *slot != h {
+		*slot = h
 		return
 	}
 	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})

@@ -21,13 +21,15 @@ func TestCacheHitMissAndLRUEviction(t *testing.T) {
 	if _, ok := c.Get(k1); ok {
 		t.Fatal("empty cache returned a hit")
 	}
-	c.Put(k1, 10)
-	c.Put(k2, 20)
+	// Each key is admitted on its second Put.
+	admit := func(k string, v float64) { c.Put(k, v); c.Put(k, v) }
+	admit(k1, 10)
+	admit(k2, 20)
 	if v, ok := c.Get(k1); !ok || v != 10 {
 		t.Fatalf("Get(k1) = %v, %v", v, ok)
 	}
 	// k1 is now most recent; inserting k3 must evict k2.
-	c.Put(k3, 30)
+	admit(k3, 30)
 	if _, ok := c.Get(k2); ok {
 		t.Fatal("k2 should have been evicted (LRU)")
 	}
@@ -72,6 +74,40 @@ func TestCacheKeySeparatesModelsAndGenerations(t *testing.T) {
 	// A hot-swapped model bumps its generation, invalidating old entries.
 	if c.Key(testModel("a", 1), x, 0.1) == c.Key(testModel("a", 2), x, 0.1) {
 		t.Fatal("different generations collided")
+	}
+}
+
+func TestCacheAdmitsOnSecondMiss(t *testing.T) {
+	c := NewCache(CacheConfig{Capacity: 4})
+	m := testModel("m", 1)
+	k := c.Key(m, []float64{1, 2}, 0.1)
+	c.Put(k, 5)
+	if _, ok := c.Get(k); ok || c.Len() != 0 {
+		t.Fatalf("first Put stored the key (size %d)", c.Len())
+	}
+	c.Put(k, 5)
+	if v, ok := c.Get(k); !ok || v != 5 {
+		t.Fatalf("second Put: Get = %v, %v, want 5, true", v, ok)
+	}
+	// A refresh of an admitted key takes effect at once.
+	c.Put(k, 6)
+	if v, _ := c.Get(k); v != 6 {
+		t.Fatalf("refreshed value = %v, want 6", v)
+	}
+}
+
+// A stream of distinct keys, as a caller that never repeats a query
+// sends, stores nothing and evicts nothing: admission needs a full
+// 64-bit hash match in the key's doorkeeper slot.
+func TestCacheDistinctKeysStoreNothing(t *testing.T) {
+	const capacity = 64
+	c := NewCache(CacheConfig{Capacity: capacity})
+	m := testModel("m", 1)
+	for i := 0; i < 10*capacity; i++ {
+		c.Put(c.Key(m, []float64{float64(i), 0}, 0.5), float64(i))
+	}
+	if st := c.Stats(); st.Size != 0 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want size 0 and no evictions", st)
 	}
 }
 

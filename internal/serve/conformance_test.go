@@ -181,7 +181,7 @@ func TestEveryKindServesOverHTTP(t *testing.T) {
 		t.Skip("fits one model per estimator kind")
 	}
 	_, ts := newTestServer(t, Config{
-		Batcher: BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Lanes: 2},
 		Cache:   CacheConfig{Capacity: 64},
 	})
 	dir := t.TempDir()

@@ -80,9 +80,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		"m": {QueueDepth: 2, QueueCapacity: 8, Lag: 2, Retrained: 1},
 	}})
 
-	// Generate some traffic so the histograms are non-empty.
-	postJSON(t, ts.URL+"/v1/estimate", map[string]any{"model": "m", "query": []float64{0, 0, 0}, "t": 0.5})
-	postJSON(t, ts.URL+"/v1/estimate", map[string]any{"model": "m", "query": []float64{0, 0, 0}, "t": 0.5})
+	// Generate some traffic so the histograms are non-empty: the key is
+	// admitted on its second miss, so the last two requests hit.
+	for i := 0; i < 4; i++ {
+		postJSON(t, ts.URL+"/v1/estimate", map[string]any{"model": "m", "query": []float64{0, 0, 0}, "t": 0.5})
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -97,8 +99,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	for _, want := range []string{
 		"# TYPE selestd_http_request_duration_seconds histogram",
-		`selestd_http_request_duration_seconds_bucket{route="/v1/estimate",le="+Inf"} 2`,
-		`selestd_http_request_duration_seconds_count{route="/v1/estimate"} 2`,
+		`selestd_http_request_duration_seconds_bucket{route="/v1/estimate",le="+Inf"} 4`,
+		`selestd_http_request_duration_seconds_count{route="/v1/estimate"} 4`,
 		"# TYPE selestd_cache_hit_ratio gauge",
 		"selestd_cache_hit_ratio 0.5",
 		`selestd_model_generation{model="m"} 1`,

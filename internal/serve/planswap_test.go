@@ -126,30 +126,70 @@ func TestBatcherLanesAllServe(t *testing.T) {
 	}
 }
 
-// With more lanes than clients, a lone lingering request must be joined
-// by the next submit (fusing immediately) instead of each client
-// stalling a full FlushInterval in its own lane.
+// A lone submitter runs inline; everyone else still coalesces. Two
+// cases pin the split.
 func TestLoneRequestsFuseAcrossLanes(t *testing.T) {
-	est := newFakeEst(2)
-	const flush = 300 * time.Millisecond
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: flush, Lanes: 8})
-	defer b.Close()
-
-	first := make(chan struct{})
-	go func() {
-		close(first)
-		b.Submit(context.Background(), []float64{1, 2}, 0.5)
-	}()
-	<-first
-	time.Sleep(30 * time.Millisecond) // let the first request enter its lone linger
-	start := time.Now()
-	if _, err := b.Submit(context.Background(), []float64{3, 4}, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > flush/2 {
-		t.Fatalf("second request took %v: it waited out the flush interval instead of joining the lingering lane", d)
-	}
-	if st := b.Stats(); st.MaxFused < 2 {
-		t.Fatalf("max fused = %d, want >= 2 (requests must have coalesced)", st.MaxFused)
-	}
+	// While a slow estimate holds one submitter inline, the others are
+	// in company: with more lanes than clients, a lane lingering on one
+	// of them is joined by the next, so they fuse instead of each
+	// stalling a FlushInterval in its own lane.
+	t.Run("company fuses beside an inline run", func(t *testing.T) {
+		est, entered, release := holding(2)
+		b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: 20 * time.Millisecond, Lanes: 8})
+		defer b.Close()
+		held := make(chan error, 1)
+		go func() {
+			_, err := b.Submit(context.Background(), []float64{1, 2}, 0.5)
+			held <- err
+		}()
+		within(t, entered)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				x := []float64{float64(g), 4}
+				if v, err := b.Submit(context.Background(), x, 0.5); err != nil || v != fakeWant(1, x, 0.5) {
+					t.Errorf("submit %d: %v, %v", g, v, err)
+				}
+			}(g)
+		}
+		wg.Wait()
+		release()
+		if err := within(t, held); err != nil {
+			t.Fatal(err)
+		}
+		if st := b.Stats(); st.MaxFused < 2 {
+			t.Fatalf("max fused = %d, want >= 2 (requests must have coalesced)", st.MaxFused)
+		}
+	})
+	// A request queued while another submitter was in flight lingers
+	// only as long as that submitter stays: once it leaves, the lane
+	// flushes at once, long before the flush interval.
+	t.Run("queued lone request does not linger alone", func(t *testing.T) {
+		est, entered, release := holding(2)
+		b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: stuckLinger, Lanes: 2})
+		defer b.Close()
+		held := make(chan error, 1)
+		go func() {
+			_, err := b.Submit(context.Background(), []float64{1, 2}, 0.5)
+			held <- err
+		}()
+		within(t, entered)
+		laned := make(chan error, 1)
+		go func() {
+			_, err := b.Submit(context.Background(), []float64{3, 4}, 0.5)
+			laned <- err
+		}()
+		waitLingering(t, b)
+		release()
+		for _, ch := range []chan error{held, laned} {
+			if err := within(t, ch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := b.Stats(); st.Timeouts != 0 || st.Batches != 2 {
+			t.Fatalf("stats = %+v, want 2 batches (1 inline, 1 lane), no timer flush", st)
+		}
+	})
 }
