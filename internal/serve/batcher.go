@@ -128,9 +128,6 @@ type lane struct {
 	// fuse immediately instead of every client stalling a FlushInterval
 	// in its own lane when clients are fewer than lanes.
 	waiting atomic.Int32
-	// wake tells a lingering worker that its lone request's last
-	// possible companion has left (see leave).
-	wake chan struct{}
 
 	batches  atomic.Uint64
 	maxFused atomic.Uint64
@@ -186,7 +183,6 @@ func NewBatcher(est Estimator, cfg BatcherConfig) *Batcher {
 	for i := 0; i < cfg.Lanes; i++ {
 		l := &lane{
 			reqs:  make(chan batchReq, cfg.QueueDepth),
-			wake:  make(chan struct{}, 1),
 			sizes: NewHistogram(BatchSizeBuckets()...),
 			buf:   make([]batchReq, 0, cfg.MaxBatch),
 			x:     tensor.New(cfg.MaxBatch, dim),
@@ -236,7 +232,7 @@ func (b *Batcher) SubmitTimed(ctx context.Context, x []float64, t float64) (floa
 	if err := ctx.Err(); err != nil {
 		return 0, BatchTiming{}, err
 	}
-	defer b.leave()
+	defer b.active.Add(-1)
 	if b.active.Add(1) == 1 {
 		// No other submitter is in flight, so there is nothing to fuse
 		// with: answer on this goroutine.
@@ -256,22 +252,6 @@ func (b *Batcher) SubmitTimed(ctx context.Context, x []float64, t float64) (floa
 		return res.v, res.timing, res.err
 	case <-ctx.Done():
 		return 0, BatchTiming{}, ctx.Err()
-	}
-}
-
-// leave ends a submitter's stay. When only one submitter remains, a
-// lane lingering for company will get none, so it is woken to flush.
-func (b *Batcher) leave() {
-	if b.active.Add(-1) != 1 {
-		return
-	}
-	for _, l := range b.lanes {
-		if l.waiting.Load() != 0 {
-			select {
-			case l.wake <- struct{}{}:
-			default: // a wake is already pending
-			}
-		}
 	}
 }
 
@@ -387,17 +367,11 @@ func (b *Batcher) worker(l *lane) {
 			// nothing to wait for — stalling here would add the flush
 			// interval to every closed-loop client's latency. A lone
 			// request lingers up to the flush interval for company, but
-			// only while another submitter is in flight to provide it.
-			// waiting is raised before active is read, so a submitter
-			// leaving in between sees it and wakes this lane.
-			if len(batch) > 1 {
+			// only if another submitter is in flight to provide it.
+			if len(batch) > 1 || b.active.Load() <= 1 {
 				break gather
 			}
 			l.waiting.Store(1)
-			if b.active.Load() <= 1 {
-				l.waiting.Store(0)
-				break gather
-			}
 			select {
 			case r, ok := <-l.reqs:
 				l.waiting.Store(0)
@@ -406,8 +380,6 @@ func (b *Batcher) worker(l *lane) {
 				}
 				r.deq = time.Now()
 				batch = append(batch, r)
-			case <-l.wake:
-				l.waiting.Store(0) // re-check for company on the next pass
 			case <-timer.C:
 				l.waiting.Store(0)
 				l.timeouts.Add(1)

@@ -20,9 +20,12 @@ type fakeEst struct {
 	scale float64
 	delay time.Duration
 	// hold, when non-nil, blocks every Estimate (the batcher's inline
-	// path) until it is closed, after a non-blocking send on entered.
-	hold    chan struct{}
-	entered chan struct{}
+	// path) until it is closed; batchHold does the same for every
+	// EstimateBatch (the lane path). Either sends on entered, without
+	// blocking, as it starts to wait.
+	hold      chan struct{}
+	batchHold chan struct{}
+	entered   chan struct{}
 	// panicNeg panics on any row whose first coordinate is negative.
 	panicNeg bool
 
@@ -43,17 +46,27 @@ func holding(dim int) (f *fakeEst, entered <-chan struct{}, release func()) {
 }
 
 func (f *fakeEst) Estimate(x []float64, t float64) float64 {
-	if f.hold != nil {
-		select {
-		case f.entered <- struct{}{}:
-		default:
-		}
-		<-f.hold
-	}
-	return f.EstimateBatch(tensor.RowVector(x), []float64{t})[0]
+	f.wait(f.hold)
+	return f.estimate(tensor.RowVector(x), []float64{t})[0]
 }
 
 func (f *fakeEst) EstimateBatch(x *tensor.Dense, ts []float64) []float64 {
+	f.wait(f.batchHold)
+	return f.estimate(x, ts)
+}
+
+func (f *fakeEst) wait(hold chan struct{}) {
+	if hold == nil {
+		return
+	}
+	select {
+	case f.entered <- struct{}{}:
+	default:
+	}
+	<-hold
+}
+
+func (f *fakeEst) estimate(x *tensor.Dense, ts []float64) []float64 {
 	if f.panicNeg {
 		for i := range ts {
 			if x.Row(i)[0] < 0 {
@@ -162,25 +175,55 @@ func TestBatcherRespectsMaxBatch(t *testing.T) {
 }
 
 func TestBatcherFlushInterval(t *testing.T) {
-	est := newFakeEst(1)
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 1000, FlushInterval: time.Hour, Lanes: 1})
-	defer b.Close()
+	t.Run("lone submit runs inline", func(t *testing.T) {
+		est := newFakeEst(1)
+		b := NewBatcher(est, BatcherConfig{MaxBatch: 1000, FlushInterval: time.Hour, Lanes: 1})
+		defer b.Close()
 
-	// A lone submitter has no one to wait for: it runs inline, so even
-	// an hour-long flush interval costs it nothing.
-	start := time.Now()
-	if _, err := b.Submit(context.Background(), []float64{1}, 0.2); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("lone request took %v: it lingered instead of running inline", d)
-	}
-	if st := b.Stats(); st.Timeouts != 0 || st.Batches != 1 {
-		t.Fatalf("stats = %+v, want 1 batch and no timer flush", st)
-	}
-	if got := est.rows.Load(); got != 1 {
-		t.Fatalf("estimator saw %d rows, want 1", got)
-	}
+		// A lone submitter has no one to wait for: it runs inline, so
+		// even an hour-long flush interval costs it nothing.
+		start := time.Now()
+		if _, err := b.Submit(context.Background(), []float64{1}, 0.2); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("lone request took %v: it lingered instead of running inline", d)
+		}
+		if st := b.Stats(); st.Timeouts != 0 || st.Batches != 1 {
+			t.Fatalf("stats = %+v, want 1 batch and no timer flush", st)
+		}
+		if got := est.rows.Load(); got != 1 {
+			t.Fatalf("estimator saw %d rows, want 1", got)
+		}
+	})
+	// A queued request whose only possible companion stays in flight
+	// lingers no longer than the flush interval.
+	t.Run("queued request flushes on the timer", func(t *testing.T) {
+		est, entered, release := holding(1)
+		b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: 2 * time.Millisecond, Lanes: 1})
+		defer b.Close()
+		held := make(chan error, 1)
+		go func() {
+			_, err := b.Submit(context.Background(), []float64{1}, 0.1)
+			held <- err
+		}()
+		within(t, entered)
+		laned := make(chan error, 1)
+		go func() {
+			_, err := b.Submit(context.Background(), []float64{2}, 0.5)
+			laned <- err
+		}()
+		if err := within(t, laned); err != nil {
+			t.Fatalf("laned submit: %v", err)
+		}
+		if st := b.Stats(); st.Timeouts != 1 || st.Batches != 2 {
+			t.Fatalf("stats = %+v, want 2 batches (1 inline, 1 timer flush)", st)
+		}
+		release()
+		if err := within(t, held); err != nil {
+			t.Fatalf("held submit: %v", err)
+		}
+	})
 }
 
 // An estimator panic becomes the batched-inference error on both the
@@ -188,7 +231,7 @@ func TestBatcherFlushInterval(t *testing.T) {
 func TestBatcherPanicBothPaths(t *testing.T) {
 	est := newFakeEst(1)
 	est.panicNeg = true
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 4, FlushInterval: stuckLinger, Lanes: 1})
+	b := NewBatcher(est, BatcherConfig{MaxBatch: 4, FlushInterval: time.Millisecond, Lanes: 1})
 	defer b.Close()
 	const want = "serve: batched inference panicked: negative query"
 
@@ -196,8 +239,8 @@ func TestBatcherPanicBothPaths(t *testing.T) {
 		t.Fatalf("inline panic: err = %v, want %q", err, want)
 	}
 
-	// Hold a healthy inline run so the next submitter takes a lane; it
-	// lingers there until the held run leaves and wakes it.
+	// Hold a healthy inline run so the next submitter takes a lane; its
+	// lone request flushes there on the timer.
 	est.hold, est.entered = make(chan struct{}), make(chan struct{}, 1)
 	held := make(chan error, 1)
 	go func() {
@@ -205,24 +248,18 @@ func TestBatcherPanicBothPaths(t *testing.T) {
 		held <- err
 	}()
 	within(t, est.entered)
-	laned := make(chan error, 1)
-	go func() {
-		_, err := b.Submit(context.Background(), []float64{-1}, 0.1)
-		laned <- err
-	}()
-	waitLingering(t, b)
+	if _, err := b.Submit(context.Background(), []float64{-1}, 0.1); err == nil || err.Error() != want {
+		t.Fatalf("lane panic: err = %v, want %q", err, want)
+	}
 	close(est.hold)
 	if err := within(t, held); err != nil {
 		t.Fatalf("held inline submit: %v", err)
 	}
-	if err := within(t, laned); err == nil || err.Error() != want {
-		t.Fatalf("lane panic: err = %v, want %q", err, want)
-	}
 	if v, err := b.Submit(context.Background(), []float64{2}, 0.5); err != nil || v != 2.5 {
 		t.Fatalf("after panics: %v, %v", v, err)
 	}
-	if st := b.Stats(); st.Batches != 4 || st.Lanes[0].Batches != 4 || st.Timeouts != 0 {
-		t.Fatalf("stats = %+v, want 4 batches (3 inline, 1 lane) and no timer flush", st)
+	if st := b.Stats(); st.Batches != 4 || st.Lanes[0].Batches != 4 || st.Timeouts != 1 {
+		t.Fatalf("stats = %+v, want 4 batches (3 inline, 1 lane timer flush)", st)
 	}
 }
 
@@ -242,22 +279,6 @@ func within[T any](t *testing.T, ch <-chan T) T {
 		t.Fatal("timed out: a submitter or estimate never got through")
 		panic("unreachable")
 	}
-}
-
-// waitLingering returns once some lane's worker lingers on a lone
-// request for company.
-func waitLingering(t *testing.T, b *Batcher) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, l := range b.lanes {
-			if l.waiting.Load() != 0 {
-				return
-			}
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	t.Fatal("no lane started lingering")
 }
 
 func TestBatcherCloseDrainsAndRejects(t *testing.T) {

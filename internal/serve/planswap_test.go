@@ -163,33 +163,64 @@ func TestLoneRequestsFuseAcrossLanes(t *testing.T) {
 			t.Fatalf("max fused = %d, want >= 2 (requests must have coalesced)", st.MaxFused)
 		}
 	})
-	// A request queued while another submitter was in flight lingers
-	// only as long as that submitter stays: once it leaves, the lane
-	// flushes at once, long before the flush interval.
+	// A request queued while its submitter had company, and picked up
+	// only after every submitter has left, has no one to wait for: the
+	// lane flushes it at once instead of lingering.
 	t.Run("queued lone request does not linger alone", func(t *testing.T) {
 		est, entered, release := holding(2)
-		b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: stuckLinger, Lanes: 2})
+		est.batchHold = make(chan struct{})
+		b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: stuckLinger, Lanes: 1})
 		defer b.Close()
+		// Deferred after Close, so an early failure unblocks it.
+		release = sync.OnceFunc(release)
+		releaseBatch := sync.OnceFunc(func() { close(est.batchHold) })
+		defer releaseBatch()
+		defer release()
 		held := make(chan error, 1)
 		go func() {
 			_, err := b.Submit(context.Background(), []float64{1, 2}, 0.5)
 			held <- err
 		}()
 		within(t, entered)
-		laned := make(chan error, 1)
-		go func() {
-			_, err := b.Submit(context.Background(), []float64{3, 4}, 0.5)
+		// Two laned submitters fuse, and their batch holds the worker.
+		ctx, cancel := context.WithCancel(context.Background())
+		laned := make(chan error, 3)
+		submit := func(g int) {
+			_, err := b.Submit(ctx, []float64{float64(g), 4}, 0.5)
 			laned <- err
-		}()
-		waitLingering(t, b)
-		release()
-		for _, ch := range []chan error{held, laned} {
-			if err := within(t, ch); err != nil {
-				t.Fatal(err)
+		}
+		go submit(0)
+		go submit(1)
+		within(t, entered)
+		// A third queues behind that batch.
+		go submit(2)
+		for deadline := time.Now().Add(10 * time.Second); len(b.lanes[0].reqs) == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("third request never queued")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		// Every submitter leaves before the worker reaches the queued
+		// request; handed-off requests still run.
+		cancel()
+		for i := 0; i < 3; i++ {
+			if err := within(t, laned); err != context.Canceled {
+				t.Fatalf("laned submit: %v, want context.Canceled", err)
 			}
 		}
-		if st := b.Stats(); st.Timeouts != 0 || st.Batches != 2 {
-			t.Fatalf("stats = %+v, want 2 batches (1 inline, 1 lane), no timer flush", st)
+		release()
+		if err := within(t, held); err != nil {
+			t.Fatal(err)
+		}
+		releaseBatch()
+		for deadline := time.Now().Add(stuckLinger / 3); est.rows.Load() < 4; {
+			if time.Now().After(deadline) {
+				t.Fatalf("estimator saw %d rows, want 4: the queued request lingered", est.rows.Load())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if st := b.Stats(); st.Timeouts != 0 || st.Batches != 3 {
+			t.Fatalf("stats = %+v, want 3 batches (1 inline, 2 lane), no timer flush", st)
 		}
 	})
 }
