@@ -132,9 +132,12 @@ func TestValidateFlagsRejectsOutOfRange(t *testing.T) {
 		}
 	}
 	cfg, opts, oo, co, drain := goodFlags()
-	err := validateFlags(cfg, opts, oo, co, "bogus-kind", drain)
-	if err == nil || !strings.Contains(err.Error(), "-router") {
-		t.Errorf("bogus -router mode: err = %v, want one naming -router", err)
+	// dnn is a retired kind: the codec no longer serves the deep baselines.
+	for _, mode := range []string{"bogus-kind", "dnn"} {
+		err := validateFlags(cfg, opts, oo, co, mode, drain)
+		if err == nil || !strings.Contains(err.Error(), "-router") {
+			t.Errorf("-router %s: err = %v, want one naming -router", mode, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command selestd is the selectivity-estimation serving daemon: it
-// loads trained .gob models (from 'selest train', or any estimator
-// saved through the kind-tagged model codec — SelNet, KDE, LSH
-// sampling, GBM, the deep baselines) and serves estimates over HTTP
+// loads trained .gob models (from 'selest train', or any consistent
+// estimator saved through the kind-tagged model codec — SelNet, KDE,
+// LSH sampling, monotone GBM, DLN, UMNN) and serves estimates over HTTP
 // with batched inference, an LRU estimate cache, hot-swappable models,
 // and — for models attached to a database via -data — streaming
 // insert/delete ingestion with Sec. 5.4 shadow retraining. Estimators
@@ -41,9 +41,12 @@
 // was acknowledged.
 //
 // Models may be any servable estimator kind — single or partitioned
-// SelNet, KDE, LSH sampling, GBM, DNN/MoE/RMI, DLN, UMNN — saved with
-// the kind-tagged codec; the loader sniffs the kind (legacy SelNet
-// files included) and every kind serves estimates and hot-swaps.
+// SelNet, KDE, LSH sampling, monotone GBM, DLN, UMNN — saved with the
+// kind-tagged codec; the loader sniffs the kind (legacy SelNet files
+// included) and every kind serves estimates and hot-swaps. Servable
+// means consistent: a model whose estimates may decrease as t grows (a
+// GBM fitted without the monotone constraint, a retired DNN/MoE/RMI
+// file) fails to load with code inconsistent_kind.
 //
 // With -router set, requests naming "default" (when no concrete model
 // holds that name) or "auto" are routed across the loaded models:

@@ -2,7 +2,9 @@
 // baselines (Sec. 7.1): DNN (a vanilla feed-forward network), MoE (a
 // sparsely-gated mixture of experts) and RMI (a recursive model index
 // trained stage-wise). None of them guarantees consistency — they are the
-// unstarred rows of Tables 1-4.
+// unstarred rows of Tables 1-4 — so they are offline baselines only:
+// internal/experiments fits and scores them in memory, and the model
+// codec refuses to serve them.
 //
 // Following Appendix B.2, these models cannot consume the threshold t
 // directly: t is first lifted to an m-dimensional embedding ReLU(w*t)

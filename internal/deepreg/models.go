@@ -20,7 +20,6 @@ import (
 type DNN struct {
 	embed *TEmbed
 	ffn   *nn.FFN
-	arch  archInfo
 }
 
 // NewDNN builds the network for dim-dimensional queries with the given
@@ -30,7 +29,6 @@ func NewDNN(rng *rand.Rand, dim int, hidden []int, tEmbedDim int) *DNN {
 	return &DNN{
 		embed: NewTEmbed(rng, "dnn", tEmbedDim),
 		ffn:   nn.NewFFN(rng, "dnn", sizes, nn.ActReLU, nn.ActNone),
-		arch:  archInfo{dim: dim, hidden: hidden, tEmbedDim: tEmbedDim},
 	}
 }
 
@@ -44,27 +42,11 @@ func (d *DNN) Params() []*nn.Param { return append(d.embed.Params(), d.ffn.Param
 
 // Fit trains the model on the labelled queries.
 func (d *DNN) Fit(cfg TrainConfig, train, valid []vecdata.Query) {
-	d.arch.observeTMax(train)
 	trainLogRegressor(d, cfg, train, valid)
 }
 
 // Estimate returns the predicted selectivity.
 func (d *DNN) Estimate(x []float64, t float64) float64 { return estimateLog(d, x, t) }
-
-// EstimateBatch runs one batched forward pass over all queries. Safe for
-// concurrent use: each call owns its tape, parameters are read-only.
-func (d *DNN) EstimateBatch(x *tensor.Dense, ts []float64) []float64 {
-	return estimateLogBatch(d, x, ts)
-}
-
-// Dim returns the query dimensionality.
-func (d *DNN) Dim() int { return d.arch.dim }
-
-// TMax returns the largest threshold seen during training.
-func (d *DNN) TMax() float64 { return d.arch.tmax }
-
-// SetTMax overrides the advertised threshold ceiling.
-func (d *DNN) SetTMax(t float64) { d.arch.setTMax(t) }
 
 // Name returns the paper's model name.
 func (d *DNN) Name() string { return "DNN" }
@@ -80,7 +62,6 @@ type MoE struct {
 	gate    *nn.FFN
 	experts []*nn.FFN
 	topK    int
-	arch    archInfo
 }
 
 // NewMoE builds numExperts experts with the given hidden sizes and a
@@ -94,7 +75,6 @@ func NewMoE(rng *rand.Rand, dim int, hidden []int, tEmbedDim, numExperts, topK i
 		embed: NewTEmbed(rng, "moe", tEmbedDim),
 		gate:  nn.NewFFN(rng, "moe.gate", []int{in, numExperts}, nn.ActNone, nn.ActNone),
 		topK:  topK,
-		arch:  archInfo{dim: dim, hidden: hidden, tEmbedDim: tEmbedDim},
 	}
 	for e := 0; e < numExperts; e++ {
 		sizes := append(append([]int{in}, hidden...), 1)
@@ -139,27 +119,11 @@ func (m *MoE) Params() []*nn.Param {
 
 // Fit trains the model on the labelled queries.
 func (m *MoE) Fit(cfg TrainConfig, train, valid []vecdata.Query) {
-	m.arch.observeTMax(train)
 	trainLogRegressor(m, cfg, train, valid)
 }
 
 // Estimate returns the predicted selectivity.
 func (m *MoE) Estimate(x []float64, t float64) float64 { return estimateLog(m, x, t) }
-
-// EstimateBatch runs one batched forward pass over all queries. Safe for
-// concurrent use: each call owns its tape, parameters are read-only.
-func (m *MoE) EstimateBatch(x *tensor.Dense, ts []float64) []float64 {
-	return estimateLogBatch(m, x, ts)
-}
-
-// Dim returns the query dimensionality.
-func (m *MoE) Dim() int { return m.arch.dim }
-
-// TMax returns the largest threshold seen during training.
-func (m *MoE) TMax() float64 { return m.arch.tmax }
-
-// SetTMax overrides the advertised threshold ceiling.
-func (m *MoE) SetTMax(t float64) { m.arch.setTMax(t) }
 
 // Name returns the paper's model name.
 func (m *MoE) Name() string { return "MoE" }
@@ -186,8 +150,6 @@ type RMI struct {
 	// Routing normalization bounds per level (min/max of that level's
 	// predictions over the training set).
 	lo, hi []float64
-	counts []int
-	arch   archInfo
 }
 
 type rmiModel struct {
@@ -203,11 +165,9 @@ func NewRMI(rng *rand.Rand, dim int, hidden []int, tEmbedDim int, counts []int) 
 	}
 	in := dim + tEmbedDim
 	r := &RMI{
-		embed:  NewTEmbed(rng, "rmi", tEmbedDim),
-		lo:     make([]float64, len(counts)),
-		hi:     make([]float64, len(counts)),
-		counts: append([]int(nil), counts...),
-		arch:   archInfo{dim: dim, hidden: hidden, tEmbedDim: tEmbedDim},
+		embed: NewTEmbed(rng, "rmi", tEmbedDim),
+		lo:    make([]float64, len(counts)),
+		hi:    make([]float64, len(counts)),
 	}
 	for li, c := range counts {
 		level := make([]*rmiModel, c)
@@ -235,7 +195,6 @@ func (s *rmiSingle) Params() []*nn.Param { return append(s.embed.Params(), s.ffn
 // Fit trains the hierarchy stage by stage: level 0 on everything, then
 // each next-level model on the examples its parent routes to it.
 func (r *RMI) Fit(cfg TrainConfig, train, valid []vecdata.Query) {
-	r.arch.observeTMax(train)
 	assigned := [][]vecdata.Query{train}
 	for li, level := range r.levels {
 		// Train every model of this level on its assigned examples.
@@ -323,26 +282,6 @@ func (r *RMI) Estimate(x []float64, t float64) float64 {
 	}
 	return v
 }
-
-// EstimateBatch evaluates one query per row of x. RMI routes every
-// example through a data-dependent model path, so the batch loops
-// per query. Safe for concurrent use: each call owns its tapes.
-func (r *RMI) EstimateBatch(x *tensor.Dense, ts []float64) []float64 {
-	out := make([]float64, x.Rows())
-	for i := range out {
-		out[i] = r.Estimate(x.Row(i), ts[i])
-	}
-	return out
-}
-
-// Dim returns the query dimensionality.
-func (r *RMI) Dim() int { return r.arch.dim }
-
-// TMax returns the largest threshold seen during training.
-func (r *RMI) TMax() float64 { return r.arch.tmax }
-
-// SetTMax overrides the advertised threshold ceiling.
-func (r *RMI) SetTMax(t float64) { r.arch.setTMax(t) }
 
 // Name returns the paper's model name.
 func (r *RMI) Name() string { return "RMI" }

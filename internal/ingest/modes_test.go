@@ -14,7 +14,7 @@ import (
 
 // The ingest pipeline degrades by estimator capability: SelNet retrains,
 // LSH refreshes its derived state against the updated database, and
-// static estimators (KDE, GBM, the deep baselines) keep serving while
+// static estimators (KDE, GBM, DLN, UMNN) keep serving while
 // the database and journal absorb the updates.
 
 func cosineData(seed int64, n, dim, queries int) (*vecdata.Database, []vecdata.Query, []vecdata.Query) {

@@ -1,7 +1,16 @@
 // Package modelcodec is the registry-level model container: one
 // kind-tagged serialization format that round-trips every servable
-// estimator kind — SelNet (single and partitioned) plus the six baseline
-// estimators (KDE, LSH sampling, LightGBM, DNN, MoE, RMI, DLN, UMNN).
+// estimator kind — SelNet (single and partitioned) plus the five
+// consistent baselines (KDE, LSH sampling, LightGBM, DLN, UMNN).
+//
+// Servable means consistent: every model that enters the process from
+// outside (-model, POST /v1/models/{name}, snapshot recovery) passes
+// through Load or LoadFile, and both return ErrInconsistentKind unless
+// the decoded estimator reports ConsistencyGuaranteed() — its estimates
+// never decrease as t grows. That rejects a LightGBM fitted without the
+// monotone constraint, and files tagged with a retired deep-baseline
+// kind (DNN, MoE, RMI), which remain offline baselines in
+// internal/experiments.
 //
 // It is the only model container. Its layout — an 8-byte magic, a
 // gob-encoded kind string, then the model's own Save stream — is the one
@@ -20,6 +29,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,8 +41,6 @@ import (
 	"selnet/internal/selnet"
 	"selnet/internal/tensor"
 	"selnet/internal/umnn"
-
-	"selnet/internal/deepreg"
 )
 
 // Estimator is the inference surface every servable model kind shares.
@@ -44,6 +52,10 @@ type Estimator interface {
 	TMax() float64
 	Name() string
 }
+
+// ErrInconsistentKind is returned for a model whose estimates are not
+// guaranteed to be non-decreasing in t.
+var ErrInconsistentKind = errors.New("modelcodec: model kind cannot guarantee estimates monotone in t")
 
 // magic prefixes the kind-tagged container; identical to the retired
 // selnet container so pre-existing files remain loadable in both
@@ -58,17 +70,13 @@ const (
 	kindKDE  = "kde.Estimator"
 	kindLSH  = "lshsampling.Estimator"
 	kindGBM  = "gbm.SelectivityEstimator"
-	kindDNN  = "deepreg.DNN"
-	kindMoE  = "deepreg.MoE"
-	kindRMI  = "deepreg.RMI"
 	kindDLN  = "dln.Model"
 	kindUMNN = "umnn.Model"
 )
 
 // Kind returns the short estimator-kind slug used in /v1/models and the
 // router configuration ("selnet", "selnet-part", "kde", "lsh", "gbm",
-// "dnn", "moe", "rmi", "dln", "umnn"), or "unknown" for types the codec
-// does not handle.
+// "dln", "umnn"), or "unknown" for types the codec does not handle.
 func Kind(est any) string {
 	switch est.(type) {
 	case *selnet.Net:
@@ -81,12 +89,6 @@ func Kind(est any) string {
 		return "lsh"
 	case *gbm.SelectivityEstimator:
 		return "gbm"
-	case *deepreg.DNN:
-		return "dnn"
-	case *deepreg.MoE:
-		return "moe"
-	case *deepreg.RMI:
-		return "rmi"
 	case *dln.Model:
 		return "dln"
 	case *umnn.Model:
@@ -110,12 +112,6 @@ func Save(w io.Writer, est Estimator) error {
 		kind, save = kindLSH, v.Save
 	case *gbm.SelectivityEstimator:
 		kind, save = kindGBM, v.Save
-	case *deepreg.DNN:
-		kind, save = kindDNN, v.Save
-	case *deepreg.MoE:
-		kind, save = kindMoE, v.Save
-	case *deepreg.RMI:
-		kind, save = kindRMI, v.Save
 	case *dln.Model:
 		kind, save = kindDLN, v.Save
 	case *umnn.Model:
@@ -134,8 +130,18 @@ func Save(w io.Writer, est Estimator) error {
 
 // Load reads one container written by Save (or by an older build).
 // The reader may sit mid-stream, e.g. inside a snapshot file; exactly
-// one container is consumed.
+// one container is consumed. A model that decodes but cannot guarantee
+// consistency returns ErrInconsistentKind.
 func Load(r io.Reader) (Estimator, error) {
+	est, err := decode(r)
+	if err != nil {
+		return nil, err
+	}
+	return consistent(est)
+}
+
+// decode reads one container and dispatches on its kind tag.
+func decode(r io.Reader) (Estimator, error) {
 	// Consecutive gob messages share one stream; without a ByteReader
 	// each decoder would buffer past its own message (see selnet.LoadNet).
 	if _, ok := r.(io.ByteReader); !ok {
@@ -163,16 +169,13 @@ func Load(r io.Reader) (Estimator, error) {
 		return recovering(func() (Estimator, error) { return lshsampling.Load(r) })
 	case kindGBM:
 		return recovering(func() (Estimator, error) { return gbm.Load(r) })
-	case kindDNN:
-		return recovering(func() (Estimator, error) { return deepreg.LoadDNN(r) })
-	case kindMoE:
-		return recovering(func() (Estimator, error) { return deepreg.LoadMoE(r) })
-	case kindRMI:
-		return recovering(func() (Estimator, error) { return deepreg.LoadRMI(r) })
 	case kindDLN:
 		return recovering(func() (Estimator, error) { return dln.Load(r) })
 	case kindUMNN:
 		return recovering(func() (Estimator, error) { return umnn.Load(r) })
+	case "deepreg.DNN", "deepreg.MoE", "deepreg.RMI":
+		// Older builds served the deep baselines; they are not consistent.
+		return nil, fmt.Errorf("%w: retired kind %q", ErrInconsistentKind, kind)
 	}
 	return nil, fmt.Errorf("modelcodec: unknown model kind %q", kind)
 }
@@ -194,25 +197,40 @@ func SaveFile(path string, est Estimator) error {
 // containers dispatch on their kind; legacy untagged files — 'selest
 // train' output or a bare (*Partitioned).Save stream — are sniffed by
 // attempting each selnet decoder in turn, preserving the pre-codec
-// loading behavior for operator-supplied paths.
+// loading behavior for operator-supplied paths. Either way the result
+// passes the consistency gate.
 func LoadFile(path string) (Estimator, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return loadBytes(path, b)
+}
+
+// loadBytes is LoadFile on the file's contents; name labels errors.
+func loadBytes(name string, b []byte) (Estimator, error) {
 	if bytes.HasPrefix(b, []byte(magic)) {
 		return recovering(func() (Estimator, error) { return Load(bytes.NewReader(b)) })
 	}
-	n, netErr := recovering(func() (Estimator, error) { return selnet.LoadNet(bytes.NewReader(b)) })
-	if netErr == nil {
-		return n, nil
+	est, netErr := recovering(func() (Estimator, error) { return selnet.LoadNet(bytes.NewReader(b)) })
+	if netErr != nil {
+		var partErr error
+		est, partErr = recovering(func() (Estimator, error) { return selnet.LoadPartitioned(bytes.NewReader(b)) })
+		if partErr != nil {
+			return nil, fmt.Errorf("modelcodec: %s decodes as neither a single model (%w) nor a partitioned one (%w)",
+				name, netErr, partErr)
+		}
 	}
-	p, partErr := recovering(func() (Estimator, error) { return selnet.LoadPartitioned(bytes.NewReader(b)) })
-	if partErr == nil {
-		return p, nil
+	return consistent(est)
+}
+
+// consistent is the codec's consistency gate: it passes est through only
+// if est promises estimates non-decreasing in t.
+func consistent(est Estimator) (Estimator, error) {
+	if c, ok := est.(interface{ ConsistencyGuaranteed() bool }); !ok || !c.ConsistencyGuaranteed() {
+		return nil, fmt.Errorf("%w: %s (%s)", ErrInconsistentKind, est.Name(), Kind(est))
 	}
-	return nil, fmt.Errorf("modelcodec: %s decodes as neither a single model (%w) nor a partitioned one (%w)",
-		path, netErr, partErr)
+	return est, nil
 }
 
 // recovering converts a decoder panic into an error: a half-matching

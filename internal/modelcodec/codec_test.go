@@ -2,12 +2,13 @@ package modelcodec_test
 
 import (
 	"bytes"
-	"math"
+	"errors"
+	"maps"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"testing"
 
 	"selnet/internal/modelcodec"
@@ -32,16 +33,17 @@ func queryProbe(est modelcodec.Estimator) []float64 {
 	return out
 }
 
+// sortedKinds returns the builder map's keys in order, so subtests and
+// seed corpora are stable across runs.
+func sortedKinds(builders map[string]func() modelcodec.Estimator) []string {
+	return slices.Sorted(maps.Keys(builders))
+}
+
 // TestRoundTripAllKinds saves and reloads one model of every kind and
 // verifies kind tagging, metadata, and identical estimates.
 func TestRoundTripAllKinds(t *testing.T) {
 	builders := modeltest.Builders()
-	kinds := make([]string, 0, len(builders))
-	for k := range builders {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, kind := range kinds {
+	for _, kind := range sortedKinds(builders) {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
@@ -70,10 +72,9 @@ func TestRoundTripAllKinds(t *testing.T) {
 				t.Errorf("Name = %q, want %q", got.Name(), est.Name())
 			}
 			want := queryProbe(est)
-			have := queryProbe(got)
-			for i := range want {
-				if math.Abs(want[i]-have[i]) > 1e-9*(1+math.Abs(want[i])) {
-					t.Errorf("probe %d: reloaded estimate %v, want %v", i, have[i], want[i])
+			for i, v := range queryProbe(got) {
+				if v != want[i] {
+					t.Errorf("probe %d: reloaded estimate %v, want %v", i, v, want[i])
 				}
 			}
 			// Batch path agrees after reload too.
@@ -176,6 +177,25 @@ func TestLegacySniffing(t *testing.T) {
 			if v != want[i] {
 				t.Fatalf("%s probe %d: loaded estimate %v, rebuilt %v", f.file, i, v, want[i])
 			}
+		}
+	}
+}
+
+// TestLoadRejectsInconsistentKinds verifies the consistency gate: the
+// retired deep-baseline tags and a LightGBM fitted without the monotone
+// constraint fail with ErrInconsistentKind, through Load and LoadFile.
+func TestLoadRejectsInconsistentKinds(t *testing.T) {
+	dir := t.TempDir()
+	for name, b := range modeltest.Inconsistent() {
+		if _, err := modelcodec.Load(bytes.NewReader(b)); !errors.Is(err, modelcodec.ErrInconsistentKind) {
+			t.Errorf("%s: Load err = %v, want ErrInconsistentKind", name, err)
+		}
+		path := filepath.Join(dir, "model")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := modelcodec.LoadFile(path); !errors.Is(err, modelcodec.ErrInconsistentKind) {
+			t.Errorf("%s: LoadFile err = %v, want ErrInconsistentKind", name, err)
 		}
 	}
 }

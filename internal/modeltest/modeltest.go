@@ -6,9 +6,10 @@
 package modeltest
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 
-	"selnet/internal/deepreg"
 	"selnet/internal/distance"
 	"selnet/internal/dln"
 	"selnet/internal/gbm"
@@ -34,15 +35,6 @@ func Workload(dist distance.Func, n, dim, queries int) (*vecdata.Database, []vec
 	return db, wl.Queries
 }
 
-// tinyTrain shrinks the deep baselines' training to a few epochs; tests
-// need shape correctness and determinism, not accuracy.
-func tinyTrain() deepreg.TrainConfig {
-	tc := deepreg.DefaultTrainConfig()
-	tc.Epochs = 2
-	tc.EvalEvery = 0
-	return tc
-}
-
 // TinySelNet builds a small untrained SelNet (inference correctness does
 // not depend on training quality).
 func TinySelNet(seed int64, dim int) *selnet.Net {
@@ -61,6 +53,31 @@ func FitKDE(db *vecdata.Database, queries []vecdata.Query) *kde.Estimator {
 	cfg := kde.DefaultConfig()
 	cfg.SampleSize = 50
 	return kde.FitTuned(rand.New(rand.NewSource(5)), db, cfg, queries)
+}
+
+// Inconsistent returns model files the codec must refuse, keyed by a
+// short description: the header an older build wrote for each retired
+// deep baseline (magic and kind tag; the tag alone decides), and a
+// LightGBM fitted without the monotone constraint.
+func Inconsistent() map[string][]byte {
+	files := map[string][]byte{}
+	for _, kind := range []string{"deepreg.DNN", "deepreg.MoE", "deepreg.RMI"} {
+		var b bytes.Buffer
+		b.WriteString("SELMODL1")
+		if err := gob.NewEncoder(&b).Encode(kind); err != nil {
+			panic(err)
+		}
+		files[kind] = b.Bytes()
+	}
+	_, queries := Workload(distance.Euclidean, 200, 3, 80)
+	cfg := gbm.DefaultConfig()
+	cfg.NumTrees = 8
+	var b bytes.Buffer
+	if err := modelcodec.Save(&b, gbm.FitSelectivity(cfg, queries, false)); err != nil {
+		panic(err)
+	}
+	files["non-monotone gbm"] = b.Bytes()
+	return files
 }
 
 // Builders returns one constructor of a small fitted estimator per
@@ -106,24 +123,6 @@ func Builders() map[string]func() modelcodec.Estimator {
 			cfg := gbm.DefaultConfig()
 			cfg.NumTrees = 8
 			return gbm.FitSelectivity(cfg, queries, true)
-		},
-		"dnn": func() modelcodec.Estimator {
-			_, queries := Workload(distance.Euclidean, 200, 3, 60)
-			m := deepreg.NewDNN(rand.New(rand.NewSource(5)), 3, []int{8}, 4)
-			m.Fit(tinyTrain(), queries, nil)
-			return m
-		},
-		"moe": func() modelcodec.Estimator {
-			_, queries := Workload(distance.Euclidean, 200, 3, 60)
-			m := deepreg.NewMoE(rand.New(rand.NewSource(5)), 3, []int{8}, 4, 3, 2)
-			m.Fit(tinyTrain(), queries, nil)
-			return m
-		},
-		"rmi": func() modelcodec.Estimator {
-			_, queries := Workload(distance.Euclidean, 200, 3, 60)
-			m := deepreg.NewRMI(rand.New(rand.NewSource(5)), 3, []int{8}, 4, []int{1, 2})
-			m.Fit(tinyTrain(), queries, nil)
-			return m
 		},
 		"dln": func() modelcodec.Estimator {
 			_, queries := Workload(distance.Euclidean, 200, 3, 60)

@@ -30,7 +30,9 @@ func TestClusterMonitorCounters(t *testing.T) {
 	}
 
 	var b strings.Builder
-	m.WriteMetrics(NewPromWriter(&b))
+	pw := NewPromWriter(&b)
+	m.WriteMetrics(pw)
+	pw.Flush()
 	out := b.String()
 	for _, want := range []string{
 		`selestd_cluster_is_leader{model="m"} 1`,
@@ -50,7 +52,9 @@ func TestClusterMonitorCounters(t *testing.T) {
 
 	m.DropPeer("m", "http://b:1")
 	b.Reset()
-	m.WriteMetrics(NewPromWriter(&b))
+	pw = NewPromWriter(&b)
+	m.WriteMetrics(pw)
+	pw.Flush()
 	if strings.Contains(b.String(), `peer="http://b:1"`) {
 		t.Error("dropped peer still exposed")
 	}
@@ -68,7 +72,9 @@ func TestClusterMonitorNilSafe(t *testing.T) {
 	if c := m.Counters(); c != (ClusterCounters{}) {
 		t.Fatalf("nil monitor counters = %+v", c)
 	}
-	m.WriteMetrics(NewPromWriter(&strings.Builder{}))
+	pw := NewPromWriter(&strings.Builder{})
+	m.WriteMetrics(pw)
+	pw.Flush()
 }
 
 func TestParseTraceID(t *testing.T) {

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -131,7 +133,9 @@ func (d *DriftMonitor) Threshold() float64 { return d.cfg.Threshold }
 // q-error quantiles, sample/cycle totals, and the exceeded counter.
 func (d *DriftMonitor) WriteMetrics(p *PromWriter) {
 	p.Value("selestd_drift_qerror_threshold", "Configured p95 q-error threshold (0 = alarm disabled).", "gauge", d.cfg.Threshold)
-	for name, st := range d.Stats() {
+	stats := d.Stats()
+	for _, name := range slices.Sorted(maps.Keys(stats)) {
+		st := stats[name]
 		for _, q := range []struct {
 			label string
 			v     float64

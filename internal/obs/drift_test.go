@@ -74,7 +74,9 @@ func TestDriftMonitorWriteMetrics(t *testing.T) {
 	d := NewDriftMonitor(DriftConfig{Threshold: 2})
 	d.Observe("m", []float64{30}, []float64{10})
 	var b strings.Builder
-	d.WriteMetrics(NewPromWriter(&b))
+	pw := NewPromWriter(&b)
+	d.WriteMetrics(pw)
+	pw.Flush()
 	out := b.String()
 	for _, want := range []string{
 		"selestd_drift_qerror_threshold 2",

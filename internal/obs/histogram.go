@@ -88,46 +88,64 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Prometheus text exposition (format version 0.0.4); hand-rolled so the
 // daemon needs no client library.
 
-// PromWriter accumulates metric families, emitting # HELP / # TYPE
-// headers once per family.
+// PromWriter accumulates metric families and writes each one as a
+// single group — # HELP / # TYPE, then every sample — in first-seen
+// order when Flush ends the pass. Callers may interleave families
+// freely (per-model loops emit one sample of many families per model);
+// the text format requires each family's samples to be contiguous.
 type PromWriter struct {
-	w      io.Writer
-	opened map[string]bool
+	w     io.Writer
+	fams  map[string]*strings.Builder
+	order []*strings.Builder
 }
 
 // NewPromWriter wraps w for one exposition pass.
 func NewPromWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: w, opened: make(map[string]bool)}
+	return &PromWriter{w: w, fams: make(map[string]*strings.Builder)}
 }
 
-func (p *PromWriter) header(name, help, typ string) {
-	if p.opened[name] {
-		return
+// family returns name's buffer, opening it with its header on first use.
+func (p *PromWriter) family(name, help, typ string) *strings.Builder {
+	b, ok := p.fams[name]
+	if !ok {
+		b = new(strings.Builder)
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		p.fams[name] = b
+		p.order = append(p.order, b)
 	}
-	p.opened[name] = true
-	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	return b
 }
 
 // Value emits one sample; labels come as alternating key, value pairs.
 func (p *PromWriter) Value(name, help, typ string, v float64, labels ...string) {
-	p.header(name, help, typ)
-	fmt.Fprintf(p.w, "%s%s %s\n", name, promLabels(labels), promFloat(v))
+	fmt.Fprintf(p.family(name, help, typ), "%s%s %s\n", name, promLabels(labels), promFloat(v))
 }
 
 // Histogram emits the cumulative _bucket series plus _sum and _count.
 func (p *PromWriter) Histogram(name, help string, s HistogramSnapshot, labels ...string) {
-	p.header(name, help, "histogram")
+	b := p.family(name, help, "histogram")
 	cum := uint64(0)
-	for i, b := range s.Bounds {
+	for i, bound := range s.Bounds {
 		cum += s.Counts[i]
-		fmt.Fprintf(p.w, "%s_bucket%s %d\n", name,
-			promLabels(append(append([]string{}, labels...), "le", promFloat(b))), cum)
+		fmt.Fprintf(b, "%s_bucket%s %d\n", name,
+			promLabels(append(append([]string{}, labels...), "le", promFloat(bound))), cum)
 	}
 	cum += s.Counts[len(s.Bounds)]
-	fmt.Fprintf(p.w, "%s_bucket%s %d\n", name,
+	fmt.Fprintf(b, "%s_bucket%s %d\n", name,
 		promLabels(append(append([]string{}, labels...), "le", "+Inf")), cum)
-	fmt.Fprintf(p.w, "%s_sum%s %s\n", name, promLabels(labels), promFloat(s.Sum))
-	fmt.Fprintf(p.w, "%s_count%s %d\n", name, promLabels(labels), s.Count)
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, promLabels(labels), promFloat(s.Sum))
+	fmt.Fprintf(b, "%s_count%s %d\n", name, promLabels(labels), s.Count)
+}
+
+// Flush writes every family accumulated so far and ends the pass.
+func (p *PromWriter) Flush() error {
+	for _, b := range p.order {
+		if _, err := io.WriteString(p.w, b.String()); err != nil {
+			return err
+		}
+	}
+	p.fams, p.order = make(map[string]*strings.Builder), nil
+	return nil
 }
 
 // promLabels renders {k="v",...} from alternating pairs ("" when empty).

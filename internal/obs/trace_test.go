@@ -147,7 +147,9 @@ func TestTracerWriteMetrics(t *testing.T) {
 	tr := NewTracer(TracerConfig{Capacity: 4})
 	tr.Record(span(1, time.Millisecond))
 	var b strings.Builder
-	tr.WriteMetrics(NewPromWriter(&b))
+	pw := NewPromWriter(&b)
+	tr.WriteMetrics(pw)
+	pw.Flush()
 	out := b.String()
 	for _, want := range []string{
 		"selestd_trace_spans_total 1",

@@ -80,15 +80,14 @@ func (p *Partitioned) HandleUpdate(tc TrainConfig, uc UpdateConfig, db *vecdata.
 // with the refreshed MAE, which continues training from the current
 // parameters and returns the epochs it ran.
 func handleUpdate(m trainable, uc UpdateConfig, db *vecdata.Database, train, valid []vecdata.Query, retrain func(mae float64) int) UpdateResult {
-	m.DropPlans()          // incremental training may mutate parameters
-	oldMAE := m.MAE(valid) // MAE against stale labels
+	m.DropPlans() // incremental training may mutate parameters
+	ref := uc.BaselineMAE
+	if !(ref > 0) {
+		ref = m.MAE(valid) // MAE against stale labels
+	}
 	vecdata.Relabel(valid, db)
 	newMAE := m.MAE(valid) // MAE against refreshed labels
 	res := UpdateResult{MAEBefore: newMAE, MAEAfter: newMAE}
-	ref := oldMAE
-	if uc.BaselineMAE > 0 {
-		ref = uc.BaselineMAE
-	}
 	if math.Abs(newMAE-ref) <= uc.DeltaU {
 		return res
 	}

@@ -29,6 +29,33 @@ func TestHandleUpdateSkipsMinorChanges(t *testing.T) {
 	}
 }
 
+// TestHandleUpdateBaselineSkipsStaleMAE pins the δ_U prologue's cost on
+// the no-retrain branch: with a baseline MAE given, the handler scores
+// valid once (refreshed labels), not twice, and answers the same.
+func TestHandleUpdateBaselineSkipsStaleMAE(t *testing.T) {
+	db, wl := testWorkload(44, 200, 4, 10, 4)
+	rng := rand.New(rand.NewSource(45))
+	train, valid, _ := wl.Split(rng)
+	net := NewNet(rng, db.Dim, tinyConfig(wl.TMax))
+	tc := tinyTrainConfig()
+	rowsOf := func(uc UpdateConfig) (uint64, UpdateResult) {
+		before := net.PlanStats().Rows
+		res := net.HandleUpdate(tc, uc, db, train, valid)
+		if res.Retrained {
+			t.Fatalf("deltaU %g must suppress retraining", uc.DeltaU)
+		}
+		return net.PlanStats().Rows - before, res
+	}
+	without, resWithout := rowsOf(UpdateConfig{DeltaU: 1e9})
+	with, resWith := rowsOf(UpdateConfig{DeltaU: 1e9, BaselineMAE: 1})
+	if with == 0 || 2*with != without {
+		t.Fatalf("plan rows: %d with a baseline, %d without; want exactly half", with, without)
+	}
+	if resWith != resWithout {
+		t.Fatalf("result with a baseline %+v, without %+v", resWith, resWithout)
+	}
+}
+
 func TestHandleUpdateRetrainsOnLargeChanges(t *testing.T) {
 	db, wl := testWorkload(42, 400, 5, 20, 5)
 	rng := rand.New(rand.NewSource(43))

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -147,9 +148,11 @@ func TestAccuracyEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	buf := make([]byte, 1<<20)
-	n, _ := resp.Body.Read(buf)
-	text := string(buf[:n])
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
 	for _, fam := range []string{
 		"selestd_shadow_qerror{",
 		"selestd_shadow_partition_qerror{",

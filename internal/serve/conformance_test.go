@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -16,10 +18,11 @@ import (
 )
 
 // The Estimator contract every servable kind must honor to sit behind
-// the registry: scalar and batch estimation agree, the self-reported
-// shape is sane, and concurrent reads are race-free (the registry
-// hot-swaps models under live traffic, so estimators must be immutable
-// once published). The suite runs over every kind the codec registers —
+// the registry: estimates never decrease as t grows (the paper's
+// consistency, with no per-kind exemptions), scalar and batch estimation
+// agree, the self-reported shape is sane, and concurrent reads are
+// race-free (the registry hot-swaps models under live traffic, so
+// estimators must be immutable once published). The suite runs over every kind the codec registers —
 // adding a kind to modeltest.Builders enrolls it here automatically.
 
 // kindsInOrder returns the builder map's keys sorted, so subtest order
@@ -87,6 +90,36 @@ func ladderProbes(dim int, tmax float64) (*tensor.Dense, []float64) {
 	return tensor.FromRows(rows), ts
 }
 
+// assertMonotoneInT groups the rows of x by vector (bit for bit), sorts
+// each group by threshold and fails on any estimate that decreases as t
+// grows.
+func assertMonotoneInT(t *testing.T, path string, x *tensor.Dense, ts, ys []float64) {
+	t.Helper()
+	groups := map[string][]int{}
+	for i := range ts {
+		key := fmt.Sprint(vecBits(x.Row(i)))
+		groups[key] = append(groups[key], i)
+	}
+	for _, rows := range groups {
+		sort.SliceStable(rows, func(a, b int) bool { return ts[rows[a]] < ts[rows[b]] })
+		for k := 1; k < len(rows); k++ {
+			lo, hi := rows[k-1], rows[k]
+			if ys[hi] < ys[lo] {
+				t.Errorf("%s decreases in t: row %d (t=%g) = %g, row %d (t=%g) = %g",
+					path, lo, ts[lo], ys[lo], hi, ts[hi], ys[hi])
+			}
+		}
+	}
+}
+
+func vecBits(v []float64) []uint64 {
+	bits := make([]uint64, len(v))
+	for i, f := range v {
+		bits[i] = math.Float64bits(f)
+	}
+	return bits
+}
+
 func TestEstimatorConformance(t *testing.T) {
 	builders := modeltest.Builders()
 	for _, kind := range kindsInOrder(builders) {
@@ -137,11 +170,21 @@ func TestEstimatorConformance(t *testing.T) {
 			// Ladders must agree exactly: grouping rows by vector is an
 			// evaluation strategy, never a change in the answer.
 			lx, lts := ladderProbes(est.Dim(), est.TMax())
-			for i, y := range est.EstimateBatch(lx, lts) {
-				if want := est.Estimate(lx.Row(i), lts[i]); y != want {
-					t.Errorf("ladder row %d: batch %g vs scalar %g", i, y, want)
+			batch := est.EstimateBatch(lx, lts)
+			scalar := make([]float64, len(lts))
+			for i, y := range batch {
+				if scalar[i] = est.Estimate(lx.Row(i), lts[i]); y != scalar[i] {
+					t.Errorf("ladder row %d: batch %g vs scalar %g", i, y, scalar[i])
 				}
 			}
+
+			// Consistency: every servable kind promises it, and both
+			// paths keep it along each ladder vector.
+			if c, ok := est.(interface{ ConsistencyGuaranteed() bool }); !ok || !c.ConsistencyGuaranteed() {
+				t.Errorf("%s does not report ConsistencyGuaranteed()", est.Name())
+			}
+			assertMonotoneInT(t, "Estimate", lx, lts, scalar)
+			assertMonotoneInT(t, "EstimateBatch", lx, lts, batch)
 
 			// Concurrent reads must be race-free (run under -race in CI):
 			// published estimators serve many goroutines at once.
@@ -278,6 +321,43 @@ func TestEveryKindServesOverHTTP(t *testing.T) {
 		if mi.Generation != 2 {
 			t.Errorf("%s generation after swap = %d, want 2", kind, mi.Generation)
 		}
+	}
+}
+
+// TestLoadRejectsInconsistentKindsOverHTTP verifies the codec's
+// consistency gate at the API: files tagged with a retired deep-baseline
+// kind and a LightGBM fitted without the monotone constraint answer 400
+// inconsistent_kind, whether they would add a model or replace one, and
+// the registry is left as it was.
+func TestLoadRejectsInconsistentKindsOverHTTP(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	dir := t.TempDir()
+	good := filepath.Join(dir, "kde.gob")
+	if err := modelcodec.SaveFile(good, modeltest.Builders()["kde"]()); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/models/m", map[string]string{"path": good}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("load kde: %d %s", resp.StatusCode, body)
+	}
+
+	for file, b := range modeltest.Inconsistent() {
+		path := filepath.Join(dir, "inconsistent.model")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"m", "fresh"} {
+			resp, body := postJSON(t, ts.URL+"/v1/models/"+name, map[string]string{"path": path})
+			var e errorResponse
+			mustUnmarshal(t, body, &e)
+			if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "inconsistent_kind" {
+				t.Errorf("load %s as %s: %d %s, want 400 inconsistent_kind", file, name, resp.StatusCode, body)
+			}
+		}
+	}
+
+	models := s.Registry().List()
+	if len(models) != 1 || models[0].Name != "m" || models[0].Generation != 1 || modelcodec.Kind(models[0].Est) != "kde" {
+		t.Fatalf("registry changed by rejected loads: %+v", models)
 	}
 }
 

@@ -20,23 +20,29 @@ import (
 // TestMetricsExposition drives every metric family the server can emit
 // and validates the whole /metrics payload against the Prometheus text
 // exposition format: name and label hygiene, HELP/TYPE exactly once per
-// family and before its samples, counter naming, histogram bucket
-// monotonicity with +Inf == _count, and no duplicate samples. The set
+// family and before its samples, each family one contiguous group,
+// counter naming, histogram bucket monotonicity with +Inf == _count, and
+// no duplicate samples. Two models are published, so every per-model
+// family carries samples from more than one loop iteration. The set
 // of families and their types is pinned in a golden file; regenerate
 // with UPDATE_GOLDEN=1 go test ./internal/serve/ -run MetricsExposition.
 func TestMetricsExposition(t *testing.T) {
 	s, ts := newTestServer(t, Config{Batcher: BatcherConfig{MaxBatch: 4}, Cache: CacheConfig{Capacity: 16}})
-	if _, err := s.Registry().Publish("m", tinyNet(11, 3), "mem"); err != nil {
-		t.Fatal(err)
+	for i, name := range []string{"m", "b"} {
+		if _, err := s.Registry().Publish(name, tinyNet(int64(11+i), 3), "mem"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.SetUpdater(&fakeUpdater{stats: map[string]UpdaterStats{
 		"m": {QueueDepth: 1, QueueCapacity: 8, Retrained: 1, Durable: true, JournaledBatches: 3},
+		"b": {QueueDepth: 2, QueueCapacity: 8, Durable: true},
 	}})
 	s.SetTracer(obs.NewTracer(obs.TracerConfig{SlowThreshold: time.Nanosecond}))
 	// Router families: the routed request below records one decision.
 	s.SetRouter(NewRouter(s.Registry(), RouterConfig{Mode: "auto"}))
 	drift := obs.NewDriftMonitor(obs.DriftConfig{Threshold: 2})
 	drift.Observe("m", []float64{30, 10}, []float64{10, 10})
+	drift.Observe("b", []float64{20}, []float64{10})
 	s.SetDrift(drift)
 
 	// Shadow accuracy sampler with every family populated: scored
@@ -48,8 +54,10 @@ func TestMetricsExposition(t *testing.T) {
 	wl.SetBaseline("m", [][]float64{{0, 0, 0}, {1, 1, 1}}, []float64{0.2, 0.4})
 	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 1, QueueDepth: 64, Workload: wl})
 	sh.SetOracle("m", fixedOracle{v: 5})
+	sh.SetOracle("b", fixedOracle{v: 3})
 	sh.SetLocate(func(string, []float64, float64) (int, bool) { return 1, true })
 	sh.Offer("m", 7, 0, []float64{0.5, 0.5, 0.5}, 0.3, 1, 9)
+	sh.Offer("b", 8, 0, []float64{0.5, 0.5, 0.5}, 0.3, 1, 4)
 	sh.Close()
 	s.SetShadow(sh)
 
@@ -72,6 +80,7 @@ func TestMetricsExposition(t *testing.T) {
 	// queries the batcher/plan path; both record trace spans.
 	for i := 0; i < 3; i++ {
 		postJSON(t, ts.URL+"/v1/estimate", map[string]any{"model": "m", "query": []float64{float64(i % 2), 0, 0}, "t": 0.5})
+		postJSON(t, ts.URL+"/v1/estimate", map[string]any{"model": "b", "query": []float64{float64(i % 2), 0, 0}, "t": 0.5})
 	}
 	// One request through the workload router's virtual name.
 	postJSON(t, ts.URL+"/v1/estimate", map[string]any{"model": "auto", "query": []float64{0.3, 0, 0}, "t": 0.5})
@@ -162,6 +171,19 @@ func validatePromText(t *testing.T, body string) map[string]string {
 	infBucket := map[string]float64{}
 	histCount := map[string]float64{}
 	histSum := map[string]bool{}
+	// Each family is one group: once a line of another family follows
+	// it, the family is closed and may not resume.
+	current, closed := "", map[string]bool{}
+	enter := func(fam, where string) {
+		if fam == current {
+			return
+		}
+		if closed[fam] {
+			t.Fatalf("family %s resumes after another family: %s", fam, where)
+		}
+		closed[current] = true
+		current = fam
+	}
 
 	for ln, line := range strings.Split(body, "\n") {
 		where := fmt.Sprintf("line %d: %s", ln+1, line)
@@ -172,6 +194,7 @@ func validatePromText(t *testing.T, body string) map[string]string {
 			if !promNameRe.MatchString(parts[0]) {
 				t.Fatalf("bad HELP name: %s", where)
 			}
+			enter(parts[0], where)
 			if helped[parts[0]] {
 				t.Fatalf("repeated HELP for %s: %s", parts[0], where)
 			}
@@ -181,6 +204,7 @@ func validatePromText(t *testing.T, body string) map[string]string {
 			if len(parts) != 2 || !promNameRe.MatchString(parts[0]) {
 				t.Fatalf("bad TYPE line: %s", where)
 			}
+			enter(parts[0], where)
 			switch parts[1] {
 			case "counter", "gauge", "histogram", "summary", "untyped":
 			default:
@@ -208,6 +232,7 @@ func validatePromText(t *testing.T, body string) map[string]string {
 			if !ok {
 				t.Fatalf("sample without TYPE: %s", where)
 			}
+			enter(fam, where)
 			if !helped[fam] {
 				t.Fatalf("sample without HELP: %s", where)
 			}

@@ -22,7 +22,8 @@ type RouterConfig struct {
 	// database size, dimensionality and the VC sampling bound),
 	// "ensemble" (fan each query across every dimension-compatible
 	// model and blend in log space), or an explicit estimator-kind slug
-	// ("selnet", "kde", "lsh", ...) pinning the virtual names to that
+	// ("selnet", "selnet-part", "kde", "lsh", "gbm", "dln", "umnn" — the
+	// kinds the model codec serves) pinning the virtual names to that
 	// kind. Empty disables routing.
 	Mode string
 	// DimThreshold is the query dimensionality above which "auto"
@@ -40,11 +41,12 @@ type RouterConfig struct {
 }
 
 // ValidRouterMode reports whether mode names a routing policy: "auto",
-// "ensemble", or one of the estimator-kind slugs.
+// "ensemble", or the slug of a kind the model codec serves — every one
+// of them consistent, so no routing policy can break monotonicity in t.
 func ValidRouterMode(mode string) bool {
 	switch mode {
 	case "auto", "ensemble",
-		"selnet", "selnet-part", "kde", "lsh", "gbm", "dnn", "moe", "rmi", "dln", "umnn":
+		"selnet", "selnet-part", "kde", "lsh", "gbm", "dln", "umnn":
 		return true
 	}
 	return false
@@ -396,6 +398,12 @@ const logBlendEps = 1e-9
 // orders of magnitude, so averaging logs (rather than values) keeps one
 // large member from drowning out the rest, mirroring how the training
 // objective treats relative error.
+//
+// The blend is monotone in t by construction. In the daemon every member
+// entered through the model codec, which admits only consistent kinds,
+// or is a SelNet retrained in process, so each member's estimate is
+// non-decreasing in t. log, the mean with fixed equal weights, exp and
+// the clamps at zero are all non-decreasing, so their composition is too.
 type ensembleEstimator struct {
 	members []Estimator
 	names   []string

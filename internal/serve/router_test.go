@@ -128,6 +128,27 @@ func TestRouterEnsembleBlendsInLogSpace(t *testing.T) {
 	}
 }
 
+// TestRouterEnsembleMonotoneInT verifies the ensemble blend keeps the
+// members' consistency: over a SelNet and a KDE of one dimension, both
+// estimate paths are non-decreasing along every threshold ladder.
+func TestRouterEnsembleMonotoneInT(t *testing.T) {
+	_, rt := routerRegistry(t, "ensemble", "selnet", "kde")
+	m, err := rt.Route("auto", 3)
+	if err != nil {
+		t.Fatalf("route: %v", err)
+	}
+	if n := len(m.Est.(*ensembleEstimator).members); n != 2 {
+		t.Fatalf("ensemble has %d members, want 2", n)
+	}
+	x, ts := ladderProbes(3, m.Est.TMax())
+	scalar := make([]float64, len(ts))
+	for i := range ts {
+		scalar[i] = m.Est.Estimate(x.Row(i), ts[i])
+	}
+	assertMonotoneInT(t, "Estimate", x, ts, scalar)
+	assertMonotoneInT(t, "EstimateBatch", x, ts, m.Est.EstimateBatch(x, ts))
+}
+
 func TestRouterCacheInvalidatesOnPublish(t *testing.T) {
 	reg, rt := routerRegistry(t, "auto", "kde")
 	if m, _ := rt.Route("auto", 3); m.Name != "kde" {
@@ -271,7 +292,8 @@ func TestValidRouterMode(t *testing.T) {
 			t.Errorf("ValidRouterMode(%q) = false", good)
 		}
 	}
-	for _, bad := range []string{"", "best", "SELNET"} {
+	// The deep baselines are not consistent, so the codec serves none.
+	for _, bad := range []string{"", "best", "SELNET", "dnn", "moe", "rmi"} {
 		if ValidRouterMode(bad) {
 			t.Errorf("ValidRouterMode(%q) = true", bad)
 		}

@@ -558,7 +558,8 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 	}
 	// LoadFile dispatches kind-tagged containers — any servable
 	// estimator kind — and sniffs legacy untagged .gob files, so old
-	// and new model files both hot-swap in.
+	// and new model files both hot-swap in. A model that cannot promise
+	// consistency fails here (inconsistent_kind) and is never published.
 	est, err := modelcodec.LoadFile(req.Path)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("load %s: %w", req.Path, err))
@@ -924,6 +925,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.router != nil {
 		s.router.WriteMetrics(p)
 	}
+	p.Flush()
 }
 
 func boolGauge(b bool) float64 {
@@ -1029,6 +1031,8 @@ func errorCode(status int, err error) string {
 		return "invalid_update"
 	case errors.Is(err, ErrUpdaterClosed):
 		return "shutting_down"
+	case errors.Is(err, modelcodec.ErrInconsistentKind):
+		return "inconsistent_kind"
 	}
 	switch status {
 	case http.StatusBadRequest:
