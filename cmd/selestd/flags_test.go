@@ -16,7 +16,7 @@ func goodFlags() (serve.Config, ingestOptions, obsOptions, clusterOptions, time.
 		Cache:   serve.CacheConfig{Capacity: 4096},
 	}
 	opts := ingestOptions{
-		queueDepth: 64, coalesceMax: 8, retrainWorkers: 1,
+		queueDepth: 64, queries: 32, coalesceMax: 8, retrainWorkers: 1,
 		snapshotEvery: 64, compactBytes: 4 << 20,
 	}
 	oo := obsOptions{traceSlow: 100 * time.Millisecond, shadowBudget: 2000, workloadShift: 0.25}
@@ -72,6 +72,14 @@ func TestValidateFlagsRejectsOutOfRange(t *testing.T) {
 		{"update queue zero", "-update-queue",
 			func(_ *serve.Config, opts *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {
 				opts.queueDepth = 0
+			}},
+		{"update queries zero", "-update-queries",
+			func(_ *serve.Config, opts *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				opts.queries = 0
+			}},
+		{"update queries negative", "-update-queries",
+			func(_ *serve.Config, opts *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				opts.queries = -1
 			}},
 		{"compact bytes negative", "-journal-compact-bytes",
 			func(_ *serve.Config, opts *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {

@@ -308,6 +308,9 @@ func validateFlags(cfg serve.Config, opts ingestOptions, oo obsOptions, co clust
 	if opts.queueDepth < 1 {
 		return fmt.Errorf("-update-queue must be >= 1, got %d", opts.queueDepth)
 	}
+	if opts.queries < 1 {
+		return fmt.Errorf("-update-queries must be >= 1, got %d", opts.queries)
+	}
 	if opts.coalesceMax < 1 {
 		return fmt.Errorf("-coalesce must be >= 1, got %d", opts.coalesceMax)
 	}

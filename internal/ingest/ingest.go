@@ -364,13 +364,8 @@ func (p *Pipeline) Attach(name string, m serve.Estimator, db *vecdata.Database, 
 		return fmt.Errorf("ingest: model %q has dim %d but database has dim %d", name, m.Dim(), db.Dim)
 	}
 	mode := modeOf(m)
-	if mode == modeRetrain {
-		if _, err := cloneEstimator(m); err != nil {
-			return fmt.Errorf("ingest: model %q: %w", name, err)
-		}
-		if len(valid) == 0 {
-			return fmt.Errorf("ingest: model %q needs validation queries for the delta_U check", name)
-		}
+	if mode == modeRetrain && len(valid) == 0 {
+		return fmt.Errorf("ingest: model %q needs validation queries for the delta_U check", name)
 	}
 
 	// Fail the cheap structural checks before recovery: recover publishes

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"selnet/internal/obs"
 	"selnet/internal/tensor"
 )
 
@@ -132,7 +133,7 @@ type lane struct {
 	batches  atomic.Uint64
 	maxFused atomic.Uint64
 	timeouts atomic.Uint64
-	sizes    *Histogram // fused-batch sizes, exported via /metrics
+	sizes    *obs.Histogram // fused-batch sizes, exported via /metrics
 
 	// Gather/run state owned by the lane goroutine: the reused batch
 	// slice, the MaxBatch x dim input tensor with per-size row views, and
@@ -174,6 +175,11 @@ type BatchTiming struct {
 	BatchSize int
 }
 
+// BatchSizeBuckets are the default bounds for batch-size histograms.
+func BatchSizeBuckets() []float64 {
+	return []float64{1, 2, 4, 8, 16, 32, 64, 128}
+}
+
 // NewBatcher starts the coalescer's lane pool for est.
 func NewBatcher(est Estimator, cfg BatcherConfig) *Batcher {
 	cfg = cfg.withDefaults()
@@ -183,7 +189,7 @@ func NewBatcher(est Estimator, cfg BatcherConfig) *Batcher {
 	for i := 0; i < cfg.Lanes; i++ {
 		l := &lane{
 			reqs:  make(chan batchReq, cfg.QueueDepth),
-			sizes: NewHistogram(BatchSizeBuckets()...),
+			sizes: obs.NewHistogram(BatchSizeBuckets()...),
 			buf:   make([]batchReq, 0, cfg.MaxBatch),
 			x:     tensor.New(cfg.MaxBatch, dim),
 			views: make([]*tensor.Dense, cfg.MaxBatch+1),
@@ -294,7 +300,7 @@ func (b *Batcher) Close() {
 
 // SizeHistogram snapshots the distribution of fused batch sizes,
 // merged across lanes.
-func (b *Batcher) SizeHistogram() HistogramSnapshot {
+func (b *Batcher) SizeHistogram() obs.HistogramSnapshot {
 	s := b.lanes[0].sizes.Snapshot()
 	for _, l := range b.lanes[1:] {
 		ls := l.sizes.Snapshot()
@@ -308,8 +314,8 @@ func (b *Batcher) SizeHistogram() HistogramSnapshot {
 }
 
 // LaneSizeHistograms snapshots each lane's fused-batch-size histogram.
-func (b *Batcher) LaneSizeHistograms() []HistogramSnapshot {
-	out := make([]HistogramSnapshot, len(b.lanes))
+func (b *Batcher) LaneSizeHistograms() []obs.HistogramSnapshot {
+	out := make([]obs.HistogramSnapshot, len(b.lanes))
 	for i, l := range b.lanes {
 		out[i] = l.sizes.Snapshot()
 	}

@@ -53,7 +53,7 @@ type Server struct {
 	requests atomic.Uint64 // HTTP requests accepted
 	errors   atomic.Uint64 // requests answered 4xx/5xx
 	swaps    atomic.Uint64 // registry hot-swaps (replacing publishes)
-	latency  map[string]*Histogram
+	latency  map[string]*obs.Histogram
 }
 
 // NewServer builds a server with an empty registry.
@@ -70,7 +70,7 @@ func NewServer(cfg Config) *Server {
 		}
 	})
 	s.cache = NewCache(cfg.Cache)
-	s.latency = make(map[string]*Histogram)
+	s.latency = make(map[string]*obs.Histogram)
 	return s
 }
 
@@ -196,7 +196,7 @@ func (s *Server) Handler() http.Handler {
 // timed wraps a handler with the route's latency histogram. Handler
 // registration happens before traffic, so the map needs no lock.
 func (s *Server) timed(route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := NewHistogram(LatencyBuckets()...)
+	hist := obs.NewHistogram(obs.LatencyBuckets()...)
 	s.latency[route] = hist
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -782,7 +782,7 @@ func (s *Server) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 // histograms, and (when an updater is attached) ingest queue gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := newPromWriter(w)
+	p := obs.NewPromWriter(w)
 	p.Value("selestd_uptime_seconds", "Seconds since the server started.", "gauge",
 		time.Since(s.started).Seconds())
 	p.Value("selestd_http_requests_total", "HTTP requests accepted.", "counter",

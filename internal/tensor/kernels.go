@@ -8,14 +8,13 @@ import (
 // This file is the blocked compute-kernel layer behind MatMulInto and the
 // fused plan kernels (internal/infer). The design invariant that makes the
 // whole layer drop-in safe is *per-element determinism*: every kernel —
-// reference, blocked Go, SIMD, serial, parallel — computes each output
-// element out[i][j] as one multiply-add chain over k in ascending order.
-// The value of out[i][j] therefore depends only on (row i of A, column j
-// of B, K); never on the batch size, the tile a row landed in, or how rows
-// were partitioned across workers. Compiled plans rely on this: a plan
-// executes at its batch-class capacity while the tape path runs at the
-// exact request size, and the two must agree bitwise (selnet's
-// TestPlanMatchesTapePath asserts ==, not approx).
+// reference, blocked Go, SIMD — computes each output element out[i][j] as
+// one multiply-add chain over k in ascending order. The value of
+// out[i][j] therefore depends only on (row i of A, column j of B, K);
+// never on the batch size or the tile a row landed in. Compiled plans
+// rely on this: a plan executes at its batch-class capacity while the
+// tape path runs at the exact request size, and the two must agree
+// bitwise (selnet's TestPlanMatchesTapePath asserts ==, not approx).
 //
 // Layout: B is packed once into column panels of gemmNR columns, each
 // panel stored k-major (panel row kk holds B[kk][j0:j0+gemmNR]) so the
@@ -114,8 +113,7 @@ func (pb *PackedB) Release() {
 // GemmPacked computes out = a * B followed by the fused epilogue, where
 // pb packs B. out must be a.Rows() x pb.N() and must not alias a; bias
 // must be 1 x pb.N() for bias-carrying epilogues and nil for EpNone.
-// Rows may run on the parallel worker pool (parallel.go) when the batch
-// is large enough; the result is identical either way.
+// It runs on the calling goroutine.
 func GemmPacked(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue) {
 	if a.cols != pb.k || out.rows != a.rows || out.cols != pb.n {
 		panic(fmt.Sprintf("tensor: GemmPacked out %dx%d = %dx%d * packed %dx%d",
@@ -127,33 +125,22 @@ func GemmPacked(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue) {
 	gemmPacked(out, a, pb, bias, ep)
 }
 
+// gemmPacked computes every row of out: gemmMR-row register tiles from
+// row 0, then the leftover rows one at a time, each block followed by its
+// epilogue while it is still cache-hot.
 func gemmPacked(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue) {
 	m := a.rows
 	if m == 0 || pb.n == 0 {
 		return
 	}
-	if fan := parFanout(m); fan > 0 {
-		gemmParallel(out, a, pb, bias, ep, fan)
-		return
-	}
-	gemmRowRange(out, a, pb, bias, ep, 0, m)
-}
-
-// gemmRowRange computes rows [r0, r1) of out. Row blocks always start at
-// multiples of gemmMR relative to row 0 (parallel chunks are gemmMR
-// aligned), so a given row is handled by the same kernel regardless of
-// partitioning — part of the per-element determinism contract.
-func gemmRowRange(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue, r0, r1 int) {
-	i := r0
-	for ; i+gemmMR <= r1; i += gemmMR {
+	i := 0
+	for ; i+gemmMR <= m; i += gemmMR {
 		gemmBlock(out, a, pb, i, gemmMR)
 		epilogueRows(out, bias, ep, i, i+gemmMR)
 	}
-	if i < r1 {
-		for ; i < r1; i++ {
-			gemmBlock(out, a, pb, i, 1)
-			epilogueRows(out, bias, ep, i, i+1)
-		}
+	for ; i < m; i++ {
+		gemmBlock(out, a, pb, i, 1)
+		epilogueRows(out, bias, ep, i, i+1)
 	}
 }
 

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
 // Differential suite for the blocked kernel layer: every optimized path
-// (packed/blocked Go, SIMD, fused epilogues, parallel) is checked against
+// (packed/blocked Go, SIMD, fused epilogues) is checked against
 // matMulRefInto — the reference triple loop that tensor_noopt pins — to
 // within 1e-12 relative error, across odd shapes, empty dimensions, and
 // sizes that are not multiples of the register tile (gemmMR x gemmNR).
@@ -16,12 +17,16 @@ import (
 // gemmShapes is the [m, k, n] grid. It deliberately crosses the tile
 // boundaries: n % gemmNR != 0 exercises the scalar tail panel,
 // m % gemmMR != 0 the 1-row kernel, zero dims the degenerate paths, and
-// {64, 48, 352} / {1, 48, 352} are SelNet's real layer shapes.
+// {64, 48, 352} / {1, 48, 352} are SelNet's real layer shapes. The
+// k=48, n=52 row sweep walks m across and between register tiles with a
+// tail panel in play.
 var gemmShapes = [][3]int{
 	{1, 1, 1}, {1, 3, 2}, {2, 3, 1}, {1, 5, 8}, {5, 1, 8}, {1, 8, 5},
 	{3, 5, 7}, {4, 8, 8}, {7, 3, 21}, {9, 9, 16}, {12, 12, 12},
 	{33, 17, 9}, {31, 7, 15}, {65, 48, 352}, {64, 48, 352}, {1, 48, 352},
 	{100, 10, 10}, {8, 64, 64},
+	{1, 48, 52}, {3, 48, 52}, {7, 48, 52}, {8, 48, 52}, {9, 48, 52}, {15, 48, 52},
+	{16, 48, 52}, {31, 48, 52}, {64, 48, 52}, {65, 48, 52}, {100, 48, 52},
 	{0, 4, 4}, {8, 0, 8}, {4, 4, 0}, {0, 0, 0},
 }
 
@@ -143,6 +148,65 @@ func TestGemmPackedDeterministicAcrossBatch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGemmParallelConcurrentCallers runs many goroutines through
+// GemmPacked in parallel against one shared PackedB, as concurrent plan
+// executions do — the race detector's target in CI — and checks every
+// result against a single-goroutine run.
+func TestGemmParallelConcurrentCallers(t *testing.T) {
+	const k, n = 32, 24
+	b := randDense(31, k, n)
+	pb := PackB(b)
+
+	const callers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		m := 17 + c*9
+		a := randDense(int64(500+c), m, k)
+		want := New(m, n)
+		GemmPacked(want, a, pb, nil, EpNone)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			got := New(m, n)
+			for iter := 0; iter < 50; iter++ {
+				GemmPacked(got, a, pb, nil, EpNone)
+				for i := range want.data {
+					if want.data[i] != got.data[i] {
+						errs <- fmt.Errorf("caller %d iter %d elem %d: want %v got %v", c, iter, i, want.data[i], got.data[i])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestGemmParallelZeroAllocs pins GemmPacked's steady-state allocation
+// count at zero on a 64-row fused bias+relu layer. Skipped under the
+// race detector, which instruments allocations.
+func TestGemmParallelZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const m, k, n = 64, 48, 52
+	a := randDense(41, m, k)
+	b := randDense(42, k, n)
+	bias := randDense(43, 1, n)
+	pb := PackB(b)
+	out := New(m, n)
+	if allocs := testing.AllocsPerRun(100, func() {
+		GemmPacked(out, a, pb, bias, EpBiasReLU)
+	}); allocs != 0 {
+		t.Fatalf("GemmPacked: %v allocs/op, want 0", allocs)
 	}
 }
 
