@@ -219,12 +219,9 @@ func BenchmarkEstimateDNN(b *testing.B)      { benchEstimate(b, "DNN") }
 func BenchmarkEstimateUMNN(b *testing.B)     { benchEstimate(b, "UMNN") }
 func BenchmarkEstimateDLN(b *testing.B)      { benchEstimate(b, "DLN") }
 
-// Serving-path benchmarks: the selestd coalescer (concurrent requests
-// fused into batched compiled-plan passes across GOMAXPROCS lanes)
-// against naive per-request Estimate calls, at >= 8 concurrent clients.
-// Coalescing amortizes the per-request overhead across the batch and
-// the lanes remove the single batcher goroutine as a ceiling, so ns/op
-// should drop well below the naive arm's.
+// Serving-path benchmarks: single estimates through the selestd
+// per-model Batcher against naive per-request Estimate calls, at >= 8
+// concurrent clients.
 
 func servingNet() *selnet.Net {
 	cfg := selnet.DefaultConfig()
@@ -255,11 +252,14 @@ func setClients(b *testing.B, n int) {
 	b.SetParallelism(p)
 }
 
+// BenchmarkServeCoalesced drives single estimates through a model's
+// serve.Batcher from 8 concurrent clients. Every Submit runs on its
+// caller's goroutine, so this should agree with BenchmarkServeNaive
+// within noise: the difference is the Batcher's admission gate,
+// request counter and timing.
 func BenchmarkServeCoalesced(b *testing.B) {
 	net := servingNet()
-	batcher := serve.NewBatcher(net, serve.BatcherConfig{
-		MaxBatch: 32, FlushInterval: 500 * time.Microsecond, // Lanes: GOMAXPROCS
-	})
+	batcher := serve.NewBatcher(net, serve.BatcherConfig{})
 	defer batcher.Close()
 	queries := servingQueries(256, net.Dim())
 	setClients(b, 8)
@@ -276,11 +276,6 @@ func BenchmarkServeCoalesced(b *testing.B) {
 			i++
 		}
 	})
-	b.StopTimer()
-	st := batcher.Stats()
-	if st.Batches > 0 {
-		b.ReportMetric(float64(st.Requests)/float64(st.Batches), "reqs/batch")
-	}
 }
 
 func BenchmarkServeNaive(b *testing.B) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -12,8 +13,7 @@ import (
 // knob and names the flag the error must mention.
 func goodFlags() (serve.Config, ingestOptions, obsOptions, clusterOptions, time.Duration) {
 	cfg := serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 32},
-		Cache:   serve.CacheConfig{Capacity: 4096},
+		Cache: serve.CacheConfig{Capacity: 4096, Quantum: 1e-6},
 	}
 	opts := ingestOptions{
 		queueDepth: 64, queries: 32, coalesceMax: 8, retrainWorkers: 1,
@@ -33,6 +33,14 @@ func TestValidateFlagsAcceptsDefaults(t *testing.T) {
 		oo.shadowSample = rate
 		if err := validateFlags(cfg, opts, oo, co, "", drain); err != nil {
 			t.Fatalf("shadow-sample %g rejected: %v", rate, err)
+		}
+	}
+	// A negative -delta-u forces a retrain every cycle and +Inf never
+	// retrains: both are legal.
+	for _, du := range []float64{-1, math.Inf(1)} {
+		opts.deltaU = du
+		if err := validateFlags(cfg, opts, oo, co, "", drain); err != nil {
+			t.Fatalf("-delta-u %g rejected: %v", du, err)
 		}
 	}
 	// Every routing policy the serve layer accepts is a legal -router.
@@ -85,9 +93,41 @@ func TestValidateFlagsRejectsOutOfRange(t *testing.T) {
 			func(_ *serve.Config, opts *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {
 				opts.compactBytes = -1
 			}},
-		{"max batch zero", "-max-batch",
+		{"quantum zero", "-quantum",
 			func(cfg *serve.Config, _ *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {
-				cfg.Batcher.MaxBatch = 0
+				cfg.Cache.Quantum = 0
+			}},
+		{"quantum NaN", "-quantum",
+			func(cfg *serve.Config, _ *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				cfg.Cache.Quantum = math.NaN()
+			}},
+		{"quantum +Inf", "-quantum",
+			func(cfg *serve.Config, _ *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				cfg.Cache.Quantum = math.Inf(1)
+			}},
+		{"shadow sample NaN", "-shadow-sample",
+			func(_ *serve.Config, _ *ingestOptions, oo *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				oo.shadowSample = math.NaN()
+			}},
+		{"drift qerror NaN", "-drift-qerror",
+			func(_ *serve.Config, _ *ingestOptions, oo *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				oo.driftQError = math.NaN()
+			}},
+		{"drift qerror +Inf", "-drift-qerror",
+			func(_ *serve.Config, _ *ingestOptions, oo *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				oo.driftQError = math.Inf(1)
+			}},
+		{"workload shift NaN", "-workload-shift",
+			func(_ *serve.Config, _ *ingestOptions, oo *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				oo.workloadShift = math.NaN()
+			}},
+		{"workload shift +Inf", "-workload-shift",
+			func(_ *serve.Config, _ *ingestOptions, oo *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				oo.workloadShift = math.Inf(1)
+			}},
+		{"delta-u NaN", "-delta-u",
+			func(_ *serve.Config, opts *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {
+				opts.deltaU = math.NaN()
 			}},
 		{"cache negative", "-cache",
 			func(cfg *serve.Config, _ *ingestOptions, _ *obsOptions, _ *clusterOptions, _ *time.Duration) {

@@ -80,6 +80,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
@@ -174,9 +175,6 @@ type obsOptions struct {
 func main() {
 	var models, data repeatedFlags
 	addr := flag.String("addr", ":8080", "listen address")
-	maxBatch := flag.Int("max-batch", 32, "max requests fused into one inference batch")
-	flush := flag.Duration("flush", 2*time.Millisecond, "max wait for a queued lone request while another submitter is in flight")
-	lanes := flag.Int("workers", 0, "coalescer lanes per model (independent batching shards; 0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 4096, "LRU estimate cache capacity; a key is cached on its second miss (0 disables)")
 	quantum := flag.Float64("quantum", 1e-6, "cache key quantization step for query coordinates and thresholds")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
@@ -263,8 +261,7 @@ func main() {
 		ackTimeout: *clusterAckTimeout,
 	}
 	cfg := serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: *maxBatch, FlushInterval: *flush, Lanes: *lanes},
-		Cache:   serve.CacheConfig{Capacity: *cacheSize, Quantum: *quantum},
+		Cache: serve.CacheConfig{Capacity: *cacheSize, Quantum: *quantum},
 	}
 	if err := validateFlags(cfg, opts, oo, co, *routerMode, *drain); err != nil {
 		fmt.Fprintf(os.Stderr, "selestd: %v\n", err)
@@ -281,6 +278,27 @@ func main() {
 // misbehavior (a negative sample rate never sampling, a zero queue
 // rejecting every update).
 func validateFlags(cfg serve.Config, opts ingestOptions, oo obsOptions, co clusterOptions, routerMode string, drain time.Duration) error {
+	// flag.Float64 accepts NaN and ±Inf, and a NaN compares false with
+	// everything, so it would slip past every range check below.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"-quantum", cfg.Cache.Quantum},
+		{"-shadow-sample", oo.shadowSample},
+		{"-drift-qerror", oo.driftQError},
+		{"-workload-shift", oo.workloadShift},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s must be finite, got %g", f.name, f.v)
+		}
+	}
+	if math.IsNaN(opts.deltaU) {
+		return fmt.Errorf("-delta-u must be a number, got %g", opts.deltaU)
+	}
+	if cfg.Cache.Quantum <= 0 {
+		return fmt.Errorf("-quantum must be > 0, got %g", cfg.Cache.Quantum)
+	}
 	if oo.shadowSample < 0 || oo.shadowSample > 1 {
 		return fmt.Errorf("-shadow-sample must be in [0,1], got %g", oo.shadowSample)
 	}
@@ -298,9 +316,6 @@ func validateFlags(cfg serve.Config, opts ingestOptions, oo obsOptions, co clust
 	}
 	if oo.workloadShift < 0 {
 		return fmt.Errorf("-workload-shift must be >= 0, got %g", oo.workloadShift)
-	}
-	if cfg.Batcher.MaxBatch < 1 {
-		return fmt.Errorf("-max-batch must be >= 1, got %d", cfg.Batcher.MaxBatch)
 	}
 	if cfg.Cache.Capacity < 0 {
 		return fmt.Errorf("-cache must be >= 0, got %d", cfg.Cache.Capacity)

@@ -211,7 +211,7 @@ func TestObservabilitySmoke(t *testing.T) {
 		if sp.TotalNs <= 0 {
 			t.Fatalf("span %s total_ns %d", sp.TraceID, sp.TotalNs)
 		}
-		for _, stage := range []string{"decode", "cache", "queue", "fuse", "execute", "encode"} {
+		for _, stage := range []string{"decode", "cache", "fuse", "execute", "encode"} {
 			if _, ok := sp.StagesNs[stage]; !ok {
 				t.Fatalf("span %s missing stage %q: %+v", sp.TraceID, stage, sp.StagesNs)
 			}

@@ -83,9 +83,7 @@ func main() {
 	}
 	members := map[string]*member{} // base URL -> member
 	for i := 0; i < n; i++ {
-		srv := serve.NewServer(serve.Config{
-			Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond},
-		})
+		srv := serve.NewServer(serve.Config{})
 		pipe := ingest.New(ingest.Config{
 			Registry: srv.Registry(),
 			Train:    tc,

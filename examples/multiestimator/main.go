@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"time"
 
 	"selnet/internal/distance"
 	"selnet/internal/kde"
@@ -66,8 +65,7 @@ func main() {
 	// virtual names ("default", "auto") — cmd/selestd wires exactly this
 	// with -router auto.
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
-		Cache:   serve.CacheConfig{Capacity: 1024},
+		Cache: serve.CacheConfig{Capacity: 1024},
 	})
 	defer srv.Close()
 	srv.SetRouter(serve.NewRouter(srv.Registry(), serve.RouterConfig{Mode: "auto"}))

@@ -1,5 +1,5 @@
 // Serving: train a small SelNet model, stand up the selestd serving
-// stack in-process (registry + coalescer + cache + HTTP API), and drive
+// stack in-process (registry + cache + HTTP API), and drive
 // it as a client — single estimates, a batch call, a cache hit, and a
 // zero-downtime hot-swap while traffic is in flight.
 //
@@ -47,8 +47,7 @@ func main() {
 	// 2. Start the serving stack — the same serve.Server that cmd/selestd
 	// runs behind a real listener.
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
-		Cache:   serve.CacheConfig{Capacity: 1024},
+		Cache: serve.CacheConfig{Capacity: 1024},
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -117,9 +116,10 @@ func main() {
 	close(stop)
 	wg.Wait()
 
-	// 7. A concurrent burst against the final model: the coalescer fuses
-	// these single-query requests into a few tensor passes. (Each swap
-	// installs a fresh coalescer, so these stats cover only the burst.)
+	// 7. A concurrent burst against the final model: each single-query
+	// request runs its estimate on its own handler goroutine. (Each swap
+	// installs a fresh Batcher, so its counter covers the burst plus the
+	// load that outlived the last swap.)
 	var burst sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		burst.Add(1)
@@ -144,8 +144,6 @@ func main() {
 			Generation uint64 `json:"generation"`
 			Batcher    *struct {
 				Requests uint64 `json:"requests"`
-				Batches  uint64 `json:"batches"`
-				MaxFused uint64 `json:"max_fused"`
 			} `json:"batcher"`
 		} `json:"models"`
 	}
@@ -153,8 +151,8 @@ func main() {
 	m := stats.Models[0]
 	fmt.Printf("served %d estimates across %d swaps (model generation %d)\n",
 		served, 5, m.Generation)
-	fmt.Printf("coalescer (burst of 200): %d requests fused into %d batches (largest %d)\n",
-		m.Batcher.Requests, m.Batcher.Batches, m.Batcher.MaxFused)
+	fmt.Printf("final generation's Batcher: %d single estimates (burst of 200 included)\n",
+		m.Batcher.Requests)
 	fmt.Printf("cache: %d hits / %d misses\n", stats.Cache.Hits, stats.Cache.Misses)
 }
 

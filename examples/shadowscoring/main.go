@@ -66,9 +66,7 @@ func main() {
 	shadow.SetOracle("default", ingest.NewDBOracle(db, ingest.OracleConfig{Budget: 2000}))
 	defer shadow.Close()
 
-	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
-	})
+	srv := serve.NewServer(serve.Config{})
 	defer srv.Close()
 	srv.SetShadow(shadow) // before Handler(): registers /debug/accuracy
 	srv.SetTracer(obs.NewTracer(obs.TracerConfig{}))

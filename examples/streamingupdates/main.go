@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"time"
 
 	"selnet/internal/ingest"
 	"selnet/internal/selnet"
@@ -57,8 +56,7 @@ func main() {
 	// the same wiring as 'selestd -model ... -data ... -journal-dir ...'.
 	// No defers on this stack: the demo crashes it on purpose below.
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
-		Cache:   serve.CacheConfig{Capacity: 1024},
+		Cache: serve.CacheConfig{Capacity: 1024},
 	})
 	if _, err := srv.Registry().Publish("default", net, "in-memory"); err != nil {
 		panic(err)
@@ -173,8 +171,7 @@ func main() {
 	// stack, the pristine database reloaded, and Attach replaying the
 	// journal's surviving records through the normal δ_U pipeline.
 	srv2 := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Lanes: 2},
-		Cache:   serve.CacheConfig{Capacity: 1024},
+		Cache: serve.CacheConfig{Capacity: 1024},
 	})
 	defer srv2.Close()
 	if _, err := srv2.Registry().Publish("default", net, "in-memory"); err != nil {

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"selnet/internal/serve"
 	"selnet/internal/vecdata"
@@ -31,8 +30,7 @@ func TestHTTPUpdateShadowRetrainHotSwap(t *testing.T) {
 	m.Fit(tc, db, train, valid)
 
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Lanes: 2},
-		Cache:   serve.CacheConfig{Capacity: 256},
+		Cache: serve.CacheConfig{Capacity: 256},
 	})
 	defer srv.Close()
 	if _, err := srv.Registry().Publish("m", m, "test"); err != nil {

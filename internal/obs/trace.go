@@ -9,8 +9,8 @@ import (
 
 // Stage indexes one instrumented segment of a request's lifetime. The
 // serving layer stamps stage boundaries as the request moves HTTP
-// ingress → cache → lane enqueue/dequeue → batch fuse → plan execute →
-// encode; a span carries one duration per stage.
+// ingress → cache → batch fuse → plan execute → encode; a span carries
+// one duration per stage.
 type Stage uint8
 
 const (
@@ -19,14 +19,10 @@ const (
 	StageDecode Stage = iota
 	// StageCache covers selectivity-cache lookup and fill.
 	StageCache
-	// StageQueue covers time waiting in a coalescer lane between
-	// enqueue and the lane worker dequeuing the request.
-	StageQueue
-	// StageFuse covers batch fusion: gathering lane-mates and copying
-	// query rows into the fused tensor, up to plan launch.
+	// StageFuse covers copying a batch request's query rows into one
+	// tensor, up to plan launch.
 	StageFuse
-	// StageExecute covers forward-plan execution (or the inline
-	// estimator call when the batcher is bypassed).
+	// StageExecute covers the estimator call.
 	StageExecute
 	// StageEncode covers response encoding and write-out.
 	StageEncode
@@ -34,7 +30,7 @@ const (
 	NumStages = iota
 )
 
-var stageNames = [NumStages]string{"decode", "cache", "queue", "fuse", "execute", "encode"}
+var stageNames = [NumStages]string{"decode", "cache", "fuse", "execute", "encode"}
 
 // String returns the stage's wire name (used as the "stage" metric
 // label and as /debug/traces JSON keys).
@@ -63,7 +59,7 @@ type Span struct {
 
 // MarshalJSON renders the span for /debug/traces with stages keyed by
 // name, so every span always carries all stage keys (zero means the
-// stage did not apply — e.g. queue time on a cache hit).
+// stage did not apply — e.g. execute time on a cache hit).
 func (sp Span) MarshalJSON() ([]byte, error) {
 	stages := make(map[string]int64, NumStages)
 	for i := Stage(0); i < NumStages; i++ {
@@ -158,7 +154,7 @@ func (t *Tracer) Record(sp Span) {
 
 	t.total.Observe(sp.Total.Seconds())
 	for i := Stage(0); i < NumStages; i++ {
-		// Zero means the stage didn't run (cache hit skips queue/fuse/
+		// Zero means the stage didn't run (cache hit skips fuse/
 		// execute); recording it would drown the histograms in zeros.
 		if d := sp.Stages[i]; d > 0 {
 			t.stages[i].Observe(d.Seconds())

@@ -44,9 +44,7 @@ func (o fixedOracle) TrueSelectivity([]float64, float64) (float64, string) { ret
 // is registered only when a shadow is present).
 func newShadowServer(t *testing.T) (*Server, *obs.Shadow, *httptest.Server) {
 	t.Helper()
-	s := NewServer(Config{
-		Batcher: BatcherConfig{MaxBatch: 4, FlushInterval: time.Millisecond, Lanes: 1},
-	})
+	s := NewServer(Config{})
 	wl := obs.NewWorkloadMonitor(obs.WorkloadConfig{Threshold: 0.9, MinSamples: 1})
 	wl.SetBaseline("default", [][]float64{{0, 0}, {1, 1}, {-1, -1}}, []float64{0.1, 0.2, 0.3})
 	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 1, QueueDepth: 1024, Workload: wl})

@@ -4,39 +4,36 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"selnet/internal/selnet"
 	"selnet/internal/tensor"
 )
 
 // fakeEst is a deterministic, instrumented Estimator: the estimate is
-// scale*(sum(x)+t), each EstimateBatch call is counted, and an optional
+// scale*(sum(x)+t), every row estimated is counted, and an optional
 // per-call delay models real inference cost.
 type fakeEst struct {
 	dim   int
 	scale float64
 	delay time.Duration
-	// hold, when non-nil, blocks every Estimate (the batcher's inline
-	// path) until it is closed; batchHold does the same for every
-	// EstimateBatch (the lane path). Either sends on entered, without
-	// blocking, as it starts to wait.
-	hold      chan struct{}
-	batchHold chan struct{}
-	entered   chan struct{}
+	// hold, when non-nil, blocks every Estimate until it is closed,
+	// sending on entered, without blocking, as it starts to wait.
+	hold    chan struct{}
+	entered chan struct{}
 	// panicNeg panics on any row whose first coordinate is negative.
 	panicNeg bool
 
-	calls   atomic.Uint64
-	rows    atomic.Uint64
-	maxRows atomic.Uint64
+	rows atomic.Uint64
 }
 
 func newFakeEst(dim int) *fakeEst { return &fakeEst{dim: dim, scale: 1} }
 
-// holding returns a fakeEst whose inline runs block until release is
+// holding returns a fakeEst whose Estimate calls block until release is
 // called; <-entered reports that one has started.
 func holding(dim int) (f *fakeEst, entered <-chan struct{}, release func()) {
 	f = newFakeEst(dim)
@@ -46,24 +43,18 @@ func holding(dim int) (f *fakeEst, entered <-chan struct{}, release func()) {
 }
 
 func (f *fakeEst) Estimate(x []float64, t float64) float64 {
-	f.wait(f.hold)
+	if f.hold != nil {
+		select {
+		case f.entered <- struct{}{}:
+		default:
+		}
+		<-f.hold
+	}
 	return f.estimate(tensor.RowVector(x), []float64{t})[0]
 }
 
 func (f *fakeEst) EstimateBatch(x *tensor.Dense, ts []float64) []float64 {
-	f.wait(f.batchHold)
 	return f.estimate(x, ts)
-}
-
-func (f *fakeEst) wait(hold chan struct{}) {
-	if hold == nil {
-		return
-	}
-	select {
-	case f.entered <- struct{}{}:
-	default:
-	}
-	<-hold
 }
 
 func (f *fakeEst) estimate(x *tensor.Dense, ts []float64) []float64 {
@@ -74,14 +65,7 @@ func (f *fakeEst) estimate(x *tensor.Dense, ts []float64) []float64 {
 			}
 		}
 	}
-	f.calls.Add(1)
 	f.rows.Add(uint64(len(ts)))
-	for {
-		cur := f.maxRows.Load()
-		if uint64(len(ts)) <= cur || f.maxRows.CompareAndSwap(cur, uint64(len(ts))) {
-			break
-		}
-	}
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}
@@ -108,174 +92,83 @@ func fakeWant(scale float64, x []float64, t float64) float64 {
 	return scale * (s + t)
 }
 
-func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
-	est := newFakeEst(3)
-	est.delay = 2 * time.Millisecond // give submitters time to pile up
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 64, FlushInterval: 5 * time.Millisecond, Lanes: 1})
-	defer b.Close()
-
-	const n = 48
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			x := []float64{float64(i), 1, 2}
-			got, err := b.Submit(context.Background(), x, 0.5)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if want := fakeWant(1, x, 0.5); math.Abs(got-want) > 1e-12 {
-				t.Errorf("request %d: got %v, want %v", i, got, want)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("submit: %v", err)
-	}
-	st := b.Stats()
-	if st.Requests != n {
-		t.Fatalf("stats requests = %d, want %d", st.Requests, n)
-	}
-	if st.Batches >= n {
-		t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, n)
-	}
-	if st.MaxFused < 2 {
-		t.Fatalf("max fused batch %d, want >= 2", st.MaxFused)
-	}
-}
-
-func TestBatcherRespectsMaxBatch(t *testing.T) {
-	est := newFakeEst(2)
-	est.delay = time.Millisecond
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 4, FlushInterval: 20 * time.Millisecond, Lanes: 2})
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := b.Submit(context.Background(), []float64{float64(i), 0}, 0.1); err != nil {
-				t.Errorf("submit: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := est.maxRows.Load(); got > 4 {
-		t.Fatalf("largest EstimateBatch had %d rows, MaxBatch is 4", got)
-	}
-	if got := est.rows.Load(); got != 32 {
-		t.Fatalf("estimator saw %d rows, want 32", got)
-	}
-}
-
-func TestBatcherFlushInterval(t *testing.T) {
-	t.Run("lone submit runs inline", func(t *testing.T) {
-		est := newFakeEst(1)
-		b := NewBatcher(est, BatcherConfig{MaxBatch: 1000, FlushInterval: time.Hour, Lanes: 1})
-		defer b.Close()
-
-		// A lone submitter has no one to wait for: it runs inline, so
-		// even an hour-long flush interval costs it nothing.
-		start := time.Now()
-		if _, err := b.Submit(context.Background(), []float64{1}, 0.2); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("lone request took %v: it lingered instead of running inline", d)
-		}
-		if st := b.Stats(); st.Timeouts != 0 || st.Batches != 1 {
-			t.Fatalf("stats = %+v, want 1 batch and no timer flush", st)
-		}
-		if got := est.rows.Load(); got != 1 {
-			t.Fatalf("estimator saw %d rows, want 1", got)
-		}
-	})
-	// A queued request whose only possible companion stays in flight
-	// lingers no longer than the flush interval.
-	t.Run("queued request flushes on the timer", func(t *testing.T) {
-		est, entered, release := holding(1)
-		b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: 2 * time.Millisecond, Lanes: 1})
-		defer b.Close()
-		held := make(chan error, 1)
-		go func() {
-			_, err := b.Submit(context.Background(), []float64{1}, 0.1)
-			held <- err
-		}()
-		within(t, entered)
-		laned := make(chan error, 1)
-		go func() {
-			_, err := b.Submit(context.Background(), []float64{2}, 0.5)
-			laned <- err
-		}()
-		if err := within(t, laned); err != nil {
-			t.Fatalf("laned submit: %v", err)
-		}
-		if st := b.Stats(); st.Timeouts != 1 || st.Batches != 2 {
-			t.Fatalf("stats = %+v, want 2 batches (1 inline, 1 timer flush)", st)
-		}
-		release()
-		if err := within(t, held); err != nil {
-			t.Fatalf("held submit: %v", err)
-		}
-	})
-}
-
-// An estimator panic becomes the batched-inference error on both the
-// inline path and the lane path, and the batcher keeps serving.
+// An estimator panic becomes an error for its submitter, and the
+// batcher keeps serving.
 func TestBatcherPanicBothPaths(t *testing.T) {
 	est := newFakeEst(1)
 	est.panicNeg = true
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 4, FlushInterval: time.Millisecond, Lanes: 1})
+	b := NewBatcher(est, BatcherConfig{})
 	defer b.Close()
 	const want = "serve: batched inference panicked: negative query"
 
 	if _, err := b.Submit(context.Background(), []float64{-1}, 0.1); err == nil || err.Error() != want {
-		t.Fatalf("inline panic: err = %v, want %q", err, want)
-	}
-
-	// Hold a healthy inline run so the next submitter takes a lane; its
-	// lone request flushes there on the timer.
-	est.hold, est.entered = make(chan struct{}), make(chan struct{}, 1)
-	held := make(chan error, 1)
-	go func() {
-		_, err := b.Submit(context.Background(), []float64{1}, 0.1)
-		held <- err
-	}()
-	within(t, est.entered)
-	if _, err := b.Submit(context.Background(), []float64{-1}, 0.1); err == nil || err.Error() != want {
-		t.Fatalf("lane panic: err = %v, want %q", err, want)
-	}
-	close(est.hold)
-	if err := within(t, held); err != nil {
-		t.Fatalf("held inline submit: %v", err)
+		t.Fatalf("panic: err = %v, want %q", err, want)
 	}
 	if v, err := b.Submit(context.Background(), []float64{2}, 0.5); err != nil || v != 2.5 {
-		t.Fatalf("after panics: %v, %v", v, err)
+		t.Fatalf("after panic: %v, %v", v, err)
 	}
-	if st := b.Stats(); st.Batches != 4 || st.Lanes[0].Batches != 4 || st.Timeouts != 1 {
-		t.Fatalf("stats = %+v, want 4 batches (3 inline, 1 lane timer flush)", st)
+	if st := b.Stats(); st.Requests != 2 {
+		t.Fatalf("stats = %+v, want 2 requests", st)
 	}
 }
 
-// stuckLinger is a flush interval far beyond what within waits, so a
-// test that uses it passes only if something other than the timer ends
-// a linger; a failing one still lets the deferred Close return.
-const stuckLinger = 30 * time.Second
+// Concurrent submitters each get exactly their own input's estimate:
+// every answer is bit-identical to a direct Estimate call.
+func TestBatcherConcurrentSubmitsMatchEstimate(t *testing.T) {
+	cfg := selnet.DefaultConfig()
+	cfg.TMax = 1
+	net := selnet.NewNet(rand.New(rand.NewSource(3)), 8, cfg)
+	const n = 16
+	xs := make([][]float64, n)
+	ts := make([]float64, n)
+	want := make([]uint64, n)
+	rng := rand.New(rand.NewSource(4))
+	for i := range xs {
+		xs[i] = make([]float64, net.Dim())
+		for j := range xs[i] {
+			xs[i][j] = rng.Float64()
+		}
+		ts[i] = rng.Float64()
+		want[i] = math.Float64bits(net.Estimate(xs[i], ts[i]))
+	}
+	b := NewBatcher(net, BatcherConfig{})
+	defer b.Close()
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			for k := 0; k < 20; k++ {
+				v, err := b.Submit(context.Background(), xs[i], ts[i])
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+				if got := math.Float64bits(v); got != want[i] {
+					t.Errorf("submit %d: estimate bits %#x, want %#x", i, got, want[i])
+					return
+				}
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if st := b.Stats(); st.Requests != n*20 {
+		t.Fatalf("requests = %d, want %d", st.Requests, n*20)
+	}
+}
 
 // within receives from ch, failing the test if nothing arrives in 10s:
-// a request stuck lingering must fail fast, not hang the suite.
+// a stuck submitter must fail fast, not hang the suite.
 func within[T any](t *testing.T, ch <-chan T) T {
 	t.Helper()
 	select {
 	case v := <-ch:
 		return v
-	case <-time.After(stuckLinger / 3):
+	case <-time.After(10 * time.Second):
 		t.Fatal("timed out: a submitter or estimate never got through")
 		panic("unreachable")
 	}
@@ -284,7 +177,7 @@ func within[T any](t *testing.T, ch <-chan T) T {
 func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 	est := newFakeEst(1)
 	est.delay = time.Millisecond
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Lanes: 1})
+	b := NewBatcher(est, BatcherConfig{})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -311,16 +204,15 @@ func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 
 func TestBatcherContextCancellation(t *testing.T) {
 	est, entered, release := holding(1)
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 4, FlushInterval: time.Hour, Lanes: 1})
+	b := NewBatcher(est, BatcherConfig{})
 	defer b.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// Alone, the request would run inline.
 	if _, err := b.Submit(ctx, []float64{1}, 0.1); err != context.Canceled {
-		t.Fatalf("inline submit error = %v, want context.Canceled", err)
+		t.Fatalf("lone submit error = %v, want context.Canceled", err)
 	}
-	// Beside a held inline run, it would take a lane.
+	// Beside a held run, too, a cancelled request never runs.
 	done := make(chan error, 1)
 	go func() {
 		_, err := b.Submit(context.Background(), []float64{1}, 0.1)
@@ -328,7 +220,7 @@ func TestBatcherContextCancellation(t *testing.T) {
 	}()
 	within(t, entered)
 	if _, err := b.Submit(ctx, []float64{1}, 0.1); err != context.Canceled {
-		t.Fatalf("lane submit error = %v, want context.Canceled", err)
+		t.Fatalf("accompanied submit error = %v, want context.Canceled", err)
 	}
 	release()
 	if err := within(t, done); err != nil {
@@ -339,15 +231,14 @@ func TestBatcherContextCancellation(t *testing.T) {
 	}
 }
 
-// Submitters racing Close, lone and in company: every answer is right
-// or ErrBatcherClosed, and no estimate runs after Close returns, since
-// inline runs sit inside the same in-flight window as lane handoffs.
+// Submitters racing Close: every answer is right or ErrBatcherClosed,
+// and no estimate runs after Close returns, since every estimate sits
+// inside the in-flight window Close waits on.
 func TestBatcherSubmitDuringClose(t *testing.T) {
 	est := newFakeEst(2)
 	var closed atomic.Bool
 	var late atomic.Uint64
-	b := NewBatcher(&closeWatchEst{fakeEst: est, closed: &closed, late: &late},
-		BatcherConfig{MaxBatch: 4, FlushInterval: 100 * time.Microsecond, Lanes: 2})
+	b := NewBatcher(&closeWatchEst{fakeEst: est, closed: &closed, late: &late}, BatcherConfig{})
 
 	var wg sync.WaitGroup
 	var served atomic.Uint64
@@ -370,11 +261,6 @@ func TestBatcherSubmitDuringClose(t *testing.T) {
 					return
 				}
 				served.Add(1)
-				if g%3 == 0 {
-					// Some clients pause, so others often find
-					// themselves alone and run inline.
-					time.Sleep(50 * time.Microsecond)
-				}
 			}
 		}(g)
 	}
@@ -387,13 +273,8 @@ func TestBatcherSubmitDuringClose(t *testing.T) {
 	if n := late.Load(); n != 0 {
 		t.Fatalf("%d estimates ran after Close returned", n)
 	}
-	st := b.Stats()
-	var batches uint64
-	for _, ls := range st.Lanes {
-		batches += ls.Batches
-	}
-	if batches != st.Batches || st.Batches == 0 {
-		t.Fatalf("stats = %+v: aggregate batches must equal the lane sum", st)
+	if st := b.Stats(); st.Requests < served.Load() {
+		t.Fatalf("stats = %+v, fewer requests than the %d served", st, served.Load())
 	}
 }
 
@@ -409,11 +290,4 @@ func (c *closeWatchEst) Estimate(x []float64, t float64) float64 {
 		c.late.Add(1)
 	}
 	return c.fakeEst.Estimate(x, t)
-}
-
-func (c *closeWatchEst) EstimateBatch(x *tensor.Dense, ts []float64) []float64 {
-	if c.closed.Load() {
-		c.late.Add(1)
-	}
-	return c.fakeEst.EstimateBatch(x, ts)
 }

@@ -34,7 +34,7 @@ func localCluster() *fakeCluster {
 // the handler exists, so the /v1/cluster routes register.
 func newClusterTestServer(t *testing.T, fc *fakeCluster) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewServer(Config{Batcher: BatcherConfig{MaxBatch: 4}})
+	s := NewServer(Config{})
 	s.SetCluster(fc)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -45,7 +45,7 @@ func newClusterTestServer(t *testing.T, fc *fakeCluster) (*Server, *httptest.Ser
 }
 
 func TestRetryAfterOnBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{Batcher: BatcherConfig{MaxBatch: 4}})
+	s, ts := newTestServer(t, Config{})
 	if _, err := s.Registry().Publish("m", tinyNet(21, 3), "mem"); err != nil {
 		t.Fatal(err)
 	}

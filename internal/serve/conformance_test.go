@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"selnet/internal/modelcodec"
 	"selnet/internal/modeltest"
@@ -224,8 +223,7 @@ func TestEveryKindServesOverHTTP(t *testing.T) {
 		t.Skip("fits one model per estimator kind")
 	}
 	_, ts := newTestServer(t, Config{
-		Batcher: BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Lanes: 2},
-		Cache:   CacheConfig{Capacity: 64},
+		Cache: CacheConfig{Capacity: 64},
 	})
 	dir := t.TempDir()
 	builders := modeltest.Builders()

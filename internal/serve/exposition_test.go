@@ -27,7 +27,7 @@ import (
 // of families and their types is pinned in a golden file; regenerate
 // with UPDATE_GOLDEN=1 go test ./internal/serve/ -run MetricsExposition.
 func TestMetricsExposition(t *testing.T) {
-	s, ts := newTestServer(t, Config{Batcher: BatcherConfig{MaxBatch: 4}, Cache: CacheConfig{Capacity: 16}})
+	s, ts := newTestServer(t, Config{Cache: CacheConfig{Capacity: 16}})
 	for i, name := range []string{"m", "b"} {
 		if _, err := s.Registry().Publish(name, tinyNet(int64(11+i), 3), "mem"); err != nil {
 			t.Fatal(err)

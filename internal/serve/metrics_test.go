@@ -22,7 +22,7 @@ func (f *fakeUpdater) Enqueue(model string, insert, del [][]float64) (UpdateAck,
 func (f *fakeUpdater) UpdaterStats() map[string]UpdaterStats { return f.stats }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{Batcher: BatcherConfig{MaxBatch: 4}, Cache: CacheConfig{Capacity: 16}})
+	s, ts := newTestServer(t, Config{Cache: CacheConfig{Capacity: 16}})
 	if _, err := s.Registry().Publish("m", tinyNet(1, 3), "mem"); err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE selestd_cache_hit_ratio gauge",
 		"selestd_cache_hit_ratio 0.5",
 		`selestd_model_generation{model="m"} 1`,
-		`selestd_batcher_batch_size_count{model="m",lane="0"}`,
-		`selestd_batcher_lane_batches_total{model="m",lane="0"}`,
+		`selestd_batcher_requests_total{model="m"} 2`,
 		`selestd_ingest_queue_depth{model="m"} 2`,
 		`selestd_ingest_retrained_total{model="m"} 1`,
 		"selestd_http_requests_total",
@@ -71,7 +70,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestUpdateRouteStatuses(t *testing.T) {
-	s, ts := newTestServer(t, Config{NoBatch: true})
+	s, ts := newTestServer(t, Config{})
 	if _, err := s.Registry().Publish("m", tinyNet(2, 3), "mem"); err != nil {
 		t.Fatal(err)
 	}

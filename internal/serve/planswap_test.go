@@ -24,7 +24,7 @@ func TestConcurrentSubmitDuringPlanHotSwap(t *testing.T) {
 	want := base.Estimate([]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}, 0.5)
 
 	reg := NewRegistry(func(est Estimator) *Batcher {
-		return NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: 200 * time.Microsecond, Lanes: 2})
+		return NewBatcher(est, BatcherConfig{})
 	})
 	if _, err := reg.Publish("m", base, "seed"); err != nil {
 		t.Fatal(err)
@@ -85,142 +85,4 @@ func TestConcurrentSubmitDuringPlanHotSwap(t *testing.T) {
 	close(stop)
 	swapper.Wait()
 	reg.Close()
-}
-
-// Lanes must spread work: with many concurrent submitters every lane
-// should see at least one batch.
-func TestBatcherLanesAllServe(t *testing.T) {
-	est := newFakeEst(4)
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 4, FlushInterval: 100 * time.Microsecond, Lanes: 3})
-	defer b.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 9; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if _, err := b.Submit(context.Background(), []float64{1, 2, 3, 4}, 0.5); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	st := b.Stats()
-	if st.Requests != 450 {
-		t.Fatalf("requests = %d, want 450", st.Requests)
-	}
-	if len(st.Lanes) != 3 {
-		t.Fatalf("lanes = %d, want 3", len(st.Lanes))
-	}
-	var batches uint64
-	for lane, ls := range st.Lanes {
-		if ls.Batches == 0 {
-			t.Fatalf("lane %d served no batches", lane)
-		}
-		batches += ls.Batches
-	}
-	if batches != st.Batches {
-		t.Fatalf("aggregate batches %d != lane sum %d", st.Batches, batches)
-	}
-}
-
-// A lone submitter runs inline; everyone else still coalesces. Two
-// cases pin the split.
-func TestLoneRequestsFuseAcrossLanes(t *testing.T) {
-	// While a slow estimate holds one submitter inline, the others are
-	// in company: with more lanes than clients, a lane lingering on one
-	// of them is joined by the next, so they fuse instead of each
-	// stalling a FlushInterval in its own lane.
-	t.Run("company fuses beside an inline run", func(t *testing.T) {
-		est, entered, release := holding(2)
-		b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: 20 * time.Millisecond, Lanes: 8})
-		defer b.Close()
-		held := make(chan error, 1)
-		go func() {
-			_, err := b.Submit(context.Background(), []float64{1, 2}, 0.5)
-			held <- err
-		}()
-		within(t, entered)
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				x := []float64{float64(g), 4}
-				if v, err := b.Submit(context.Background(), x, 0.5); err != nil || v != fakeWant(1, x, 0.5) {
-					t.Errorf("submit %d: %v, %v", g, v, err)
-				}
-			}(g)
-		}
-		wg.Wait()
-		release()
-		if err := within(t, held); err != nil {
-			t.Fatal(err)
-		}
-		if st := b.Stats(); st.MaxFused < 2 {
-			t.Fatalf("max fused = %d, want >= 2 (requests must have coalesced)", st.MaxFused)
-		}
-	})
-	// A request queued while its submitter had company, and picked up
-	// only after every submitter has left, has no one to wait for: the
-	// lane flushes it at once instead of lingering.
-	t.Run("queued lone request does not linger alone", func(t *testing.T) {
-		est, entered, release := holding(2)
-		est.batchHold = make(chan struct{})
-		b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: stuckLinger, Lanes: 1})
-		defer b.Close()
-		// Deferred after Close, so an early failure unblocks it.
-		release = sync.OnceFunc(release)
-		releaseBatch := sync.OnceFunc(func() { close(est.batchHold) })
-		defer releaseBatch()
-		defer release()
-		held := make(chan error, 1)
-		go func() {
-			_, err := b.Submit(context.Background(), []float64{1, 2}, 0.5)
-			held <- err
-		}()
-		within(t, entered)
-		// Two laned submitters fuse, and their batch holds the worker.
-		ctx, cancel := context.WithCancel(context.Background())
-		laned := make(chan error, 3)
-		submit := func(g int) {
-			_, err := b.Submit(ctx, []float64{float64(g), 4}, 0.5)
-			laned <- err
-		}
-		go submit(0)
-		go submit(1)
-		within(t, entered)
-		// A third queues behind that batch.
-		go submit(2)
-		for deadline := time.Now().Add(10 * time.Second); len(b.lanes[0].reqs) == 0; {
-			if time.Now().After(deadline) {
-				t.Fatal("third request never queued")
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		// Every submitter leaves before the worker reaches the queued
-		// request; handed-off requests still run.
-		cancel()
-		for i := 0; i < 3; i++ {
-			if err := within(t, laned); err != context.Canceled {
-				t.Fatalf("laned submit: %v, want context.Canceled", err)
-			}
-		}
-		release()
-		if err := within(t, held); err != nil {
-			t.Fatal(err)
-		}
-		releaseBatch()
-		for deadline := time.Now().Add(stuckLinger / 3); est.rows.Load() < 4; {
-			if time.Now().After(deadline) {
-				t.Fatalf("estimator saw %d rows, want 4: the queued request lingered", est.rows.Load())
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		if st := b.Stats(); st.Timeouts != 0 || st.Batches != 3 {
-			t.Fatalf("stats = %+v, want 3 batches (1 inline, 2 lane), no timer flush", st)
-		}
-	})
 }

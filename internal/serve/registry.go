@@ -1,9 +1,8 @@
 // Package serve is the model-serving subsystem behind the selestd
 // daemon: a registry of trained SelNet models with lock-free reads and
-// copy-on-write hot-swap, a request coalescer that batches concurrent
-// single-query estimates into one tensor inference call, an LRU cache of
-// recent estimates, and an HTTP server tying them together with graceful,
-// drain-aware shutdown.
+// copy-on-write hot-swap, a per-model Batcher that gates single-query
+// estimates across hot-swaps, an LRU cache of recent estimates, and an
+// HTTP server tying them together with graceful, drain-aware shutdown.
 //
 // The subsystem serves any Estimator; in practice that is *selnet.Net,
 // whose inference methods are read-only and safe for concurrent use (see
@@ -47,7 +46,7 @@ type PlanStatser interface {
 }
 
 // Model is one registry entry: an estimator plus its serving apparatus
-// (per-model coalescer) and metadata. Models are immutable once
+// (per-model Batcher) and metadata. Models are immutable once
 // published; hot-swapping replaces the whole entry.
 type Model struct {
 	// Name is the registry key, chosen at load time (not the estimator's
@@ -65,8 +64,8 @@ type Model struct {
 	batcher *Batcher
 }
 
-// Batcher returns the model's request coalescer (nil if the registry was
-// built without batching).
+// Batcher returns the model's single-estimate gate (nil if the registry
+// was built without one).
 func (m *Model) Batcher() *Batcher { return m.batcher }
 
 // Registry maps model names to Models. Reads are lock-free: the live
@@ -84,7 +83,7 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry. newBatcher, if non-nil, is
-// invoked for each published model to build its coalescer; the registry
+// invoked for each published model to build its Batcher; the registry
 // closes the old model's batcher after a swap.
 func NewRegistry(newBatcher func(Estimator) *Batcher) *Registry {
 	r := &Registry{
@@ -105,7 +104,7 @@ func (r *Registry) SetSwapHook(fn func(name string, old, next *Model)) { r.onSwa
 // Get returns the model published under name, or false. The returned
 // *Model and its estimator remain valid even if the name is swapped or
 // removed concurrently. Its batcher, however, begins closing once the
-// model is swapped out: queued requests still drain, but a Submit
+// model is swapped out: admitted requests still finish, but a Submit
 // racing the swap can return ErrBatcherClosed — callers should fall
 // back to direct inference on the handle's estimator (the HTTP server
 // does).
@@ -196,7 +195,7 @@ func (r *Registry) publish(name string, est Estimator, source string, conditiona
 // retireModel drains a displaced model's batcher and drops its compiled
 // plans. Requests still holding the old *Model keep working — a dropped
 // pool recompiles lazily — but the common case frees the old
-// generation's buffers as soon as the queue empties.
+// generation's buffers as soon as its in-flight estimates return.
 func retireModel(old *Model) {
 	if old.batcher != nil {
 		old.batcher.Close()

@@ -60,7 +60,7 @@ func TestRegistryPublishGetListRemove(t *testing.T) {
 // copy-on-write swaps; run with -race.
 func TestRegistryConcurrentSwapAndGet(t *testing.T) {
 	r := NewRegistry(func(est Estimator) *Batcher {
-		return NewBatcher(est, BatcherConfig{MaxBatch: 4, Lanes: 1})
+		return NewBatcher(est, BatcherConfig{})
 	})
 	if _, err := r.Publish("m", newFakeEst(2), ""); err != nil {
 		t.Fatalf("publish: %v", err)

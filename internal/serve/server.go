@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -19,13 +20,11 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// Batcher tunes the per-model request coalescer.
+	// Batcher is passed to NewBatcher for each model; it has no
+	// settings left.
 	Batcher BatcherConfig
 	// Cache tunes the shared estimate cache (Capacity 0 disables it).
 	Cache CacheConfig
-	// NoBatch disables coalescing: single estimates run inline on the
-	// caller's goroutine. Used by the naive arm of the serving benchmark.
-	NoBatch bool
 	// RetryAfter is the backoff hint stamped on 429 backpressure and
 	// leaderless-503 responses (default 1s).
 	RetryAfter time.Duration
@@ -35,7 +34,7 @@ type Config struct {
 }
 
 // Server is the HTTP model-serving front end: it owns the model
-// registry, the per-model coalescers, and the estimate cache, and
+// registry, the per-model Batchers, and the estimate cache, and
 // exposes them as a JSON API (see Handler for routes).
 type Server struct {
 	cfg      Config
@@ -59,11 +58,7 @@ type Server struct {
 // NewServer builds a server with an empty registry.
 func NewServer(cfg Config) *Server {
 	s := &Server{cfg: cfg, started: time.Now()}
-	var nb func(Estimator) *Batcher
-	if !cfg.NoBatch {
-		nb = func(est Estimator) *Batcher { return NewBatcher(est, cfg.Batcher) }
-	}
-	s.registry = NewRegistry(nb)
+	s.registry = NewRegistry(func(est Estimator) *Batcher { return NewBatcher(est, cfg.Batcher) })
 	s.registry.SetSwapHook(func(name string, old, next *Model) {
 		if old != nil && next != nil {
 			s.swaps.Add(1)
@@ -530,11 +525,9 @@ func (s *Server) modelInfos(withBatcher bool) []modelInfo {
 		if s.router != nil {
 			mi.Router = s.router.Assignment(m.Name)
 		}
-		if withBatcher && m.Batcher() != nil {
-			st := m.Batcher().Stats()
-			mi.Batcher = &st
-		}
 		if withBatcher {
+			bs := m.Batcher().Stats()
+			mi.Batcher = &bs
 			if ps, ok := m.Est.(PlanStatser); ok {
 				st := ps.PlanStats()
 				mi.Plans = &st
@@ -604,36 +597,26 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sb.stage(obs.StageCache)
-	var v float64
-	if b := m.Batcher(); b != nil {
-		var bt BatchTiming
-		v, bt, err = b.SubmitTimed(r.Context(), req.Query, req.T)
-		// The coalescer measured the request's time itself; copy its
-		// attribution and resync the span clock past the submit call.
-		sb.setStage(obs.StageQueue, bt.Queue)
-		sb.setStage(obs.StageFuse, bt.Fuse)
-		sb.setStage(obs.StageExecute, bt.Execute)
-		sb.setBatchSize(bt.BatchSize)
-		sb.markNow()
-		if errors.Is(err, ErrBatcherClosed) {
-			// The model was hot-swapped or removed between lookup and
-			// submit; our handle's estimator is still valid, so answer
-			// inline rather than surfacing the swap to the client.
-			v, err = m.Est.Estimate(req.Query, req.T), nil
-			sb.stage(obs.StageExecute)
-		}
-		if err != nil {
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-				status = 499 // client closed request
-			}
-			writeError(w, status, err)
-			s.endSpan(sb, status)
-			return
-		}
-	} else {
-		v = m.Est.Estimate(req.Query, req.T)
+	v, bt, err := m.Batcher().SubmitTimed(r.Context(), req.Query, req.T)
+	// The Batcher timed the estimate itself; copy it and resync the
+	// span clock past the submit call.
+	sb.setStage(obs.StageExecute, bt.Execute)
+	sb.markNow()
+	if errors.Is(err, ErrBatcherClosed) {
+		// The model was hot-swapped or removed between lookup and
+		// submit; our handle's estimator is still valid, so answer
+		// inline rather than surfacing the swap to the client.
+		v, err = m.Est.Estimate(req.Query, req.T), nil
 		sb.stage(obs.StageExecute)
+	}
+	if err != nil {
+		status := http.StatusServiceUnavailable
+		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
+			status = 499 // client closed request
+		}
+		writeError(w, status, err)
+		s.endSpan(sb, status)
+		return
 	}
 	if s.cache.Enabled() {
 		s.cache.Put(key, v)
@@ -696,8 +679,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	// The tensor fill is this route's fuse work: one client batch
 	// becomes one fused inference batch.
 	sb.stage(obs.StageFuse)
-	// Already a batch: run the tensor pass directly, bypassing the
-	// coalescer (which exists to fuse separate requests).
+	// Already a batch: run the tensor pass directly.
 	est := m.Est.EstimateBatch(x, ts)
 	sb.stage(obs.StageExecute)
 	if s.shadow.Enabled() {
@@ -778,8 +760,8 @@ func (s *Server) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus text exposition: request counters,
-// per-route latency histograms, cache effectiveness, per-model coalescer
-// histograms, and (when an updater is attached) ingest queue gauges.
+// per-route latency histograms, cache effectiveness, per-model request
+// counters, and (when an updater is attached) ingest queue gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewPromWriter(w)
@@ -817,25 +799,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, m := range s.registry.List() {
 		p.Value("selestd_model_generation", "Registry generation of the published model.", "gauge",
 			float64(m.Generation), "model", m.Name)
-		if b := m.Batcher(); b != nil {
-			bs := b.Stats()
-			p.Value("selestd_batcher_requests_total", "Single estimates submitted to the coalescer.",
-				"counter", float64(bs.Requests), "model", m.Name)
-			p.Value("selestd_batcher_batches_total", "Fused EstimateBatch calls.", "counter",
-				float64(bs.Batches), "model", m.Name)
-			p.Value("selestd_batcher_timeouts_total", "Batches flushed by the interval timer.",
-				"counter", float64(bs.Timeouts), "model", m.Name)
-			p.Value("selestd_batcher_lanes", "Coalescer lanes (independent shards).", "gauge",
-				float64(len(bs.Lanes)), "model", m.Name)
-			for lane, hist := range b.LaneSizeHistograms() {
-				p.Histogram("selestd_batcher_batch_size", "Requests fused per inference batch, by lane.",
-					hist, "model", m.Name, "lane", strconv.Itoa(lane))
-			}
-			for lane, ls := range bs.Lanes {
-				p.Value("selestd_batcher_lane_batches_total", "Fused EstimateBatch calls by lane.",
-					"counter", float64(ls.Batches), "model", m.Name, "lane", strconv.Itoa(lane))
-			}
-		}
+		p.Value("selestd_batcher_requests_total", "Single estimates submitted to the model's Batcher.",
+			"counter", float64(m.Batcher().Stats().Requests), "model", m.Name)
 		if ps, ok := m.Est.(PlanStatser); ok {
 			st := ps.PlanStats()
 			p.Value("selestd_plan_checkouts_total", "Compiled-plan checkouts from the model's pools.",
@@ -991,6 +956,11 @@ func decodeJSON(r *http.Request, v any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	// A body is one JSON value: anything but whitespace after it is
+	// rejected rather than ignored.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: data after the JSON value")
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"selnet/internal/selnet"
 )
@@ -74,8 +73,7 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 func TestServerEndToEnd(t *testing.T) {
 	const dim = 4
 	s, ts := newTestServer(t, Config{
-		Batcher: BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Lanes: 2},
-		Cache:   CacheConfig{Capacity: 64},
+		Cache: CacheConfig{Capacity: 64},
 	})
 
 	// healthz before any model.
@@ -246,13 +244,50 @@ func TestServerErrorPaths(t *testing.T) {
 	check("bad path", 400, r9, b9)
 }
 
+// A request body is one JSON value: data after it is a 400, not
+// silently dropped, while trailing whitespace is fine.
+func TestServerRejectsTrailingData(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if _, err := s.Registry().Publish("m", tinyNet(1, 2), "mem"); err != nil {
+		t.Fatal(err)
+	}
+	post := func(route, body string) (int, errorResponse) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatalf("post: %v", err)
+		}
+		defer resp.Body.Close()
+		var e errorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e
+	}
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/estimate", `{"model":"m","query":[1,2],"t":0.5} {"t":99}`},
+		{"/v1/estimate", `{"model":"m","query":[1,2],"t":0.5}]`},
+		{"/v1/estimate/batch", `{"model":"m","queries":[[1,2]],"t":0.5} {"t":99}`},
+		{"/v1/estimate/batch", `{"model":"m","queries":[[1,2]],"t":0.5}x`},
+	} {
+		if status, e := post(tc.route, tc.body); status != http.StatusBadRequest || e.Error.Code != "invalid_argument" {
+			t.Errorf("%s %s: status %d code %q, want 400 invalid_argument", tc.route, tc.body, status, e.Error.Code)
+		}
+	}
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/estimate", "{\"model\":\"m\",\"query\":[1,2],\"t\":0.5}\n \t\r\n"},
+		{"/v1/estimate/batch", "{\"model\":\"m\",\"queries\":[[1,2]],\"t\":0.5}\n"},
+	} {
+		if status, _ := post(tc.route, tc.body); status != http.StatusOK {
+			t.Errorf("%s %q: status %d, want 200", tc.route, tc.body, status)
+		}
+	}
+}
+
 // TestServerHotSwapUnderLoad hammers /v1/estimate while repeatedly
 // hot-swapping the model underneath; every request must succeed against
 // either the old or the new weights. Run with -race.
 func TestServerHotSwapUnderLoad(t *testing.T) {
 	const dim = 4
 	s, ts := newTestServer(t, Config{
-		Batcher: BatcherConfig{MaxBatch: 8, FlushInterval: 500 * time.Microsecond, Lanes: 2},
 		// Cache disabled so every request exercises inference + batcher.
 		Cache: CacheConfig{Capacity: 0},
 	})
@@ -332,9 +367,7 @@ func TestServerHotSwapUnderLoad(t *testing.T) {
 // a handler that resolved a model just before it was swapped out finds
 // the batcher closed, and must answer inline instead of returning 503.
 func TestServerEstimateFallsBackWhenBatcherClosed(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Batcher: BatcherConfig{MaxBatch: 4, FlushInterval: time.Millisecond, Lanes: 1},
-	})
+	s, ts := newTestServer(t, Config{})
 	net := tinyNet(1, 3)
 	path := filepath.Join(t.TempDir(), "m.gob")
 	if err := net.SaveFile(path); err != nil {

@@ -48,7 +48,7 @@ func (sb *spanBuilder) stage(st obs.Stage) {
 
 // markNow resets the boundary clock without attributing the elapsed
 // time — used after an interval whose stages were measured elsewhere
-// (the coalescer reports queue/fuse/execute itself).
+// (the Batcher times the estimate itself).
 func (sb *spanBuilder) markNow() {
 	if sb == nil {
 		return
@@ -78,8 +78,7 @@ func (sb *spanBuilder) setCached(c bool) {
 	}
 }
 
-// setBatchSize records how many requests shared the fused batch (or
-// the explicit batch size on the batch route).
+// setBatchSize records the number of queries in a batch request.
 func (sb *spanBuilder) setBatchSize(n int) {
 	if sb != nil {
 		sb.span.BatchSize = n
