@@ -64,8 +64,9 @@ type Model struct {
 	batcher *Batcher
 }
 
-// Batcher returns the model's single-estimate gate (nil if the registry
-// was built without one).
+// Batcher returns the model's single-estimate gate. It is nil only on
+// models of a registry built without one; every model a Server serves,
+// the router's ensemble included, has one.
 func (m *Model) Batcher() *Batcher { return m.batcher }
 
 // Registry maps model names to Models. Reads are lock-free: the live

@@ -428,6 +428,10 @@ func newEnsembleModel(members []*Model) *Model {
 		Generation: h.Sum64(),
 		Source:     "router",
 		LoadedAt:   time.Now(),
+		// The server submits every single estimate through its model's
+		// Batcher, so the virtual model carries one like a published
+		// model. Nothing retires it, so it is never closed.
+		batcher: NewBatcher(ens, BatcherConfig{}),
 	}
 }
 

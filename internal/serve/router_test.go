@@ -201,6 +201,46 @@ func TestRouterUnknownDim(t *testing.T) {
 	}
 }
 
+// TestRouterEnsembleServesEstimateE2E drives a single estimate through
+// an ensemble route over HTTP: the virtual model the router builds must
+// be servable like a published one, answering exactly its blend.
+func TestRouterEnsembleServesEstimateE2E(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	mustPublish(t, s.Registry(), "kde", modeltest.Builders()["kde"]())
+	mustPublish(t, s.Registry(), "gbm", modeltest.Builders()["gbm"]())
+	s.SetRouter(NewRouter(s.Registry(), RouterConfig{Mode: "ensemble"}))
+
+	query := []float64{0.1, -0.2, 0.3}
+	const tq = 0.5
+	m, err := s.router.Route("default", len(query))
+	if err != nil {
+		t.Fatalf("route: %v", err)
+	}
+	want := m.Est.Estimate(query, tq)
+	for i := 0; i < 3; i++ { // past the cache's second-miss admission
+		resp, body := postJSON(t, ts.URL+"/v1/estimate", estimateRequest{Model: "default", Query: query, T: tq})
+		if resp.StatusCode != 200 {
+			t.Fatalf("estimate via ensemble: %d %s", resp.StatusCode, body)
+		}
+		var er estimateResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("decode: %v (%s)", err, body)
+		}
+		if er.Model != "ensemble" || math.Float64bits(er.Estimate) != math.Float64bits(want) {
+			t.Fatalf("request %d: got %q %v, want ensemble %v", i, er.Model, er.Estimate, want)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/estimate", estimateRequest{Model: "default", Query: query[:2], T: tq})
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("dim-2 query via ensemble: %d %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/estimate/batch",
+		estimateBatchRequest{Model: "default", Queries: [][]float64{query, query}, Ts: []float64{tq, tq}})
+	if resp.StatusCode != 200 {
+		t.Fatalf("batch via ensemble: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestRouterServesVirtualNamesE2E drives routing through the HTTP API:
 // small-db low-dim traffic lands on the sampling estimator, high-dim
 // traffic on SelNet, and a concretely published "default" shadows the
