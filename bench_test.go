@@ -7,8 +7,12 @@
 package selnet_bench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -290,6 +294,56 @@ func BenchmarkServeNaive(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkServeEstimateBatch drives the in-process /v1/estimate/batch
+// handler, decode to encode, with 256-row bodies shaped like selbench's
+// batch_scan (64 dims): "ladder" sends 32 vectors at 8 thresholds each,
+// so 7 of every 8 rows repeat the previous row's text; "distinct" sends
+// 256 different vectors, which no decoder shortcut applies to.
+func BenchmarkServeEstimateBatch(b *testing.B) {
+	const dim, rows = 64, 256
+	srv := serve.NewServer(serve.Config{})
+	defer srv.Close()
+	cfg := selnet.DefaultConfig()
+	cfg.TMax = 1
+	net := selnet.NewNet(rand.New(rand.NewSource(1)), dim, cfg)
+	if _, err := srv.Registry().Publish("m", net, "mem"); err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	for _, bc := range []struct {
+		name  string
+		steps int
+	}{{"ladder", 8}, {"distinct", 1}} {
+		vecs := servingQueries(rows/bc.steps, dim)
+		req := struct {
+			Model   string      `json:"model"`
+			Queries [][]float64 `json:"queries"`
+			Ts      []float64   `json:"ts"`
+		}{Model: "m"}
+		for _, q := range vecs {
+			for k := 0; k < bc.steps; k++ {
+				req.Queries = append(req.Queries, q)
+				req.Ts = append(req.Ts, float64(k+1)/float64(bc.steps))
+			}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for b.Loop() {
+				rw := httptest.NewRecorder()
+				h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/estimate/batch", bytes.NewReader(body)))
+				if rw.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rw.Code, rw.Body)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkServeShadowSampled proves the shadow-scoring tap costs the

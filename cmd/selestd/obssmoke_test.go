@@ -89,7 +89,8 @@ func TestObservabilitySmoke(t *testing.T) {
 	client := &http.Client{Timeout: 5 * time.Second}
 
 	// Estimates with distinct queries (cache misses) exercise the full
-	// queue/fuse/execute pipeline; each response must carry a trace ID.
+	// decode/cache/execute/encode pipeline; each response must carry a
+	// trace ID.
 	traceIDs := map[string]bool{}
 	for i := 0; i < 5; i++ {
 		q := append([]float64(nil), db.Vecs[i]...)
@@ -211,7 +212,7 @@ func TestObservabilitySmoke(t *testing.T) {
 		if sp.TotalNs <= 0 {
 			t.Fatalf("span %s total_ns %d", sp.TraceID, sp.TotalNs)
 		}
-		for _, stage := range []string{"decode", "cache", "fuse", "execute", "encode"} {
+		for _, stage := range []string{"decode", "cache", "execute", "encode"} {
 			if _, ok := sp.StagesNs[stage]; !ok {
 				t.Fatalf("span %s missing stage %q: %+v", sp.TraceID, stage, sp.StagesNs)
 			}

@@ -9,7 +9,7 @@ import (
 
 // Stage indexes one instrumented segment of a request's lifetime. The
 // serving layer stamps stage boundaries as the request moves HTTP
-// ingress → cache → batch fuse → plan execute → encode; a span carries
+// ingress → cache → plan execute → encode; a span carries
 // one duration per stage.
 type Stage uint8
 
@@ -19,9 +19,6 @@ const (
 	StageDecode Stage = iota
 	// StageCache covers selectivity-cache lookup and fill.
 	StageCache
-	// StageFuse covers copying a batch request's query rows into one
-	// tensor, up to plan launch.
-	StageFuse
 	// StageExecute covers the estimator call.
 	StageExecute
 	// StageEncode covers response encoding and write-out.
@@ -30,7 +27,7 @@ const (
 	NumStages = iota
 )
 
-var stageNames = [NumStages]string{"decode", "cache", "fuse", "execute", "encode"}
+var stageNames = [NumStages]string{"decode", "cache", "execute", "encode"}
 
 // String returns the stage's wire name (used as the "stage" metric
 // label and as /debug/traces JSON keys).
@@ -154,7 +151,7 @@ func (t *Tracer) Record(sp Span) {
 
 	t.total.Observe(sp.Total.Seconds())
 	for i := Stage(0); i < NumStages; i++ {
-		// Zero means the stage didn't run (cache hit skips fuse/
+		// Zero means the stage didn't run (a cache hit skips
 		// execute); recording it would drown the histograms in zeros.
 		if d := sp.Stages[i]; d > 0 {
 			t.stages[i].Observe(d.Seconds())

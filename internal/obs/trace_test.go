@@ -66,8 +66,8 @@ func TestTracerStageHistograms(t *testing.T) {
 	if s := tr.StageSnapshot(StageExecute); s.Count != 1 {
 		t.Fatalf("execute histogram count %d, want 1", s.Count)
 	}
-	if s := tr.StageSnapshot(StageFuse); s.Count != 0 {
-		t.Fatalf("fuse histogram count %d, want 0 (zero stages skipped)", s.Count)
+	if s := tr.StageSnapshot(StageCache); s.Count != 0 {
+		t.Fatalf("cache histogram count %d, want 0 (zero stages skipped)", s.Count)
 	}
 }
 
@@ -136,7 +136,7 @@ func TestSpanJSONCarriesAllStages(t *testing.T) {
 	if !ok {
 		t.Fatalf("stages_ns missing: %s", raw)
 	}
-	for _, name := range []string{"decode", "cache", "fuse", "execute", "encode"} {
+	for _, name := range []string{"decode", "cache", "execute", "encode"} {
 		if _, ok := stages[name]; !ok {
 			t.Fatalf("stage %q missing in %s", name, raw)
 		}

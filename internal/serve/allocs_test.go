@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -77,5 +80,48 @@ func TestServeAllocs(t *testing.T) {
 
 	if got := testing.AllocsPerRun(200, func() { net.Estimate(q, 0.5) }); got != 0 {
 		t.Errorf("Net.Estimate allocates %v per call, want 0", got)
+	}
+}
+
+// TestEstimateBatchAllocsIndependentOfRows pins the batch route's
+// decode: the scanner writes rows into a pooled tensor and parses a
+// repeated row once, so a request's heap allocations do not depend on
+// its row count or on whether its rows repeat.
+func TestEstimateBatchAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	const dim = 16
+	s := NewServer(Config{})
+	defer s.Close()
+	if _, err := s.Registry().Publish("m", tinyNet(1, dim), "mem"); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var counts []float64
+	for _, tc := range []struct {
+		name        string
+		vecs, steps int
+	}{
+		{"8 ladder rows", 1, 8},
+		{"256 ladder rows", 32, 8},
+		{"256 distinct rows", 256, 1},
+	} {
+		body := batchBody(t, dim, tc.vecs, tc.steps)
+		serve := func() {
+			rw := httptest.NewRecorder()
+			h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/estimate/batch", bytes.NewReader(body)))
+			if rw.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.name, rw.Code, rw.Body)
+			}
+		}
+		serve() // warm the pools and compile the plans
+		got := testing.AllocsPerRun(50, serve)
+		t.Logf("%s: %v allocs per request", tc.name, got)
+		counts = append(counts, got)
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("allocs per batch request depend on the body: 8 ladder rows %v, 256 ladder rows %v, 256 distinct rows %v",
+			counts[0], counts[1], counts[2])
 	}
 }

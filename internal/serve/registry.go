@@ -23,6 +23,9 @@ import (
 // Estimator is the inference surface the server needs from a model.
 // *selnet.Net satisfies it. Implementations must be safe for concurrent
 // use: the server calls EstimateBatch from many goroutines at once.
+// Estimate must not keep x, nor EstimateBatch x or ts, after it
+// returns: they live in the request's pooled buffers, which the next
+// request reuses.
 type Estimator interface {
 	Estimate(x []float64, t float64) float64
 	EstimateBatch(x *tensor.Dense, ts []float64) []float64

@@ -541,7 +541,7 @@ func (s *Server) modelInfos(withBatcher bool) []modelInfo {
 func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req loadModelRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -568,14 +568,16 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	sb := s.beginSpan("/v1/estimate", r)
-	var req estimateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	req := getEstimateBody()
+	defer req.release()
+	if err := req.decode(r, false); err != nil {
 		sb.stage(obs.StageDecode)
 		writeError(w, http.StatusBadRequest, err)
 		s.endSpan(sb, http.StatusBadRequest)
 		return
 	}
-	m, status, err := s.lookup(req.Model, req.Query)
+	q := req.row(0)
+	m, status, err := s.lookup(req.model, q)
 	sb.stage(obs.StageDecode) // body read + validation + model lookup
 	if err != nil {
 		writeError(w, status, err)
@@ -585,19 +587,19 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	sb.setModel(m.Name)
 	var key string
 	if s.cache.Enabled() {
-		key = s.cache.Key(m, req.Query, req.T)
+		key = s.cache.Key(m, q, req.t)
 		if v, ok := s.cache.Get(key); ok {
 			sb.stage(obs.StageCache)
 			sb.setCached(true)
-			s.offerShadow(r, m, 0, req.Query, req.T, v)
-			writeJSON(w, http.StatusOK, estimateResponse{Model: m.Name, Estimate: v, T: req.T, Cached: true})
+			s.offerShadow(r, m, 0, q, req.t, v)
+			status := writeJSON(w, http.StatusOK, estimateResponse{Model: m.Name, Estimate: v, T: req.t, Cached: true})
 			sb.stage(obs.StageEncode)
-			s.endSpan(sb, http.StatusOK)
+			s.endSpan(sb, status)
 			return
 		}
 	}
 	sb.stage(obs.StageCache)
-	v, bt, err := m.Batcher().SubmitTimed(r.Context(), req.Query, req.T)
+	v, bt, err := m.Batcher().SubmitTimed(r.Context(), q, req.t)
 	// The Batcher timed the estimate itself; copy it and resync the
 	// span clock past the submit call.
 	sb.setStage(obs.StageExecute, bt.Execute)
@@ -606,7 +608,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		// The model was hot-swapped or removed between lookup and
 		// submit; our handle's estimator is still valid, so answer
 		// inline rather than surfacing the swap to the client.
-		v, err = m.Est.Estimate(req.Query, req.T), nil
+		v, err = m.Est.Estimate(q, req.t), nil
 		sb.stage(obs.StageExecute)
 	}
 	if err != nil {
@@ -622,10 +624,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.cache.Put(key, v)
 	}
 	sb.stage(obs.StageCache)
-	s.offerShadow(r, m, 0, req.Query, req.T, v)
-	writeJSON(w, http.StatusOK, estimateResponse{Model: m.Name, Estimate: v, T: req.T})
+	s.offerShadow(r, m, 0, q, req.t, v)
+	status = writeJSON(w, http.StatusOK, estimateResponse{Model: m.Name, Estimate: v, T: req.t})
 	sb.stage(obs.StageEncode)
-	s.endSpan(sb, http.StatusOK)
+	s.endSpan(sb, status)
 }
 
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
@@ -635,63 +637,58 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		s.endSpan(sb, status)
 	}
-	var req estimateBatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	req := getEstimateBody()
+	defer req.release()
+	if err := req.decode(r, true); err != nil {
 		fail(http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Queries) == 0 {
+	if req.n == 0 {
 		fail(http.StatusBadRequest, errors.New("empty \"queries\""))
 		return
 	}
-	ts := req.Ts
+	ts := req.ts
 	switch {
-	case req.T != nil && len(ts) > 0:
+	case req.hasT && len(ts) > 0:
 		fail(http.StatusBadRequest, errors.New("provide \"t\" or \"ts\", not both"))
 		return
-	case req.T != nil:
-		ts = make([]float64, len(req.Queries))
-		for i := range ts {
-			ts[i] = *req.T
+	case req.hasT:
+		for range req.n {
+			ts = append(ts, req.t)
 		}
-	case len(ts) != len(req.Queries):
+		req.ts = ts
+	case len(ts) != req.n:
 		fail(http.StatusBadRequest,
-			fmt.Errorf("%d queries but %d thresholds", len(req.Queries), len(ts)))
+			fmt.Errorf("%d queries but %d thresholds", req.n, len(ts)))
 		return
 	}
-	m, status, err := s.lookup(req.Model, req.Queries[0])
+	m, status, err := s.lookup(req.model, req.row(0))
 	if err != nil {
 		fail(status, err)
 		return
 	}
 	sb.setModel(m.Name)
-	sb.setBatchSize(len(req.Queries))
-	sb.stage(obs.StageDecode)
-	x := tensor.New(len(req.Queries), m.Est.Dim())
-	for i, q := range req.Queries {
-		if len(q) != m.Est.Dim() {
-			fail(http.StatusBadRequest,
-				fmt.Errorf("query %d has dim %d, model %q expects %d", i, len(q), m.Name, m.Est.Dim()))
-			return
-		}
-		copy(x.Row(i), q)
+	sb.setBatchSize(req.n)
+	if req.ragged >= 0 {
+		fail(http.StatusBadRequest,
+			fmt.Errorf("query %d has dim %d, model %q expects %d", req.ragged, req.raggedDim, m.Name, m.Est.Dim()))
+		return
 	}
-	// The tensor fill is this route's fuse work: one client batch
-	// becomes one fused inference batch.
-	sb.stage(obs.StageFuse)
-	// Already a batch: run the tensor pass directly.
-	est := m.Est.EstimateBatch(x, ts)
+	sb.stage(obs.StageDecode)
+	// The rows were decoded straight into the batch: run the tensor pass
+	// on them directly.
+	est := m.Est.EstimateBatch(tensor.FromSlice(req.n, req.dim, req.rows), ts)
 	sb.stage(obs.StageExecute)
 	if s.shadow.Enabled() {
 		// Each query in the batch gets its own sampling decision, salted
 		// by its index so one traced request doesn't sample all-or-none.
-		for i, q := range req.Queries {
-			s.offerShadow(r, m, uint64(i+1), q, ts[i], est[i])
+		for i := range req.n {
+			s.offerShadow(r, m, uint64(i+1), req.row(i), ts[i], est[i])
 		}
 	}
-	writeJSON(w, http.StatusOK, estimateBatchResponse{Model: m.Name, Estimates: est})
+	status = writeJSON(w, http.StatusOK, estimateBatchResponse{Model: m.Name, Estimates: est})
 	sb.stage(obs.StageEncode)
-	s.endSpan(sb, http.StatusOK)
+	s.endSpan(sb, status)
 }
 
 func (s *Server) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
@@ -703,7 +700,7 @@ func (s *Server) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sb.setModel(name)
 	var req updateModelRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		sb.stage(obs.StageDecode)
 		fail(http.StatusBadRequest, err)
 		return
@@ -947,28 +944,21 @@ func (s *Server) lookup(name string, query []float64) (*Model, int, error) {
 // ----------------------------------------------------------------------------
 // JSON plumbing
 
-// maxBodyBytes caps request bodies, both when decoding locally and when
-// buffering for a cluster forward.
-const maxBodyBytes = 16 << 20
-
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+// writeJSON answers status with v encoded as JSON and returns the status
+// it wrote. v is encoded before anything is written, so a value that does
+// not encode (a non-finite estimate, say) answers 500 instead of a 200
+// with an empty body.
+func writeJSON(w http.ResponseWriter, status int, v any) int {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return http.StatusInternalServerError
 	}
-	// A body is one JSON value: anything but whitespace after it is
-	// rejected rather than ignored.
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("bad request body: data after the JSON value")
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+	_, _ = io.WriteString(w, "\n")
+	return status
 }
 
 // writeError renders err in the error envelope. Throttle and failover

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,8 @@ import (
 	"sync"
 	"testing"
 
+	"selnet/internal/kde"
+	"selnet/internal/modelcodec"
 	"selnet/internal/selnet"
 )
 
@@ -392,5 +396,52 @@ func TestServerEstimateFallsBackWhenBatcherClosed(t *testing.T) {
 	}
 	if want := net.Estimate(q, 0.2); er.Estimate != want {
 		t.Fatalf("fallback estimate = %v, want %v", er.Estimate, want)
+	}
+}
+
+// infScaleKDE writes a KDE model file whose Scale is +Inf, so every
+// estimate it answers is non-finite. The blob mirrors kde's gob wire
+// form; gob matches fields by name.
+func infScaleKDE(t *testing.T) string {
+	t.Helper()
+	var raw bytes.Buffer
+	if err := gob.NewEncoder(&raw).Encode(struct {
+		Dist, Dim, N int
+		Samples      [][]float64
+		Bandwidth    []float64
+		Scale, TMax  float64
+	}{Dim: 2, N: 1, Samples: [][]float64{{0, 0}}, Bandwidth: []float64{1}, Scale: math.Inf(1), TMax: 1}); err != nil {
+		t.Fatal(err)
+	}
+	est, err := kde.Load(&raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "inf.gob")
+	if err := modelcodec.SaveFile(path, est); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// A response that cannot be encoded (here a non-finite estimate) is a
+// 500 in the error envelope, not a 200 with an empty body.
+func TestServerNonFiniteEstimateIs500(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if resp, body := postJSON(t, ts.URL+"/v1/models/default", loadModelRequest{Path: infScaleKDE(t)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("load: %d %s", resp.StatusCode, body)
+	}
+	for _, tc := range []struct {
+		route string
+		body  any
+	}{
+		{"/v1/estimate", estimateRequest{Query: []float64{0, 0}, T: 0.5}},
+		{"/v1/estimate/batch", estimateBatchRequest{Queries: [][]float64{{0, 0}, {1, 1}}, Ts: []float64{0.5, 1}}},
+	} {
+		resp, body := postJSON(t, ts.URL+tc.route, tc.body)
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusInternalServerError || e.Error.Code != "internal" {
+			t.Errorf("%s: %d %q, want 500 with code internal", tc.route, resp.StatusCode, body)
+		}
 	}
 }
