@@ -58,6 +58,11 @@ func (m Method) String() string {
 type Ball struct {
 	Center []float64
 	Radius float64
+
+	// norm is ‖Center‖, the pivot of the indicator's skip bound. It is
+	// derived, never serialized (gob skips unexported fields), and set
+	// by withNorms wherever a Partitioning is constructed.
+	norm float64
 }
 
 // Cluster is one partition piece: disjoint member indices plus the balls
@@ -87,7 +92,17 @@ func (p *Partitioning) WireFlags() (convert, allActive bool) {
 // Restore rebuilds a Partitioning from serialized parts; the inverse of
 // reading Method, Clusters and WireFlags.
 func Restore(method Method, clusters []Cluster, convert, allActive bool) *Partitioning {
-	return &Partitioning{Method: method, Clusters: clusters, convert: convert, allActive: allActive}
+	return withNorms(&Partitioning{Method: method, Clusters: clusters, convert: convert, allActive: allActive})
+}
+
+// withNorms fills in every ball's center norm and returns p.
+func withNorms(p *Partitioning) *Partitioning {
+	for _, c := range p.Clusters {
+		for i := range c.Balls {
+			c.Balls[i].norm = distance.Norm(c.Balls[i].Center)
+		}
+	}
+	return p
 }
 
 // Indicator computes f_c(x, t): element i is true when the query ball
@@ -102,15 +117,31 @@ func (p *Partitioning) Indicator(x []float64, t float64) []bool {
 // IndicatorInto is the allocation-free Indicator used by the serving hot
 // path: out (len K) receives the per-cluster activations and qbuf
 // (len(x), scratch) holds the normalized query for cosine datasets. out
-// and qbuf are fully overwritten. Each ball test is distance.L2Within,
-// which abandons a ball once a partial sum proves it out of reach; the
-// decisions are exactly those of L2(x, center) <= t + radius.
+// and qbuf are fully overwritten. The decisions are exactly those of
+// L2(x, c) <= thr, with thr = t + radius, for each ball of center c:
+//
+//   - The triangle inequality bounds L2(x, c) >= |‖x‖ − ‖c‖|, so a ball
+//     whose norm gap exceeds thr is out of reach. The gap must exceed
+//     thr by 1e-9·(‖x‖ + ‖c‖) plus 2^-500 before the ball is skipped.
+//     That margin is far more than the rounding of either norm and of
+//     the distance (the 2^-500 floor covers squares that underflow), so
+//     a skipped ball never passes the exact test. ‖x‖ is computed once
+//     per call and ‖c‖ once per ball when the Partitioning is built. A
+//     non-finite ‖x‖ turns the skip off; a NaN thr never skips.
+//   - Every ball not skipped is decided by distance.L2Within, which
+//     abandons a ball once a partial sum proves it out of reach.
 func (p *Partitioning) IndicatorInto(out []bool, qbuf, x []float64, t float64) {
+	p.indicatorInto(out, qbuf, x, t)
+}
+
+// indicatorInto is IndicatorInto; it returns the number of exact ball
+// tests (L2Within calls) it made, the work the skip bound saves.
+func (p *Partitioning) indicatorInto(out []bool, qbuf, x []float64, t float64) (tests int) {
 	if p.allActive {
 		for i := range out {
 			out[i] = true
 		}
-		return
+		return 0
 	}
 	qx := x
 	qt := t
@@ -124,15 +155,23 @@ func (p *Partitioning) IndicatorInto(out []bool, qbuf, x []float64, t float64) {
 		qx = qbuf
 		qt = distance.CosineToL2Threshold(t)
 	}
+	nx := distance.Norm(qx)
+	skip := nx <= math.MaxFloat64 // false for +Inf and NaN
 	for i, c := range p.Clusters {
 		out[i] = false
 		for _, b := range c.Balls {
-			if distance.L2Within(qx, b.Center, qt+b.Radius) {
+			thr := qt + b.Radius
+			if skip && math.Abs(nx-b.norm) > thr+1e-9*(nx+b.norm)+0x1p-500 {
+				continue
+			}
+			tests++
+			if distance.L2Within(qx, b.Center, thr) {
 				out[i] = true
 				break
 			}
 		}
 	}
+	return tests
 }
 
 // PrimaryRegion attributes a query to the single cluster that "owns"
@@ -226,7 +265,7 @@ func buildCoverTree(space [][]float64, k int, ratio float64, convert bool) *Part
 		clusters[smallest].Balls = append(clusters[smallest].Balls, Ball{Center: r.Center, Radius: r.Radius})
 		sizes[smallest] += len(r.Members)
 	}
-	return &Partitioning{Method: CoverTree, Clusters: nonEmpty(clusters), convert: convert}
+	return withNorms(&Partitioning{Method: CoverTree, Clusters: nonEmpty(clusters), convert: convert})
 }
 
 func buildRandom(rng *rand.Rand, n, k int) *Partitioning {
@@ -236,7 +275,7 @@ func buildRandom(rng *rand.Rand, n, k int) *Partitioning {
 		c := i % k
 		clusters[c].Members = append(clusters[c].Members, idx)
 	}
-	return &Partitioning{Method: Random, Clusters: nonEmpty(clusters), allActive: true}
+	return withNorms(&Partitioning{Method: Random, Clusters: nonEmpty(clusters), allActive: true})
 }
 
 func buildKMeans(rng *rand.Rand, space [][]float64, k int, convert bool) *Partitioning {
@@ -302,7 +341,7 @@ func buildKMeans(rng *rand.Rand, space [][]float64, k int, convert bool) *Partit
 		}
 		clusters[c].Balls = []Ball{{Center: centers[c], Radius: radius}}
 	}
-	return &Partitioning{Method: KMeans, Clusters: nonEmpty(clusters), convert: convert}
+	return withNorms(&Partitioning{Method: KMeans, Clusters: nonEmpty(clusters), convert: convert})
 }
 
 func kmeansPlusPlusInit(rng *rand.Rand, space [][]float64, k int) [][]float64 {

@@ -267,3 +267,153 @@ func TestPrimaryRegionRandomIsUnattributed(t *testing.T) {
 		t.Fatalf("random partitioning attribution = %d, want -1", r)
 	}
 }
+
+// flatIndicator is the indicator without the norm bound, kept as the
+// reference: every ball of a cluster is tested with distance.L2Within
+// until one passes. It returns the decisions and the number of tests.
+func flatIndicator(p *Partitioning, x []float64, t float64) ([]bool, int) {
+	out := make([]bool, p.K())
+	if p.allActive {
+		for i := range out {
+			out[i] = true
+		}
+		return out, 0
+	}
+	qx, qt := x, t
+	if p.convert {
+		qx = distance.Normalize(x)
+		qt = distance.CosineToL2Threshold(t)
+	}
+	tests := 0
+	for i, c := range p.Clusters {
+		for _, b := range c.Balls {
+			tests++
+			if distance.L2Within(qx, b.Center, qt+b.Radius) {
+				out[i] = true
+				break
+			}
+		}
+	}
+	return out, tests
+}
+
+// checkIndicator fails t when IndicatorInto differs from the flat scan
+// at (x, thr), and returns the tests both made.
+func checkIndicator(t *testing.T, tag string, p *Partitioning, x []float64, thr float64) (fast, flat int) {
+	t.Helper()
+	want, flat := flatIndicator(p, x, thr)
+	got := make([]bool, p.K())
+	fast = p.indicatorInto(got, make([]float64, len(x)), x, thr)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: x %v t %v: cluster %d is %v, flat scan says %v", tag, x, thr, i, got[i], want[i])
+		}
+	}
+	return fast, flat
+}
+
+// The norm bound only skips balls the exact test rejects, so
+// IndicatorInto answers exactly as the flat scan does: for every
+// metric and method, at degenerate thresholds, and at non-finite,
+// subnormal and on-the-boundary queries. (A radius grown by ApplyInsert
+// is covered in selnet.)
+func TestIndicatorMatchesFlatScan(t *testing.T) {
+	for _, dist := range []distance.Func{distance.Euclidean, distance.Cosine} {
+		for _, method := range []Method{CoverTree, KMeans, Random} {
+			tag := method.String() + "/" + dist.String()
+			rng := rand.New(rand.NewSource(31))
+			db := vecdata.SyntheticFasttext(rng, 400, 16, dist)
+			wl := vecdata.GeometricWorkload(rng, db, 12, 6)
+			p := Build(rng, db, 3, 0.05, method)
+
+			ts := []float64{0, 1e-300, wl.TMax * 1.5, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+			for _, q := range wl.Queries[:6] {
+				ts = append(ts, q.T)
+			}
+			queries := [][]float64{make([]float64, 16)}
+			for _, q := range wl.Queries {
+				queries = append(queries, q.X)
+			}
+			for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e200} {
+				x := append([]float64(nil), db.Vecs[0]...)
+				x[3] = bad
+				queries = append(queries, x)
+			}
+			for ci := range p.Clusters {
+				for bi := range p.Clusters[ci].Balls {
+					if bi%7 != 0 {
+						continue
+					}
+					b := p.Clusters[ci].Balls[bi]
+					// The center itself, and the two points of the ball's
+					// surface on the ray through the origin, where the
+					// norm gap equals the distance and rounding decides.
+					queries = append(queries, b.Center)
+					if n := distance.Norm(b.Center); n > 0 {
+						for _, s := range []float64{1 + b.Radius/n, 1 - b.Radius/n} {
+							x := make([]float64, len(b.Center))
+							for i, v := range b.Center {
+								x[i] = v * s
+							}
+							queries = append(queries, x)
+						}
+					}
+				}
+			}
+			for _, x := range queries {
+				for _, thr := range ts {
+					checkIndicator(t, tag, p, x, thr)
+				}
+			}
+		}
+	}
+	// A zero-radius ball at 1e-162 holds x at 2e-162 when t = 0: their
+	// distance underflows to 0 though ‖x‖ does not.
+	tiny, tinyC := make([]float64, 16), make([]float64, 16)
+	for i := range tiny {
+		tiny[i], tinyC[i] = 2e-162, 1e-162
+	}
+	sub := Restore(CoverTree, []Cluster{{Members: []int{0}, Balls: []Ball{{Center: tinyC}}}}, false, false)
+	if _, flat := checkIndicator(t, "subnormal", sub, tiny, 0); flat != 1 {
+		t.Fatalf("subnormal: %d flat tests", flat)
+	}
+	if !sub.Indicator(tiny, 0)[0] {
+		t.Fatal("subnormal: the ball must be active")
+	}
+}
+
+// The bound skips on both sides of a ball: a query much nearer the
+// origin than the center, and one much farther, make no exact test.
+func TestIndicatorSkipsBothSides(t *testing.T) {
+	p := Restore(CoverTree, []Cluster{{Members: []int{0}, Balls: []Ball{{Center: []float64{10, 0, 0}, Radius: 1}}}}, false, false)
+	out := make([]bool, 1)
+	for _, x := range [][]float64{{0, 0, 0}, {0, 100, 0}} {
+		if tests := p.indicatorInto(out, make([]float64, 3), x, 0.5); tests != 0 || out[0] {
+			t.Fatalf("x %v: %d exact tests, active %v; want 0, false", x, tests, out[0])
+		}
+	}
+	if tests := p.indicatorInto(out, make([]float64, 3), []float64{0, 10, 0}, 0.5); tests != 1 || out[0] {
+		t.Fatalf("equal norms: %d exact tests, active %v; want 1, false", tests, out[0])
+	}
+}
+
+// TestIndicatorBallTestCount pins the work the norm bound saves on the
+// fixture of BenchmarkPartitionedEstimateBatchLadder (selbench's
+// batch_scan request in process: 32 vectors x 8 ascending thresholds on
+// a K = 3 cover-tree partitioning of 2000 64-d vectors).
+func TestIndicatorBallTestCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	db := vecdata.SyntheticFasttext(rng, 2000, 64, distance.Euclidean)
+	wl := vecdata.GeometricWorkload(rng, db, 32, 8)
+	p := Build(rng, db, 3, 0.1, CoverTree)
+	var fast, flat int
+	for _, q := range wl.Queries {
+		f, s := checkIndicator(t, "ladder", p, q.X, q.T)
+		fast += f
+		flat += s
+	}
+	t.Logf("%d rows: %d exact ball tests, flat scan %d", len(wl.Queries), fast, flat)
+	if fast*3 > flat {
+		t.Fatalf("%d exact ball tests, flat scan %d: want at least 3x fewer", fast, flat)
+	}
+}

@@ -225,8 +225,10 @@ func (p *Partitioned) indicatorMatrix(queries []vecdata.Query) []*tensor.Dense {
 	for ci := range out {
 		out[ci] = tensor.New(len(queries), 1)
 	}
+	ind := make([]bool, p.K())
+	qbuf := make([]float64, p.dim)
 	for qi, q := range queries {
-		ind := p.part.Indicator(q.X, q.T)
+		p.part.IndicatorInto(ind, qbuf, q.X, q.T)
 		for ci, active := range ind {
 			if active {
 				out[ci].Set(qi, 0, 1)

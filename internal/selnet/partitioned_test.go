@@ -352,3 +352,53 @@ func TestPartitionedMAE(t *testing.T) {
 		t.Fatalf("bad MAE %v", mae)
 	}
 }
+
+// After ApplyInsert grows radii, the indicator (with its norm bound) of
+// the model and of its Clone must still equal the definition
+// L2(x, c) <= t + r over every ball; the clone recomputes the center
+// norms on load, since they are not serialized.
+func TestIndicatorExactAfterInsertAndClone(t *testing.T) {
+	db, wl := testWorkload(38, 300, 6, 8, 4)
+	p := NewPartitioned(rand.New(rand.NewSource(39)), db, tinyPartitionedConfig(wl.TMax))
+	rng := rand.New(rand.NewSource(40))
+	var inserted [][]float64
+	for i := 0; i < 6; i++ {
+		v := append([]float64(nil), db.Vecs[rng.Intn(db.Size())]...)
+		for j := range v {
+			v[j] += 2 * rng.NormFloat64()
+		}
+		inserted = append(inserted, v)
+	}
+	radii := func() (sum float64) {
+		for _, cl := range p.part.Clusters {
+			for _, b := range cl.Balls {
+				sum += b.Radius
+			}
+		}
+		return sum
+	}
+	before := radii()
+	p.ApplyInsert(inserted)
+	if radii() <= before {
+		t.Fatal("no inserted vector grew a radius")
+	}
+	c, err := p.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := append(inserted, wl.Queries[0].X, wl.Queries[4].X)
+	for _, x := range queries {
+		for _, tq := range []float64{0, wl.TMax / 8, wl.TMax / 2, wl.TMax} {
+			got, cloned := p.part.Indicator(x, tq), c.part.Indicator(x, tq)
+			for ci, cl := range p.part.Clusters {
+				want := false
+				for _, b := range cl.Balls {
+					want = want || distance.L2(x, b.Center) <= tq+b.Radius
+				}
+				if got[ci] != want || cloned[ci] != want {
+					t.Fatalf("x %v t %v cluster %d: indicator %v, clone %v, definition %v", x, tq, ci, got[ci], cloned[ci], want)
+				}
+			}
+		}
+	}
+}

@@ -252,6 +252,51 @@ func TestPartitionedEstimateBatchZeroAllocs(t *testing.T) {
 	}
 }
 
+// The fuse pass (internal/infer fuse.go) rewrites each nn.Linear layer's
+// MatMul+AddRow+activation into one GEMM step. Pin the step counts of
+// the encoder and head plans of the two model shapes selbench serves —
+// ct, a 64-d Net, and part, a K = 3 Partitioned over the same
+// architecture — so losing fusion fails here, not in a timing gate.
+// tensor_noopt builds skip the pass by design and pin the unfused counts.
+func TestPlanStepsFused(t *testing.T) {
+	wantEnc, wantHead := 4, 14
+	if !tensor.Optimized() {
+		wantEnc, wantHead = 9, 26
+	}
+	rng := rand.New(rand.NewSource(1))
+	db := vecdata.SyntheticFasttext(rng, 300, 64, distance.Euclidean)
+	cfg := DefaultConfig()
+	cfg.TMax = 1
+	pcfg := DefaultPartitionedConfig()
+	pcfg.Model = cfg
+	shapes := []struct {
+		name string
+		ps   *plans
+	}{
+		{"ct", NewNet(rng, 64, cfg).planState()},
+		{"part", NewPartitioned(rng, db, pcfg).planState()},
+	}
+	for _, s := range shapes {
+		if len(s.ps.heads) == 0 {
+			t.Fatalf("%s: no head plans", s.name)
+		}
+		for _, batch := range []int{1, maxPlanBatch} {
+			enc := s.ps.enc.Get(batch)
+			if got := enc.Steps(); got != wantEnc {
+				t.Errorf("%s batch %d: encoder plan has %d steps, want %d", s.name, batch, got, wantEnc)
+			}
+			s.ps.enc.Put(enc)
+			for ci, pool := range s.ps.heads {
+				h := pool.Get(batch)
+				if got := h.Steps(); got != wantHead {
+					t.Errorf("%s batch %d: head %d plan has %d steps, want %d", s.name, batch, ci, got, wantHead)
+				}
+				pool.Put(h)
+			}
+		}
+	}
+}
+
 // The partitioned plan path must match the definition: the indicator-
 // gated sum of the local (tape-path) estimates.
 func TestPartitionedPlanMatchesLocalTapes(t *testing.T) {
