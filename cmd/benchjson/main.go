@@ -1,22 +1,16 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin
-// into a stable JSON document, and optionally enforces the perf gates CI
-// runs on every PR:
+// into a stable JSON document. With -fail-zero-allocs, any listed
+// benchmark reporting allocs/op > 0 (or missing from the input) fails
+// the run: the compiled-plan hot path must stay allocation-free.
 //
-//   - -fail-zero-allocs: any listed benchmark reporting allocs/op > 0
-//     fails the run (the compiled-plan hot path must stay allocation-free).
-//   - -baseline + -regress: listed benchmarks (exact name or "name/"
-//     sub-benchmark prefix) must not regress ns/op by more than
-//     -max-regress-pct versus a previously committed benchjson document.
-//
-// CI uses it to write BENCH_infer.json — the committed perf baseline
-// future PRs diff against — and to fail PRs that break the gates.
+// CI uses it to write BENCH_infer.json, kept as a build artifact, and to
+// fail PRs that make the hot path allocate. ns/op is recorded, not gated.
 //
 // Usage:
 //
 //	go test -bench=... -benchmem -run '^$' ./... | benchjson \
 //	    -o BENCH_infer.json \
-//	    -fail-zero-allocs BenchmarkNetEstimatePlan,BenchmarkNetEstimateBatch64Plan \
-//	    -baseline BENCH_infer.base.json -regress BenchmarkMatMul -max-regress-pct 20
+//	    -fail-zero-allocs BenchmarkNetEstimatePlan,BenchmarkNetEstimateBatch64Plan
 package main
 
 import (
@@ -66,12 +60,6 @@ func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout")
 	failZero := flag.String("fail-zero-allocs", "",
 		"comma-separated benchmark names that must report 0 allocs/op")
-	baselinePath := flag.String("baseline", "",
-		"prior benchjson document to diff ns/op against")
-	regress := flag.String("regress", "",
-		"comma-separated benchmark names (exact, or sub-benchmark prefixes) gated against -baseline")
-	maxRegressPct := flag.Float64("max-regress-pct", 20,
-		"fail when a -regress benchmark's ns/op exceeds the baseline by more than this percentage")
 	flag.Parse()
 
 	doc := document{Benchmarks: []Result{}}
@@ -104,13 +92,6 @@ func main() {
 	}
 
 	problems := checkZeroAllocs(doc.Benchmarks, *failZero)
-	if *baselinePath != "" && *regress != "" {
-		base, err := readBaseline(*baselinePath)
-		if err != nil {
-			fatal("baseline: %v", err)
-		}
-		problems = append(problems, checkRegressions(doc.Benchmarks, base, *regress, *maxRegressPct)...)
-	}
 	for _, p := range problems {
 		fmt.Fprintf(os.Stderr, "benchjson: %s\n", p)
 	}
@@ -147,61 +128,6 @@ func checkZeroAllocs(results []Result, list string) []string {
 		}
 		if !found {
 			problems = append(problems, fmt.Sprintf("required benchmark %s missing from input", name))
-		}
-	}
-	return problems
-}
-
-// readBaseline loads a previously emitted benchjson document.
-func readBaseline(path string) ([]Result, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc document
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return nil, fmt.Errorf("parse %s: %v", path, err)
-	}
-	return doc.Benchmarks, nil
-}
-
-// regressMatch reports whether a benchmark name is covered by a -regress
-// entry: an exact match, or a sub-benchmark of it ("BenchmarkMatMul"
-// covers "BenchmarkMatMul/64x48x352").
-func regressMatch(entry, name string) bool {
-	return name == entry || strings.HasPrefix(name, entry+"/")
-}
-
-// checkRegressions diffs current ns/op against the baseline for every
-// benchmark covered by the -regress list. Benchmarks new in the current
-// run (absent from the baseline) pass — the next committed baseline will
-// cover them — but a listed entry matching nothing at all in the current
-// run fails, so a gated benchmark cannot silently vanish.
-func checkRegressions(cur, base []Result, list string, maxPct float64) []string {
-	baseNs := make(map[string]float64, len(base))
-	for _, r := range base {
-		baseNs[r.Name] = r.NsPerOp
-	}
-	var problems []string
-	for _, entry := range splitList(list) {
-		matched := false
-		for _, r := range cur {
-			if !regressMatch(entry, r.Name) {
-				continue
-			}
-			matched = true
-			b, ok := baseNs[r.Name]
-			if !ok || b <= 0 {
-				continue
-			}
-			if pct := (r.NsPerOp - b) / b * 100; pct > maxPct {
-				problems = append(problems, fmt.Sprintf(
-					"%s regressed: %.0f ns/op vs baseline %.0f (%+.1f%%, limit %+.0f%%)",
-					r.Name, r.NsPerOp, b, pct, maxPct))
-			}
-		}
-		if !matched {
-			problems = append(problems, fmt.Sprintf("regression-gated benchmark %s missing from input", entry))
 		}
 	}
 	return problems

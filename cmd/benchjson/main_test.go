@@ -1,11 +1,6 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestParseLine(t *testing.T) {
 	r, ok := parseLine("BenchmarkNetEstimatePlan-8   35275   33921 ns/op   0 B/op   0 allocs/op")
@@ -91,57 +86,5 @@ func TestCheckZeroAllocs(t *testing.T) {
 	}
 	if p := checkZeroAllocs(results, ""); p != nil {
 		t.Fatalf("empty list produced problems: %v", p)
-	}
-}
-
-func TestCheckRegressions(t *testing.T) {
-	base := []Result{
-		{Name: "BenchmarkMatMul/64x64x64", NsPerOp: 100_000},
-		{Name: "BenchmarkMatMul/64x48x352", NsPerOp: 70_000},
-		{Name: "BenchmarkNetEstimatePlan", NsPerOp: 7_000},
-	}
-	cur := []Result{
-		{Name: "BenchmarkMatMul/64x64x64", NsPerOp: 110_000},  // +10%: fine
-		{Name: "BenchmarkMatMul/64x48x352", NsPerOp: 100_000}, // +43%: regression
-		{Name: "BenchmarkMatMul/8x8x8", NsPerOp: 500},         // new in this run: fine
-		{Name: "BenchmarkNetEstimatePlan", NsPerOp: 7_100},
-	}
-	p := checkRegressions(cur, base, "BenchmarkMatMul,BenchmarkNetEstimatePlan", 20)
-	if len(p) != 1 || !strings.Contains(p[0], "64x48x352") {
-		t.Fatalf("want one 64x48x352 regression, got %v", p)
-	}
-	// Tighten the limit below +10% and the square benchmark trips too.
-	if p := checkRegressions(cur, base, "BenchmarkMatMul", 5); len(p) != 2 {
-		t.Fatalf("want 2 regressions at 5%%, got %v", p)
-	}
-	// A gated name matching nothing in the current run must fail loudly.
-	if p := checkRegressions(cur, base, "BenchmarkVanished", 20); len(p) != 1 {
-		t.Fatalf("vanished benchmark not flagged: %v", p)
-	}
-	// Exact-name entries must not prefix-match unrelated benchmarks.
-	if !regressMatch("BenchmarkMatMul", "BenchmarkMatMul/8x8x8") ||
-		regressMatch("BenchmarkMatMul", "BenchmarkMatMulFused") {
-		t.Fatal("regressMatch prefix semantics wrong")
-	}
-}
-
-func TestReadBaseline(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "base.json")
-	if err := os.WriteFile(path, []byte(`{"benchmarks":[{"name":"BenchmarkX","ns_per_op":42}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := readBaseline(path)
-	if err != nil || len(rs) != 1 || rs[0].Name != "BenchmarkX" || rs[0].NsPerOp != 42 {
-		t.Fatalf("readBaseline: %v %+v", err, rs)
-	}
-	if _, err := readBaseline(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing baseline not an error")
-	}
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readBaseline(path); err == nil {
-		t.Fatal("bad JSON baseline not an error")
 	}
 }

@@ -82,6 +82,32 @@ func SquaredL2(a, b []float64) float64 {
 	return s
 }
 
+// SquaredL2x4 returns SquaredL2(q0, r) … SquaredL2(q3, r) from one pass
+// over r. Each sum is its own ascending chain of the operations SquaredL2
+// runs, so each result is bit-identical to it; the four independent
+// chains hide the add latency that bounds a single chain.
+func SquaredL2x4(q0, q1, q2, q3, r []float64) (s0, s1, s2, s3 float64) {
+	for _, q := range [4][]float64{q0, q1, q2, q3} {
+		if len(q) != len(r) {
+			panic(fmt.Sprintf("distance: dimension mismatch %d vs %d", len(q), len(r)))
+		}
+	}
+	// Reslicing to len(r) lets the compiler drop the per-element bounds
+	// checks on the four query rows.
+	q0, q1, q2, q3 = q0[:len(r)], q1[:len(r)], q2[:len(r)], q3[:len(r)]
+	for i, rv := range r {
+		d0 := q0[i] - rv
+		d1 := q1[i] - rv
+		d2 := q2[i] - rv
+		d3 := q3[i] - rv
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
+}
+
 // L2Within reports L2(a, b) <= thr, the same decision bit for bit, but
 // returns false as soon as a partial sum proves the distance exceeds
 // thr. The sum is accumulated exactly as SquaredL2 does and checked

@@ -67,6 +67,55 @@ func TestL2WithinMatchesL2(t *testing.T) {
 	}
 }
 
+// SquaredL2x4 must return SquaredL2's bits for each of its four queries,
+// including sums that overflow to +Inf or turn NaN.
+func TestSquaredL2x4MatchesSquaredL2(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200, -1e200, 1e-160, 0}
+	for _, dim := range []int{0, 1, 3, 7, 8, 13, 64} {
+		for _, scale := range []float64{1, 1e-160, 1e160} {
+			for trial := 0; trial < 20; trial++ {
+				var q [4][]float64
+				for j := range q {
+					q[j] = randVec(rng, dim)
+				}
+				r := randVec(rng, dim)
+				for _, v := range append(q[:], r) {
+					for i := range v {
+						v[i] *= scale
+						if rng.Intn(16) == 0 {
+							v[i] = specials[rng.Intn(len(specials))]
+						}
+					}
+				}
+				var got [4]float64
+				got[0], got[1], got[2], got[3] = SquaredL2x4(q[0], q[1], q[2], q[3], r)
+				for j := range q {
+					if want := SquaredL2(q[j], r); math.Float64bits(got[j]) != math.Float64bits(want) {
+						t.Fatalf("dim %d scale %g query %d: SquaredL2x4 = %v, SquaredL2 = %v", dim, scale, j, got[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSquaredL2x4DimensionMismatchPanics(t *testing.T) {
+	ok, short := []float64{1, 2}, []float64{1}
+	for bad := 0; bad < 5; bad++ {
+		args := [5][]float64{ok, ok, ok, ok, ok}
+		args[bad] = short
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("argument %d: expected panic", bad)
+				}
+			}()
+			SquaredL2x4(args[0], args[1], args[2], args[3], args[4])
+		}()
+	}
+}
+
 func TestCosineBasic(t *testing.T) {
 	a := []float64{1, 0}
 	b := []float64{0, 1}

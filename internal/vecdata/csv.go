@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -12,8 +13,8 @@ import (
 )
 
 // ReadCSV parses a vector dataset from r: one vector per line,
-// comma-separated float64 components, all lines the same width. Blank
-// lines and lines starting with '#' are skipped. This lets the estimators
+// comma-separated finite float64 components, all lines the same width.
+// Blank lines and lines starting with '#' are skipped. This lets the estimators
 // run on real embedding dumps (e.g. fasttext .vec files converted to CSV)
 // instead of the synthetic stand-ins.
 func ReadCSV(r io.Reader, name string, dist distance.Func) (*Database, error) {
@@ -33,6 +34,12 @@ func ReadCSV(r io.Reader, name string, dist distance.Func) (*Database, error) {
 			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 			if err != nil {
 				return nil, fmt.Errorf("vecdata: line %d component %d: %w", line, i+1, err)
+			}
+			// A non-finite coordinate makes distances to its row NaN or
+			// +Inf, which the workload labels and Selectivity (d <= t)
+			// count differently.
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("vecdata: line %d component %d: non-finite value %q", line, i+1, p)
 			}
 			v[i] = f
 		}

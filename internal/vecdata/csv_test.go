@@ -33,6 +33,15 @@ func TestReadCSVErrors(t *testing.T) {
 			t.Fatalf("%s: expected error", name)
 		}
 	}
+	// Non-finite components parse as floats but are rejected, naming the
+	// line and component like the other errors.
+	for _, bad := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e400"} {
+		in := "1,2,3\n# comment\n4," + bad + ",6\n"
+		_, err := ReadCSV(strings.NewReader(in), "x", distance.Euclidean)
+		if err == nil || !strings.Contains(err.Error(), "line 3 component 2") {
+			t.Fatalf("%s: err = %v, want an error naming line 3 component 2", bad, err)
+		}
+	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {

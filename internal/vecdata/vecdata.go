@@ -184,38 +184,42 @@ func Matrices(queries []Query) (x, t, y *tensor.Dense) {
 // converted to thresholds via the query's sorted distance profile. Labels
 // are exact.
 func GeometricWorkload(rng *rand.Rand, db *Database, numQueries, w int) *Workload {
-	if numQueries > db.Size() {
-		numQueries = db.Size()
-	}
 	maxSel := float64(db.Size()) / 100
 	if maxSel < 2 {
 		maxSel = 2
 	}
 	ratio := math.Pow(maxSel, 1/float64(w-1))
-	queryIdx := rng.Perm(db.Size())[:numQueries]
-	var wl Workload
-	for _, qi := range queryIdx {
-		x := db.Vecs[qi]
-		dists := db.DistancesTo(x)
-		sort.Float64s(dists)
-		sel := 1.0
-		for j := 0; j < w; j++ {
-			k := int(math.Round(sel))
-			if k < 1 {
-				k = 1
-			}
-			if k > len(dists) {
-				k = len(dists)
-			}
-			t := dists[k-1] // k-th smallest distance: exactly >= k objects within t
-			y := countWithin(dists, t)
-			wl.Queries = append(wl.Queries, Query{X: x, T: t, Y: y})
-			if t > wl.TMax {
-				wl.TMax = t
-			}
-			sel *= ratio
+	ks := make([]int, max(w, 0))
+	kmax := 0
+	sel := 1.0
+	for j := range ks {
+		k := int(math.Round(sel))
+		if k < 1 {
+			k = 1
 		}
+		if k > db.Size() {
+			k = db.Size()
+		}
+		ks[j] = k
+		kmax = max(kmax, k)
+		sel *= ratio
 	}
+	xs := db.sampleQueries(rng, numQueries)
+	var wl Workload
+	buf := make([]float64, 0, kmax)
+	db.scanDistances(xs, func(i int, dists []float64) {
+		nearest := smallest(dists, buf, kmax)
+		ts := make([]float64, len(ks))
+		for j, k := range ks {
+			ts[j] = nearest[k-1] // k-th smallest distance: exactly >= k objects within t
+		}
+		for j, y := range within(dists, ts) {
+			wl.Queries = append(wl.Queries, Query{X: xs[i], T: ts[j], Y: y})
+			if ts[j] > wl.TMax {
+				wl.TMax = ts[j]
+			}
+		}
+	})
 	// Small headroom so estimators can extrapolate slightly beyond the
 	// largest training threshold.
 	wl.TMax *= 1.05
@@ -229,16 +233,20 @@ func GeometricWorkload(rng *rand.Rand, db *Database, numQueries, w int) *Workloa
 // to cover them, since database-sampled queries rarely do.
 func BackgroundWorkload(rng *rand.Rand, db *Database, numQueries int, fractions []float64, tMax float64,
 	gen func(rng *rand.Rand) []float64) []Query {
-	var out []Query
-	for i := 0; i < numQueries; i++ {
-		x := gen(rng)
-		dists := db.DistancesTo(x)
-		sort.Float64s(dists)
-		for _, f := range fractions {
-			t := tMax * f
-			out = append(out, Query{X: x, T: t, Y: countWithin(dists, t)})
-		}
+	xs := make([][]float64, numQueries)
+	for i := range xs {
+		xs[i] = gen(rng)
 	}
+	ts := make([]float64, len(fractions))
+	for j, f := range fractions {
+		ts[j] = tMax * f
+	}
+	var out []Query
+	db.scanDistances(xs, func(i int, dists []float64) {
+		for j, y := range within(dists, ts) {
+			out = append(out, Query{X: xs[i], T: ts[j], Y: y})
+		}
+	})
 	return out
 }
 
@@ -246,31 +254,140 @@ func BackgroundWorkload(rng *rand.Rand, db *Database, numQueries int, fractions 
 // from the database, and thresholds are sampled from Beta(alpha, beta)
 // scaled by tScale. Labels are exact.
 func BetaThresholdWorkload(rng *rand.Rand, db *Database, numQueries, perQuery int, alpha, beta, tScale float64) *Workload {
-	if numQueries > db.Size() {
-		numQueries = db.Size()
-	}
-	queryIdx := rng.Perm(db.Size())[:numQueries]
+	xs := db.sampleQueries(rng, numQueries)
 	var wl Workload
-	for _, qi := range queryIdx {
-		x := db.Vecs[qi]
-		dists := db.DistancesTo(x)
-		sort.Float64s(dists)
-		for j := 0; j < perQuery; j++ {
-			t := SampleBeta(rng, alpha, beta) * tScale
-			y := countWithin(dists, t)
-			wl.Queries = append(wl.Queries, Query{X: x, T: t, Y: y})
-			if t > wl.TMax {
-				wl.TMax = t
+	// rng draws stay in query order (the sample, then each query's
+	// thresholds), so a seed gives the same workload whatever the
+	// blocking of the distance scan.
+	db.scanDistances(xs, func(i int, dists []float64) {
+		ts := make([]float64, max(perQuery, 0))
+		for j := range ts {
+			ts[j] = SampleBeta(rng, alpha, beta) * tScale
+		}
+		for j, y := range within(dists, ts) {
+			wl.Queries = append(wl.Queries, Query{X: xs[i], T: ts[j], Y: y})
+			if ts[j] > wl.TMax {
+				wl.TMax = ts[j]
 			}
 		}
-	}
+	})
 	wl.TMax *= 1.05
 	return &wl
 }
 
-// countWithin counts values <= t in the sorted slice dists.
-func countWithin(dists []float64, t float64) float64 {
-	return float64(sort.SearchFloat64s(dists, math.Nextafter(t, math.Inf(1))))
+// sampleQueries draws min(n, |D|) distinct database rows as query vectors.
+func (db *Database) sampleQueries(rng *rand.Rand, n int) [][]float64 {
+	idx := rng.Perm(db.Size())[:min(n, db.Size())]
+	xs := make([][]float64, len(idx))
+	for i, r := range idx {
+		xs[i] = db.Vecs[r]
+	}
+	return xs
+}
+
+// scanDistances calls fn(i, dists) for every query xs[i] in order, with
+// dists[r] = db.Dist.Distance(xs[i], db.Vecs[r]); dists is only valid
+// until fn returns. On a Euclidean database four queries share one pass over the
+// rows through distance.SquaredL2x4, which is bit-identical to L2 per
+// pair; the leftover queries, and every query on other distances, take
+// Dist.Distance per pair, still reading each row once per block.
+func (db *Database) scanDistances(xs [][]float64, fn func(i int, dists []float64)) {
+	const block = 4
+	var bufs [block][]float64
+	for j := range min(block, len(xs)) {
+		bufs[j] = make([]float64, len(db.Vecs))
+	}
+	for lo := 0; lo < len(xs); lo += block {
+		q := xs[lo:min(lo+block, len(xs))]
+		if len(q) == block && db.Dist == distance.Euclidean {
+			parallelFor(len(db.Vecs), func(a, b int) {
+				for r := a; r < b; r++ {
+					s0, s1, s2, s3 := distance.SquaredL2x4(q[0], q[1], q[2], q[3], db.Vecs[r])
+					bufs[0][r], bufs[1][r] = math.Sqrt(s0), math.Sqrt(s1)
+					bufs[2][r], bufs[3][r] = math.Sqrt(s2), math.Sqrt(s3)
+				}
+			})
+		} else {
+			parallelFor(len(db.Vecs), func(a, b int) {
+				for r := a; r < b; r++ {
+					for j, x := range q {
+						bufs[j][r] = db.Dist.Distance(x, db.Vecs[r])
+					}
+				}
+			})
+		}
+		for j := range q {
+			fn(lo+j, bufs[j])
+		}
+	}
+}
+
+// smallest returns the k smallest of dists in the order sort.Float64s
+// gives them (NaN first), so its [k-1] is the sorted profile's [k-1]. It
+// keeps them in a max-heap in buf (cap >= k) over one pass — past the
+// first k rows a row costs one compare against the heap's top unless it
+// displaces it — then sorts the k of them. dists is left as it is.
+func smallest(dists, buf []float64, k int) []float64 {
+	h := buf[:0]
+	for _, d := range dists {
+		switch {
+		case len(h) < k:
+			h = append(h, d)
+			for i := len(h) - 1; i > 0 && nanFirstLess(h[(i-1)/2], h[i]); i = (i - 1) / 2 {
+				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+			}
+		case k > 0 && nanFirstLess(d, h[0]):
+			h[0] = d
+			for i := 0; ; {
+				c := 2*i + 1
+				if c >= k {
+					break
+				}
+				if c+1 < k && nanFirstLess(h[c], h[c+1]) {
+					c++
+				}
+				if !nanFirstLess(h[i], h[c]) {
+					break
+				}
+				h[i], h[c] = h[c], h[i]
+				i = c
+			}
+		}
+	}
+	sort.Float64s(h)
+	return h
+}
+
+// nanFirstLess is sort.Float64s's order: NaN before every number.
+func nanFirstLess(a, b float64) bool {
+	return a < b || (a != a && b == b)
+}
+
+// within returns, for each threshold ts[j], the number of distances <= it,
+// counted exactly as a binary search for Nextafter(ts[j], +Inf) in the
+// sort.Float64s-sorted distances counts them: the values not >= that
+// bound, which takes in NaN distances (sorted first) and, for a NaN
+// threshold, every distance. One pass serves all thresholds; a distance
+// at or past every bound costs one compare.
+func within(dists, ts []float64) []float64 {
+	bounds := make([]float64, len(ts))
+	top := math.Inf(-1)
+	for j, t := range ts {
+		bounds[j] = math.Nextafter(t, math.Inf(1))
+		top = max(top, bounds[j]) // a NaN bound makes top NaN: nothing is passed over
+	}
+	counts := make([]float64, len(ts))
+	for _, d := range dists {
+		if d >= top {
+			continue
+		}
+		for j, b := range bounds {
+			if !(d >= b) {
+				counts[j]++
+			}
+		}
+	}
+	return counts
 }
 
 // Split divides the workload 80:10:10 into train/validation/test *by

@@ -390,3 +390,13 @@ func TestSampleLike(t *testing.T) {
 		t.Fatalf("SampleLike on cosine dataset must stay normalized")
 	}
 }
+
+// BenchmarkGeometricWorkload labels the δ_U workload selestd builds from
+// -data at start-up, at the selbench fixture's shape: 10k × 64 rows, 128
+// query vectors, 4 thresholds each.
+func BenchmarkGeometricWorkload(b *testing.B) {
+	db := smallDB(44, 10000, 64, distance.Euclidean)
+	for b.Loop() {
+		GeometricWorkload(rand.New(rand.NewSource(1)), db, 128, 4)
+	}
+}
