@@ -117,8 +117,10 @@ func (p *Partitioning) Indicator(x []float64, t float64) []bool {
 // IndicatorInto is the allocation-free Indicator used by the serving hot
 // path: out (len K) receives the per-cluster activations and qbuf
 // (len(x), scratch) holds the normalized query for cosine datasets. out
-// and qbuf are fully overwritten. The decisions are exactly those of
-// L2(x, c) <= thr, with thr = t + radius, for each ball of center c:
+// and qbuf are fully overwritten. It returns the number of exact ball
+// tests (distance.L2Within calls) it made. The decisions are exactly
+// those of L2(x, c) <= thr, with thr = t + radius, for each ball of
+// center c:
 //
 //   - The triangle inequality bounds L2(x, c) >= |‖x‖ − ‖c‖|, so a ball
 //     whose norm gap exceeds thr is out of reach. The gap must exceed
@@ -130,12 +132,17 @@ func (p *Partitioning) Indicator(x []float64, t float64) []bool {
 //     non-finite ‖x‖ turns the skip off; a NaN thr never skips.
 //   - Every ball not skipped is decided by distance.L2Within, which
 //     abandons a ball once a partial sum proves it out of reach.
-func (p *Partitioning) IndicatorInto(out []bool, qbuf, x []float64, t float64) {
-	p.indicatorInto(out, qbuf, x, t)
+//
+// Each element is monotone in t: the distance does not depend on t,
+// fl(t + radius) and distance.CosineToL2Threshold are non-decreasing,
+// so a cluster active at t stays active at every larger t. A NaN t
+// activates no cluster of a geometric partitioning.
+func (p *Partitioning) IndicatorInto(out []bool, qbuf, x []float64, t float64) (tests int) {
+	return p.indicatorInto(out, qbuf, x, t)
 }
 
-// indicatorInto is IndicatorInto; it returns the number of exact ball
-// tests (L2Within calls) it made, the work the skip bound saves.
+// indicatorInto is IndicatorInto under the name the package's tests
+// call.
 func (p *Partitioning) indicatorInto(out []bool, qbuf, x []float64, t float64) (tests int) {
 	if p.allActive {
 		for i := range out {
@@ -143,8 +150,31 @@ func (p *Partitioning) indicatorInto(out []bool, qbuf, x []float64, t float64) (
 		}
 		return 0
 	}
-	qx := x
-	qt := t
+	qx, qt, nx := p.query(qbuf, x, t)
+	for i := range p.Clusters {
+		var n int
+		out[i], n = p.Clusters[i].within(qx, qt, nx)
+		tests += n
+	}
+	return tests
+}
+
+// Active is element i of IndicatorInto(x, t), deciding cluster i alone
+// with the same skip bound and exact tests; qbuf is as there. It also
+// returns the number of exact ball tests it made.
+func (p *Partitioning) Active(i int, qbuf, x []float64, t float64) (active bool, tests int) {
+	if p.allActive {
+		return true, 0
+	}
+	qx, qt, nx := p.query(qbuf, x, t)
+	return p.Clusters[i].within(qx, qt, nx)
+}
+
+// query maps (x, t) into the balls' space — for cosine datasets the
+// normalized query, written to qbuf, and the l2 threshold — and returns
+// it with its norm.
+func (p *Partitioning) query(qbuf, x []float64, t float64) (qx []float64, qt, nx float64) {
+	qx, qt = x, t
 	if p.convert {
 		copy(qbuf, x)
 		if n := distance.Norm(x); n != 0 {
@@ -155,23 +185,25 @@ func (p *Partitioning) indicatorInto(out []bool, qbuf, x []float64, t float64) (
 		qx = qbuf
 		qt = distance.CosineToL2Threshold(t)
 	}
-	nx := distance.Norm(qx)
+	return qx, qt, distance.Norm(qx)
+}
+
+// within reports whether the query ball (qx, qt) of norm nx meets a
+// ball of c, and the number of exact ball tests it made (see
+// IndicatorInto for the skip bound).
+func (c *Cluster) within(qx []float64, qt, nx float64) (active bool, tests int) {
 	skip := nx <= math.MaxFloat64 // false for +Inf and NaN
-	for i, c := range p.Clusters {
-		out[i] = false
-		for _, b := range c.Balls {
-			thr := qt + b.Radius
-			if skip && math.Abs(nx-b.norm) > thr+1e-9*(nx+b.norm)+0x1p-500 {
-				continue
-			}
-			tests++
-			if distance.L2Within(qx, b.Center, thr) {
-				out[i] = true
-				break
-			}
+	for _, b := range c.Balls {
+		thr := qt + b.Radius
+		if skip && math.Abs(nx-b.norm) > thr+1e-9*(nx+b.norm)+0x1p-500 {
+			continue
+		}
+		tests++
+		if distance.L2Within(qx, b.Center, thr) {
+			return true, tests
 		}
 	}
-	return tests
+	return false, tests
 }
 
 // PrimaryRegion attributes a query to the single cluster that "owns"

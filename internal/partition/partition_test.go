@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -134,20 +135,67 @@ func TestIndicatorActivatesOwnCluster(t *testing.T) {
 	}
 }
 
-func TestIndicatorMonotoneInThreshold(t *testing.T) {
-	db := testDB(17, 200, 4, distance.Euclidean)
-	rng := rand.New(rand.NewSource(18))
-	p := Build(rng, db, 4, 0.1, KMeans)
-	x := db.Vecs[0]
-	prev := p.Indicator(x, 0.1)
-	for _, threshold := range []float64{0.5, 1, 2, 5} {
-		cur := p.Indicator(x, threshold)
-		for i := range cur {
-			if prev[i] && !cur[i] {
-				t.Fatalf("indicator lost a cluster as t grew")
+// The lazy gate of selnet's estimate loop scans a threshold ladder once,
+// at its largest threshold, and tests a row only below a threshold
+// already proven active; both rest on this: for t1 <= t2, a cluster
+// IndicatorInto activates at t1 it activates at t2, and Active(i) is
+// element i of IndicatorInto. Thresholds cover 0, negatives, subnormals,
+// ±Inf and each ball's edge fl(L2(x, c) − r) with its Nextafter
+// neighbours; a NaN threshold activates nothing.
+func TestIndicatorMonotoneInT(t *testing.T) {
+	for _, dist := range []distance.Func{distance.Euclidean, distance.Cosine} {
+		for _, method := range []Method{CoverTree, KMeans} {
+			tag := method.String() + "/" + dist.String()
+			rng := rand.New(rand.NewSource(33))
+			db := vecdata.SyntheticFasttext(rng, 300, 8, dist)
+			wl := vecdata.GeometricWorkload(rng, db, 10, 2)
+			p := Build(rng, db, 3, 0.05, method)
+			queries := [][]float64{make([]float64, 8)}
+			for _, q := range wl.Queries {
+				queries = append(queries, q.X)
+			}
+			qbuf := make([]float64, 8)
+			for _, x := range queries {
+				ts := []float64{math.Inf(-1), -1, -5e-324, math.Copysign(0, -1), 0, 5e-324, 1e-300, wl.TMax, math.Inf(1)}
+				qx := x
+				if p.convert {
+					qx = distance.Normalize(x)
+				}
+				for _, c := range p.Clusters {
+					for _, b := range c.Balls {
+						edge := distance.L2(qx, b.Center) - b.Radius
+						for _, e := range []float64{math.Nextafter(edge, math.Inf(-1)), edge, math.Nextafter(edge, math.Inf(1))} {
+							if p.convert {
+								e = distance.L2ToCosineThreshold(math.Max(e, 0))
+							}
+							ts = append(ts, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+						}
+					}
+				}
+				sort.Float64s(ts)
+				prev := make([]bool, p.K())
+				for _, thr := range ts {
+					cur := make([]bool, p.K())
+					p.IndicatorInto(cur, qbuf, x, thr)
+					for i := range cur {
+						if prev[i] && !cur[i] {
+							t.Fatalf("%s: x %v: cluster %d active below t %v but not at it", tag, x, i, thr)
+						}
+						if a, _ := p.Active(i, qbuf, x, thr); a != cur[i] {
+							t.Fatalf("%s: x %v t %v: Active(%d) %v, IndicatorInto %v", tag, x, thr, i, a, cur[i])
+						}
+					}
+					prev = cur
+				}
+				nan := make([]bool, p.K())
+				p.IndicatorInto(nan, qbuf, x, math.NaN())
+				for i, a := range nan {
+					if act, _ := p.Active(i, qbuf, x, math.NaN()); a || act {
+						t.Fatalf("%s: x %v: cluster %d active at t = NaN", tag, x, i)
+					}
+				}
 			}
 		}
-		prev = cur
 	}
 }
 

@@ -254,7 +254,11 @@ func (p *Partitioned) Estimate(x []float64, t float64) float64 {
 // whose region is active for at least one row runs a single batched
 // head-plan pass over those rows' distinct vectors (gather, not mask),
 // so per-head cost scales with active distinct vectors rather than
-// cluster count times batch size. Like Net.EstimateBatch it is read-only
+// cluster count times batch size. The region indicator is monotone in
+// t, so a threshold ladder is scanned once, at its largest threshold,
+// and a row's own gate is tested only where its head's value is
+// positive and no larger threshold of the ladder has yet been proven
+// active (see plans.run). Like Net.EstimateBatch it is read-only
 // on the parameters and safe for concurrent use (but not concurrently
 // with Fit/HandleUpdate). The allocation-free variant is
 // EstimateBatchInto.

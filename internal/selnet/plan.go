@@ -50,7 +50,7 @@ var alwaysActive = partition.Restore(partition.Random, []partition.Cluster{{}}, 
 
 // plans is a model's compiled inference state: the encoder pool, one
 // head pool per cluster of part, and a scratch pool for the per-call
-// indicator and gather bookkeeping.
+// gate and gather bookkeeping.
 type plans struct {
 	dim     int
 	tmax    float64
@@ -64,8 +64,8 @@ type plans struct {
 // of at most maxPlanBatch runs (ladderRuns).
 type planScratch struct {
 	ends      []int         // [maxPlanBatch] exclusive end row of each run
-	active    []bool        // row-major [chunk rows x K] indicator matrix; grows with the longest chunk
-	runActive []bool        // row-major [maxPlanBatch x K]: cluster active for any row of the run
+	top       []float64     // [maxPlanBatch] largest non-NaN threshold of each run; NaN if it has none
+	runActive []bool        // row-major [maxPlanBatch x K]: indicator of each run at its top
 	gather    []int         // run indices gathered for one head
 	qbuf      []float64     // normalized-query scratch for cosine indicators
 	x         *tensor.Dense // 1 x dim query of a single-row Estimate
@@ -134,7 +134,7 @@ func newPlans(dim int, tmax float64, part *partition.Partitioning, ae *nn.Autoen
 	ps.scratch.New = func() any {
 		return &planScratch{
 			ends:      make([]int, maxPlanBatch),
-			active:    make([]bool, maxPlanBatch*k),
+			top:       make([]float64, maxPlanBatch),
 			runActive: make([]bool, maxPlanBatch*k),
 			gather:    make([]int, 0, maxPlanBatch),
 			qbuf:      make([]float64, dim),
@@ -183,35 +183,41 @@ func (ps *plans) estimateInto(out []float64, x *tensor.Dense, ts []float64) {
 	ps.scratch.Put(sc)
 }
 
-// run is the one estimate loop. Per chunk of up to maxPlanBatch runs of
+// run is the one estimate loop; it returns the number of exact ball
+// tests its gating made. Per chunk of up to maxPlanBatch runs of
 // adjacent bit-identical vectors (ladderRuns), it makes one encoder plan
 // pass over the runs' vectors, then per cluster one head plan pass over
-// the runs whose cluster is active for at least one of their rows.
-// Gating stays per row (the t = 0 end of a ladder prunes best), and each
-// active row adds autodiff.PWLAt over its run's head Tau/P at the
-// clamped threshold when positive, summed in cluster order.
-func (ps *plans) run(sc *planScratch, out []float64, x *tensor.Dense, ts []float64) {
+// the runs whose cluster is active for at least one of their rows, and
+// adds each row's positive autodiff.PWLAt value at the clamped threshold
+// where the row's own indicator is active, summed in cluster order.
+//
+// The gate is evaluated lazily, relying on the indicator being monotone
+// in t (partition.IndicatorInto). One IndicatorInto per run, at its
+// largest non-NaN threshold, is exactly the OR over the run's rows, so
+// it picks the runs each head serves. A row then needs its own gate only
+// when its value is positive (a zero or NaN term adds nothing, which
+// prunes the t = 0 end of a ladder) and its threshold lies below the
+// smallest one already proven active for the (run, cluster); that
+// decision is partition.Active, and a pass proves its threshold.
+func (ps *plans) run(sc *planScratch, out []float64, x *tensor.Dense, ts []float64) (tests int) {
 	k := len(ps.heads)
 	for start := 0; start < x.Rows(); {
 		runs := ladderRuns(sc.ends, x, start)
 		end := sc.ends[runs-1]
-		if need := (end - start) * k; len(sc.active) < need {
-			sc.active = make([]bool, need)
-		}
 		encPl := ps.enc.Get(runs)
 		row := start
 		for r := 0; r < runs; r++ {
-			copy(encPl.X.Row(r), x.Row(row))
-			ra := sc.runActive[r*k : (r+1)*k]
-			clear(ra)
+			q := x.Row(row)
+			copy(encPl.X.Row(r), q)
+			top := math.NaN()
 			for ; row < sc.ends[r]; row++ {
-				act := sc.active[(row-start)*k : (row-start+1)*k]
-				ps.part.IndicatorInto(act, sc.qbuf, x.Row(row), ts[row])
-				for ci, a := range act {
-					ra[ci] = ra[ci] || a
+				if t := ts[row]; t > top || math.IsNaN(top) {
+					top = t
 				}
 				out[row] = 0
 			}
+			sc.top[r] = top
+			tests += ps.part.IndicatorInto(sc.runActive[r*k:(r+1)*k], sc.qbuf, q, top)
 		}
 		encPl.Run()
 		for ci, heads := range ps.heads {
@@ -235,13 +241,22 @@ func (ps *plans) run(sc *planScratch, out []float64, x *tensor.Dense, ts []float
 				if r > 0 {
 					row = sc.ends[r-1]
 				}
+				proven := sc.top[r] // smallest threshold known active for (r, ci)
 				for ; row < sc.ends[r]; row++ {
-					if !sc.active[(row-start)*k+ci] {
+					t := ts[row]
+					v := autodiff.PWLAt(tau, pp, clamp(t, 0, ps.tmax))
+					if !(v > 0) {
 						continue
 					}
-					if v := autodiff.PWLAt(tau, pp, clamp(ts[row], 0, ps.tmax)); v > 0 {
-						out[row] += v
+					if !(t >= proven) {
+						active, n := ps.part.Active(ci, sc.qbuf, x.Row(row), t)
+						tests += n
+						if !active {
+							continue
+						}
+						proven = t
 					}
+					out[row] += v
 				}
 			}
 			heads.Put(hp)
@@ -249,6 +264,7 @@ func (ps *plans) run(sc *planScratch, out []float64, x *tensor.Dense, ts []float
 		ps.enc.Put(encPl)
 		start = end
 	}
+	return tests
 }
 
 // ladderRuns splits the rows of x from start on into runs of adjacent
@@ -321,8 +337,12 @@ func (n *Net) EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64) {
 
 // EstimateBatchInto is the allocation-free partitioned batch estimate:
 // the shared estimate loop of Net.EstimateBatchInto with one head per
-// cluster, each gated per row by its region indicator. Outputs equal
-// Estimate bit for bit.
+// cluster, each gated per row by its region indicator. The gate is
+// lazy: one indicator scan per run at its largest threshold picks the
+// heads to run, and a row's own gate is decided only where its head
+// value is positive and its threshold is below one already proven
+// active (see plans.run). Outputs equal Estimate bit for bit, and equal
+// the eager per-row gate's.
 func (p *Partitioned) EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64) {
 	p.planState().estimateInto(out, x, ts)
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
 	"selnet/internal/autodiff"
 	"selnet/internal/distance"
 	"selnet/internal/infer"
+	"selnet/internal/partition"
 	"selnet/internal/tensor"
 	"selnet/internal/vecdata"
 )
@@ -370,6 +372,333 @@ func TestConcurrentEstimateDuringDropPlans(t *testing.T) {
 	estimators.Wait()
 	close(stop)
 	dropper.Wait()
+}
+
+// ----------------------------------------------------------------------------
+// The lazy gate against the eager per-row gate.
+
+// eagerRun is the estimate loop with the gate decided eagerly: every
+// row's indicator is computed before any head runs, and a row adds its
+// head's positive value wherever its own indicator is active. It is the
+// reference plans.run's lazy gate must match bit for bit, and it returns
+// the exact ball tests it made.
+func eagerRun(ps *plans, out []float64, x *tensor.Dense, ts []float64) (tests int) {
+	k := len(ps.heads)
+	ends := make([]int, maxPlanBatch)
+	runActive := make([]bool, maxPlanBatch*k)
+	qbuf := make([]float64, ps.dim)
+	for start := 0; start < x.Rows(); {
+		runs := ladderRuns(ends, x, start)
+		end := ends[runs-1]
+		active := make([]bool, (end-start)*k)
+		encPl := ps.enc.Get(runs)
+		row := start
+		for r := 0; r < runs; r++ {
+			copy(encPl.X.Row(r), x.Row(row))
+			ra := runActive[r*k : (r+1)*k]
+			clear(ra)
+			for ; row < ends[r]; row++ {
+				act := active[(row-start)*k : (row-start+1)*k]
+				tests += ps.part.IndicatorInto(act, qbuf, x.Row(row), ts[row])
+				for ci, a := range act {
+					ra[ci] = ra[ci] || a
+				}
+				out[row] = 0
+			}
+		}
+		encPl.Run()
+		for ci, heads := range ps.heads {
+			var gather []int
+			for r := 0; r < runs; r++ {
+				if runActive[r*k+ci] {
+					gather = append(gather, r)
+				}
+			}
+			if len(gather) == 0 {
+				continue
+			}
+			hp := heads.Get(len(gather))
+			for j, r := range gather {
+				copy(hp.X.Row(j), encPl.Out.Row(r))
+			}
+			hp.Run()
+			for j, r := range gather {
+				tau, pp := hp.Tau.Row(j), hp.P.Row(j)
+				row := start
+				if r > 0 {
+					row = ends[r-1]
+				}
+				for ; row < ends[r]; row++ {
+					if !active[(row-start)*k+ci] {
+						continue
+					}
+					if v := autodiff.PWLAt(tau, pp, clamp(ts[row], 0, ps.tmax)); v > 0 {
+						out[row] += v
+					}
+				}
+			}
+			heads.Put(hp)
+		}
+		ps.enc.Put(encPl)
+		start = end
+	}
+	return tests
+}
+
+// planned is what the gate tests need of either model type.
+type planned interface {
+	planState() *plans
+	Estimate(x []float64, t float64) float64
+	EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64)
+}
+
+// checkGate fails t unless EstimateBatchInto, and Estimate on the rows
+// picked by single, equal eagerRun bit for bit on (x, ts). It returns the
+// exact ball tests of the lazy and the eager gate.
+func checkGate(t *testing.T, tag string, m planned, x *tensor.Dense, ts []float64, single func(row int) bool) (lazy, eager int) {
+	t.Helper()
+	ps := m.planState()
+	want := make([]float64, len(ts))
+	eager = eagerRun(ps, want, x, ts)
+	got := make([]float64, len(ts))
+	m.EstimateBatchInto(got, x, ts)
+	counted := make([]float64, len(ts))
+	sc := ps.scratch.Get().(*planScratch)
+	lazy = ps.run(sc, counted, x, ts)
+	ps.scratch.Put(sc)
+	one := make([]float64, 1)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(counted[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s row %d (t %v): lazy gate %v (counted run %v), eager gate %v", tag, i, ts[i], got[i], counted[i], want[i])
+		}
+		if !single(i) {
+			continue
+		}
+		eagerRun(ps, one, tensor.RowVector(x.Row(i)), ts[i:i+1])
+		if e := m.Estimate(x.Row(i), ts[i]); math.Float64bits(e) != math.Float64bits(one[0]) {
+			t.Fatalf("%s row %d (t %v): Estimate %v, eager gate %v", tag, i, ts[i], e, one[0])
+		}
+	}
+	return lazy, eager
+}
+
+// gateThresholds returns thresholds for a ladder of x on p: the special
+// values (NaN, ±Inf, negative, ±0), random ones up to 1.3·tmax, and for
+// each ball the threshold at which it starts to meet the query ball,
+// fl(L2(x, c) − r), with its Nextafter neighbours (converted back to a
+// cosine threshold on cosine datasets).
+func gateThresholds(rng *rand.Rand, part *partition.Partitioning, x []float64, tmax float64, cosine bool) []float64 {
+	ts := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-300, math.Copysign(0, -1), 0, tmax, 2 * tmax}
+	for i := 0; i < 8; i++ {
+		ts = append(ts, rng.Float64()*1.3*tmax)
+	}
+	qx := x
+	if cosine {
+		qx = distance.Normalize(x)
+	}
+	for _, c := range part.Clusters {
+		for bi, b := range c.Balls {
+			if bi%5 != 0 {
+				continue
+			}
+			edge := distance.L2(qx, b.Center) - b.Radius
+			for _, e := range []float64{math.Nextafter(edge, math.Inf(-1)), edge, math.Nextafter(edge, math.Inf(1))} {
+				if cosine {
+					e = distance.L2ToCosineThreshold(math.Max(e, 0))
+				}
+				ts = append(ts, e)
+			}
+		}
+	}
+	return ts
+}
+
+// gateLadders builds one batch per threshold order (ascending,
+// descending, shuffled): each vector of vecs is a run of up to 12 rows
+// drawn from gateThresholds.
+func gateLadders(rng *rand.Rand, part *partition.Partitioning, vecs [][]float64, tmax float64, cosine bool) []testBatch {
+	var out []testBatch
+	for _, order := range []string{"ascending", "descending", "shuffled"} {
+		var rows [][]float64
+		var ts []float64
+		for _, v := range vecs {
+			pool := gateThresholds(rng, part, v, tmax, cosine)
+			rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+			run := pool[:1+rng.Intn(min(12, len(pool)))]
+			switch order {
+			case "ascending":
+				sort.Float64s(run)
+			case "descending":
+				sort.Sort(sort.Reverse(sort.Float64Slice(run)))
+			}
+			for _, t := range run {
+				rows = append(rows, v)
+				ts = append(ts, t)
+			}
+		}
+		out = append(out, testBatch{order, tensor.FromRows(rows), ts})
+	}
+	return out
+}
+
+// The lazy gate answers exactly as the eager per-row gate: for every
+// metric, partitioning method and K, over ascending, descending and
+// shuffled ladders holding NaN, ±Inf, negative, zero and ball-edge
+// thresholds, and for single-row Estimate; the Net's always-active
+// gate is covered too.
+func TestLazyGateMatchesEagerGate(t *testing.T) {
+	var lazyTotal, eagerTotal int
+	for _, dist := range []distance.Func{distance.Euclidean, distance.Cosine} {
+		rng := rand.New(rand.NewSource(41))
+		db := vecdata.SyntheticFasttext(rng, 300, 6, dist)
+		wl := vecdata.GeometricWorkload(rng, db, 24, 4)
+		vecs := [][]float64{make([]float64, 6)}
+		for i := 0; i < len(wl.Queries); i += 4 {
+			vecs = append(vecs, wl.Queries[i].X)
+		}
+		for _, method := range []partition.Method{partition.Random, partition.CoverTree, partition.KMeans} {
+			for _, k := range []int{1, 3} {
+				tag := fmt.Sprintf("%s/%s/K=%d", method, dist, k)
+				pcfg := tinyPartitionedConfig(wl.TMax)
+				pcfg.Method, pcfg.K = method, k
+				p := NewPartitioned(rand.New(rand.NewSource(42)), db, pcfg)
+				batches := gateLadders(rng, p.part, vecs, wl.TMax, dist == distance.Cosine)
+				b := testBatches(6, 40)[1]
+				for i := range b.ts {
+					b.ts[i] *= wl.TMax
+				}
+				for _, b := range append(batches, b) {
+					l, e := checkGate(t, tag+"/"+b.name, p, b.x, b.ts, func(row int) bool { return row%3 == 0 })
+					lazyTotal += l
+					eagerTotal += e
+				}
+			}
+		}
+	}
+	n := planTestNet(43, 6)
+	for _, b := range gateLadders(rand.New(rand.NewSource(44)), alwaysActive, [][]float64{make([]float64, 6), {1, 2, 3, 4, 5, 6}}, 1, false) {
+		checkGate(t, "net/"+b.name, n, b.x, b.ts, func(int) bool { return true })
+	}
+	t.Logf("exact ball tests: lazy %d, eager %d", lazyTotal, eagerTotal)
+}
+
+// TestLazyGateBallTests pins the work the lazy gate saves on the
+// fixture of BenchmarkPartitionedEstimateBatchLadder (selbench's
+// batch_scan request in process: 32 vectors x 8 ascending thresholds,
+// 64-d, K = 3 cover-tree partitioning) after a short Fit: a ladder's
+// t = 0 rows meet heads that answer 0, and its other rows sit at or
+// above a threshold already proven active.
+func TestLazyGateBallTests(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	db := vecdata.SyntheticFasttext(rng, 2000, 64, distance.Euclidean)
+	wl := vecdata.GeometricWorkload(rng, db, 32, 8)
+	pcfg := DefaultPartitionedConfig()
+	pcfg.Model.TMax = wl.TMax
+	pcfg.PretrainEpochs = 2
+	p := NewPartitioned(rng, db, pcfg)
+	tc := DefaultTrainConfig()
+	tc.Epochs, tc.AEPretrainEpochs, tc.AEPretrainSample = 5, 2, 500
+	p.Fit(tc, db, wl.Queries, nil)
+	x, tcol, _ := vecdata.Matrices(wl.Queries)
+	lazy, eager := checkGate(t, "ladder", p, x, tcol.Data(), func(int) bool { return false })
+	t.Logf("%d rows: %d exact ball tests, eager gate %d", len(wl.Queries), lazy, eager)
+	if lazy*3 > eager {
+		t.Fatalf("%d exact ball tests, eager gate %d: want at least 3x fewer", lazy, eager)
+	}
+}
+
+// gateFuzzModels are the fuzz target's models: K = 3 partitioned models
+// over 4-d data, a Euclidean cover tree and a cosine k-means, with the
+// vectors its inputs draw from (a zero vector, workload queries, a ball
+// center and a far point).
+func gateFuzzModels() (models []*Partitioned, vecs [][][]float64, tmax []float64) {
+	for _, c := range []struct {
+		dist   distance.Func
+		method partition.Method
+	}{{distance.Euclidean, partition.CoverTree}, {distance.Cosine, partition.KMeans}} {
+		rng := rand.New(rand.NewSource(51))
+		db := vecdata.SyntheticFasttext(rng, 200, 4, c.dist)
+		wl := vecdata.GeometricWorkload(rng, db, 8, 2)
+		pcfg := tinyPartitionedConfig(wl.TMax)
+		pcfg.Method = c.method
+		p := NewPartitioned(rng, db, pcfg)
+		vs := [][]float64{make([]float64, 4)}
+		for i := 0; i < 5; i++ {
+			vs = append(vs, wl.Queries[2*i].X)
+		}
+		center := p.part.Clusters[0].Balls[0].Center
+		far := make([]float64, 4)
+		for i, v := range center {
+			far[i] = 100*v + 1
+		}
+		models = append(models, p)
+		vecs = append(vecs, append(vs, center, far))
+		tmax = append(tmax, wl.TMax)
+	}
+	return models, vecs, tmax
+}
+
+// decodeGateLadder turns fuzz bytes into a batch: each byte is one row.
+// Bit 7 starts a new run on vector (b>>4)&7 (a repeat of the previous
+// vector extends its run); the low nibble picks the threshold: NaN, ±Inf,
+// −1, −0, 0, free, or k/6·tmax for k = 0..8.
+func decodeGateLadder(data []byte, vecs [][]float64, tmax, free float64) (*tensor.Dense, []float64) {
+	if len(data) > 300 {
+		data = data[:300]
+	}
+	var rows [][]float64
+	var ts []float64
+	v := -1
+	for _, b := range data {
+		if b&0x80 != 0 || v < 0 {
+			v = int(b>>4) & 7
+		}
+		var t float64
+		switch n := int(b & 15); n {
+		case 0:
+			t = math.NaN()
+		case 1:
+			t = math.Inf(1)
+		case 2:
+			t = math.Inf(-1)
+		case 3:
+			t = -1
+		case 4:
+			t = math.Copysign(0, -1)
+		case 5:
+			t = 0
+		case 6:
+			t = free
+		default:
+			t = float64(n-7) / 6 * tmax
+		}
+		rows = append(rows, vecs[v])
+		ts = append(ts, t)
+	}
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	return tensor.FromRows(rows), ts
+}
+
+// FuzzGateMatchesPerRow checks the lazy gate against the eager per-row
+// gate on decoded ladders of any threshold order.
+func FuzzGateMatchesPerRow(f *testing.F) {
+	models, vecs, tmax := gateFuzzModels()
+	ascending := []byte{0x95, 0x17, 0x18, 0x19, 0x1b, 0x1d, 0x1f}
+	f.Add(ascending, 0.0)
+	f.Add([]byte{0xaf, 0x2e, 0x2c, 0x2a, 0x28, 0x25, 0x24, 0x23}, 0.0)
+	f.Add([]byte{0xc9, 0x40, 0x41, 0x42, 0x4b, 0x46, 0x47, 0xd8, 0xe0, 0xf1, 0x8f}, 1e-300)
+	f.Add(append(append([]byte{}, ascending...), 0xf6, 0x76, 0x8e, 0xb6), math.Inf(1))
+	f.Fuzz(func(t *testing.T, data []byte, free float64) {
+		for mi, p := range models {
+			x, ts := decodeGateLadder(data, vecs[mi], tmax[mi], free)
+			if x == nil {
+				return
+			}
+			checkGate(t, fmt.Sprintf("model %d", mi), p, x, ts, func(row int) bool { return row < 4 })
+		}
+	})
 }
 
 // ----------------------------------------------------------------------------

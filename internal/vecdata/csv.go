@@ -12,8 +12,12 @@ import (
 	"selnet/internal/distance"
 )
 
+// maxSquaredNorm is the largest squared norm ReadCSV accepts for a row.
+const maxSquaredNorm = math.MaxFloat64 / 8
+
 // ReadCSV parses a vector dataset from r: one vector per line,
-// comma-separated finite float64 components, all lines the same width.
+// comma-separated finite float64 components, all lines the same width,
+// each line's squared norm at most MaxFloat64/8.
 // Blank lines and lines starting with '#' are skipped. This lets the estimators
 // run on real embedding dumps (e.g. fasttext .vec files converted to CSV)
 // instead of the synthetic stand-ins.
@@ -30,6 +34,7 @@ func ReadCSV(r io.Reader, name string, dist distance.Func) (*Database, error) {
 		}
 		parts := strings.Split(text, ",")
 		v := make([]float64, len(parts))
+		var sq float64
 		for i, p := range parts {
 			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 			if err != nil {
@@ -42,6 +47,15 @@ func ReadCSV(r io.Reader, name string, dist distance.Func) (*Database, error) {
 				return nil, fmt.Errorf("vecdata: line %d component %d: non-finite value %q", line, i+1, p)
 			}
 			v[i] = f
+			sq += f * f
+		}
+		// A finite row can still overflow: ‖a − b‖² ≤ 2‖a‖² + 2‖b‖²
+		// reaches +Inf once squared norms pass MaxFloat64/4, and the
+		// labels and Selectivity then disagree as for non-finite rows.
+		// The bound keeps every pairwise squared distance, and the
+		// cosine normalisation, finite.
+		if sq > maxSquaredNorm {
+			return nil, fmt.Errorf("vecdata: line %d: squared norm %g exceeds %g, distances would overflow", line, sq, maxSquaredNorm)
 		}
 		if len(vecs) > 0 && len(v) != len(vecs[0]) {
 			return nil, fmt.Errorf("vecdata: line %d has %d components, expected %d", line, len(v), len(vecs[0]))

@@ -2,6 +2,8 @@ package vecdata
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -40,6 +42,35 @@ func TestReadCSVErrors(t *testing.T) {
 		_, err := ReadCSV(strings.NewReader(in), "x", distance.Euclidean)
 		if err == nil || !strings.Contains(err.Error(), "line 3 component 2") {
 			t.Fatalf("%s: err = %v, want an error naming line 3 component 2", bad, err)
+		}
+	}
+	// Finite coordinates whose distances overflow are rejected too: a
+	// 300-row, 4-d file with 1e200·(1+i) on every tenth row made the
+	// workload labels disagree with Selectivity on 60 of 1 200 Euclidean
+	// and 120 of 1 200 cosine queries.
+	var big strings.Builder
+	for i := 0; i < 300; i++ {
+		x := 0.5 + float64(i%7)/10
+		if i%10 == 0 {
+			x = 1e200 * float64(1+i)
+		}
+		fmt.Fprintf(&big, "%g,0.25,0.5,0.75\n", x)
+	}
+	for _, dist := range []distance.Func{distance.Euclidean, distance.Cosine} {
+		_, err := ReadCSV(strings.NewReader(big.String()), "x", dist)
+		if err == nil || !strings.Contains(err.Error(), "line 1:") || !strings.Contains(err.Error(), "overflow") {
+			t.Fatalf("%s: err = %v, want an overflow error naming line 1", dist, err)
+		}
+	}
+	// The bound sits at a squared norm of MaxFloat64/8.
+	edge := math.Sqrt(math.MaxFloat64 / 8)
+	for _, c := range []struct {
+		x  float64
+		ok bool
+	}{{edge * (1 - 1e-15), true}, {edge * (1 + 1e-15), false}} {
+		_, err := ReadCSV(strings.NewReader(fmt.Sprintf("%g,0\n", c.x)), "x", distance.Euclidean)
+		if (err == nil) != c.ok {
+			t.Fatalf("x = %g: err = %v, want accepted %v", c.x, err, c.ok)
 		}
 	}
 }
