@@ -224,8 +224,8 @@ func BenchmarkEstimateUMNN(b *testing.B)     { benchEstimate(b, "UMNN") }
 func BenchmarkEstimateDLN(b *testing.B)      { benchEstimate(b, "DLN") }
 
 // Serving-path benchmarks: single estimates through the selestd
-// per-model Batcher against naive per-request Estimate calls, at >= 8
-// concurrent clients.
+// per-model Batcher against direct Estimate calls, at >= 8 concurrent
+// clients.
 
 func servingNet() *selnet.Net {
 	cfg := selnet.DefaultConfig()
@@ -256,12 +256,13 @@ func setClients(b *testing.B, n int) {
 	b.SetParallelism(p)
 }
 
-// BenchmarkServeCoalesced drives single estimates through a model's
-// serve.Batcher from 8 concurrent clients. Every Submit runs on its
-// caller's goroutine, so this should agree with BenchmarkServeNaive
-// within noise: the difference is the Batcher's admission gate,
-// request counter and timing.
-func BenchmarkServeCoalesced(b *testing.B) {
+// BenchmarkBatcherSubmitParallel and BenchmarkNetEstimateParallel run
+// single estimates from 8 concurrent clients, through a model's
+// serve.Batcher and by calling the model's Estimate directly. Every
+// Submit runs on its caller's goroutine, so the two agree within noise:
+// the difference is the Batcher's admission gate, request counter and
+// timing.
+func BenchmarkBatcherSubmitParallel(b *testing.B) {
 	net := servingNet()
 	batcher := serve.NewBatcher(net, serve.BatcherConfig{})
 	defer batcher.Close()
@@ -282,7 +283,7 @@ func BenchmarkServeCoalesced(b *testing.B) {
 	})
 }
 
-func BenchmarkServeNaive(b *testing.B) {
+func BenchmarkNetEstimateParallel(b *testing.B) {
 	net := servingNet()
 	queries := servingQueries(256, net.Dim())
 	setClients(b, 8)
@@ -346,14 +347,13 @@ func BenchmarkServeEstimateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkServeShadowSampled proves the shadow-scoring tap costs the
-// serving path nothing: the loop is the inference hot path (compiled
-// plan Estimate) plus the Offer tap at a 10% sample rate, while the
-// oracle worker scores the sampled queries concurrently against an
-// exact ground-truth scan. ReportAllocs counts allocations from every
-// goroutine, so 0 allocs/op certifies the tap AND the async scoring
-// pipeline (sampler, oracle, rolling aggregates, worst-N) — not just
-// the unsampled fast path.
+// BenchmarkServeShadowSampled times the shadow-scoring tap on the
+// serving path: the loop is the inference hot path (compiled plan
+// Estimate) plus the Offer tap at a 10% sample rate, while the oracle
+// worker scores the sampled queries concurrently against an exact
+// ground-truth scan. TestShadowSampledServeZeroAllocs in
+// internal/ingest pins the same loop, tap and scoring pipeline
+// (sampler, oracle, rolling aggregates, worst-N), at 0 allocations.
 func BenchmarkServeShadowSampled(b *testing.B) {
 	net := servingNet()
 	queries := servingQueries(256, net.Dim())

@@ -227,30 +227,70 @@ func TestEstimateBatchZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPartitionedEstimateBatchZeroAllocs pins the partitioned model on
+// both metrics: a cosine model normalizes each query into a pooled
+// buffer before gating (Partitioning.query), and the experiments'
+// "SelNet" is a K = 3 cover-tree Partitioned on cosine data.
 func TestPartitionedEstimateBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	db, wl := testWorkload(31, 300, 8, 8, 4)
-	p := NewPartitioned(rand.New(rand.NewSource(32)), db, tinyPartitionedConfig(wl.TMax))
-	for _, b := range testBatches(8, 1, 64) {
-		for i := range b.ts {
-			b.ts[i] *= wl.TMax
-		}
-		out := make([]float64, len(b.ts))
-		p.EstimateBatchInto(out, b.x, b.ts)
-		if got := testing.AllocsPerRun(100, func() {
-			p.EstimateBatchInto(out, b.x, b.ts)
-		}); got != 0 {
-			t.Fatalf("%s partitioned EstimateBatchInto allocates %v per run, want 0", b.name, got)
-		}
+	for _, dist := range []distance.Func{distance.Euclidean, distance.Cosine} {
+		t.Run(dist.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			db := vecdata.SyntheticFasttext(rng, 300, 8, dist)
+			wl := vecdata.GeometricWorkload(rng, db, 8, 4)
+			p := NewPartitioned(rand.New(rand.NewSource(32)), db, tinyPartitionedConfig(wl.TMax))
+			for _, b := range testBatches(8, 1, 64) {
+				for i := range b.ts {
+					b.ts[i] *= wl.TMax
+				}
+				out := make([]float64, len(b.ts))
+				p.EstimateBatchInto(out, b.x, b.ts)
+				if got := testing.AllocsPerRun(100, func() {
+					p.EstimateBatchInto(out, b.x, b.ts)
+				}); got != 0 {
+					t.Fatalf("%s partitioned EstimateBatchInto allocates %v per run, want 0", b.name, got)
+				}
+			}
+			q := wl.Queries[0]
+			p.Estimate(q.X, q.T)
+			if got := testing.AllocsPerRun(100, func() {
+				p.Estimate(q.X, q.T)
+			}); got != 0 {
+				t.Fatalf("partitioned Estimate allocates %v per run, want 0", got)
+			}
+		})
 	}
-	q := make([]float64, 8)
-	p.Estimate(q, wl.TMax/2)
+}
+
+// The kernel-timed plan path (selestd -kernel-timing) reads the clock
+// around every step and bumps per-kernel counters; it must stay
+// allocation-free like the untimed one.
+func TestEstimateKernelTimingZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	n := benchPlanNet()
+	q := make([]float64, 16)
+	for i := range q {
+		q[i] = float64(i) / 16
+	}
+	n.Estimate(q, 0.5) // compile
+	defer infer.SetKernelTiming(infer.KernelTimingEnabled())
+	infer.SetKernelTiming(true)
+	infer.ResetKernelStats()
 	if got := testing.AllocsPerRun(100, func() {
-		p.Estimate(q, wl.TMax/2)
+		n.Estimate(q, 0.5)
 	}); got != 0 {
-		t.Fatalf("partitioned Estimate allocates %v per run, want 0", got)
+		t.Fatalf("kernel-timed Estimate allocates %v per run, want 0", got)
+	}
+	var calls uint64
+	for _, k := range infer.KernelStats() {
+		calls += k.Calls
+	}
+	if calls == 0 {
+		t.Fatal("no kernel was timed")
 	}
 }
 
@@ -727,9 +767,8 @@ func BenchmarkNetEstimatePlan(b *testing.B) {
 // BenchmarkNetEstimatePlanKernels runs the single-query plan path with
 // per-kernel timing enabled and reports each kernel's attributed time
 // and call count as custom metrics (kernel:<name>:ns/op,
-// kernel:<name>:calls/op) that benchjson folds into the kernel_timings
-// section of BENCH_infer.json. Also guards that the timed path itself
-// stays allocation-free.
+// kernel:<name>:calls/op). TestEstimateKernelTimingZeroAllocs pins the
+// timed path's allocations.
 func BenchmarkNetEstimatePlanKernels(b *testing.B) {
 	n := benchPlanNet()
 	q := make([]float64, 16)

@@ -153,7 +153,7 @@ func TestEstimatorConformance(t *testing.T) {
 				}
 			}
 
-			// EstimateBatch must agree with the scalar path pair-for-pair:
+			// EstimateBatch must agree with the scalar path bit for bit:
 			// the server batches transparently, so a divergence would make
 			// an estimate depend on traffic shape.
 			got := est.EstimateBatch(x, tcol)
@@ -161,7 +161,7 @@ func TestEstimatorConformance(t *testing.T) {
 				t.Fatalf("EstimateBatch returned %d estimates for %d pairs", len(got), len(want))
 			}
 			for i := range want {
-				if diff := math.Abs(got[i] - want[i]); diff > 1e-9*(1+math.Abs(want[i])) {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Errorf("pair %d: batch %g vs scalar %g", i, got[i], want[i])
 				}
 			}
@@ -261,7 +261,7 @@ func TestEveryKindServesOverHTTP(t *testing.T) {
 			t.Fatalf("estimate via %s: %d %s", kind, resp.StatusCode, body)
 		}
 		mustUnmarshal(t, body, &out)
-		if want := est.Estimate(q, tt); math.Abs(out.Estimate-want) > 1e-9*(1+math.Abs(want)) {
+		if want := est.Estimate(q, tt); math.Float64bits(out.Estimate) != math.Float64bits(want) {
 			t.Errorf("%s over HTTP = %g, in-process %g", kind, out.Estimate, want)
 		}
 	}

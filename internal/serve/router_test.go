@@ -340,9 +340,26 @@ func TestValidRouterMode(t *testing.T) {
 	}
 }
 
-// BenchmarkRouterEstimate measures the routed single-estimate hot path:
-// resolution must stay allocation-free once the (table, dim) decision
-// is cached.
+// Routing a single estimate must stay allocation-free once the
+// (table, dim) decision is cached.
+func TestRouteZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	_, rt := routerRegistry(t, "auto", "kde", "selnet")
+	route := func() {
+		if _, err := rt.Route("auto", 3); err != nil {
+			t.Fatalf("route: %v", err)
+		}
+	}
+	route() // warm the cache
+	if got := testing.AllocsPerRun(200, route); got != 0 {
+		t.Fatalf("Router.Route allocates %v per call, want 0", got)
+	}
+}
+
+// BenchmarkRouterEstimate measures the routed single-estimate hot path;
+// TestRouteZeroAllocs pins its allocations.
 func BenchmarkRouterEstimate(b *testing.B) {
 	_, rt := routerRegistry(b, "auto", "kde", "selnet")
 	if _, err := rt.Route("auto", 3); err != nil { // warm the cache

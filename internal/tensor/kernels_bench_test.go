@@ -7,8 +7,7 @@ import (
 
 // benchShapes is the BenchmarkMatMul sweep: powers of two from 8 to 512
 // square, plus SelNet's real layer shapes (the encoder/head matmuls at
-// batch 64 and batch 1). CI runs the sweep through cmd/benchjson and
-// fails on ns/op regressions against the committed baseline.
+// batch 64 and batch 1).
 var benchShapes = [][3]int{
 	{8, 8, 8}, {16, 16, 16}, {32, 32, 32}, {64, 64, 64},
 	{128, 128, 128}, {256, 256, 256}, {512, 512, 512},
