@@ -750,12 +750,20 @@ func benchPlanNet() *Net {
 	return NewNet(rand.New(rand.NewSource(1)), 16, cfg)
 }
 
-func BenchmarkNetEstimatePlan(b *testing.B) {
-	n := benchPlanNet()
+// benchPlanQuery is a 16-d query with components drawn from one seeded
+// generator.
+func benchPlanQuery() []float64 {
+	rng := rand.New(rand.NewSource(2))
 	q := make([]float64, 16)
 	for i := range q {
-		q[i] = rand.New(rand.NewSource(2)).Float64()
+		q[i] = rng.Float64()
 	}
+	return q
+}
+
+func BenchmarkNetEstimatePlan(b *testing.B) {
+	n := benchPlanNet()
+	q := benchPlanQuery()
 	n.Estimate(q, 0.5) // compile
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -771,10 +779,7 @@ func BenchmarkNetEstimatePlan(b *testing.B) {
 // timed path's allocations.
 func BenchmarkNetEstimatePlanKernels(b *testing.B) {
 	n := benchPlanNet()
-	q := make([]float64, 16)
-	for i := range q {
-		q[i] = rand.New(rand.NewSource(2)).Float64()
-	}
+	q := benchPlanQuery()
 	n.Estimate(q, 0.5) // compile
 	infer.SetKernelTiming(true)
 	defer infer.SetKernelTiming(false)

@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"selnet/internal/decimal"
 )
 
 // maxBodyBytes caps request bodies, both when decoding locally and when
@@ -263,53 +264,15 @@ func (s *scanner) str() ([]byte, bool) {
 	return nil, false
 }
 
-// num reads a number in the JSON grammar and parses it with
-// strconv.ParseFloat, as encoding/json does, so the bits agree. A
-// number outside float64's range, which encoding/json rejects, is
-// declined.
+// num reads a number in the JSON grammar with decimal.Parse, which
+// reads its digits once and returns strconv.ParseFloat's value, as
+// encoding/json does, so the bits agree. A number outside float64's
+// range, which encoding/json rejects, is declined.
 func (s *scanner) num() (float64, bool) {
 	s.ws()
-	b, i := s.b, s.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
-	default:
-		return 0, false
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			return 0, false
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digits(b, i)
-		if j == i {
-			return 0, false
-		}
-		i = j
-	}
-	v, err := strconv.ParseFloat(string(b[s.i:i]), 64)
-	s.i = i
-	return v, err == nil
-}
-
-// digits returns the index past the decimal digits starting at b[i].
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	v, n, ok := decimal.Parse(s.b[s.i:])
+	s.i += n
+	return v, ok
 }
 
 // row appends one array of numbers to dst.

@@ -11,7 +11,9 @@ import (
 	"sync"
 	"testing"
 
+	"selnet/internal/distance"
 	"selnet/internal/tensor"
+	"selnet/internal/vecdata"
 )
 
 // checkScan runs the scanner over body and, when it accepts, checks that
@@ -385,6 +387,40 @@ func TestEstimateErrorsUnchanged(t *testing.T) {
 		mustUnmarshal(t, rw.Body.Bytes(), &e)
 		if rw.Code != tc.status || e.Error.Message != tc.message {
 			t.Errorf("%s %s: %d %q, want %d %q", tc.route, tc.body, rw.Code, e.Error.Message, tc.status, tc.message)
+		}
+	}
+}
+
+// BenchmarkDecodeBatchBody scans a batch body shaped like selbench's
+// batch_scan requests (the body decimal's TestFastPathCoversClientBodies
+// checks): 32 jittered fasttext-like vectors of 64 dims, each at its 8
+// ascending thresholds, written by json.Marshal.
+func BenchmarkDecodeBatchBody(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	db := vecdata.SyntheticFasttext(rng, 2000, 64, distance.Euclidean)
+	wl := vecdata.GeometricWorkload(rng, db, 32, 8)
+	req := estimateBatchRequest{Model: "part"}
+	for i := 0; i < len(wl.Queries); i += 8 {
+		x := make([]float64, db.Dim)
+		for j, v := range wl.Queries[i].X {
+			x[j] = v + rng.NormFloat64()*1e-3
+		}
+		for _, q := range wl.Queries[i : i+8] {
+			req.Queries = append(req.Queries, x)
+			req.Ts = append(req.Ts, q.T)
+		}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var e estimateBody
+	e.raw.Write(body)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if !e.scan(true) || e.n != 256 {
+			b.Fatalf("scanner declined the body or read %d rows", e.n)
 		}
 	}
 }

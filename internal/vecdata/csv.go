@@ -2,6 +2,7 @@ package vecdata
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"selnet/internal/decimal"
 	"selnet/internal/distance"
 )
 
@@ -20,7 +22,11 @@ const maxSquaredNorm = math.MaxFloat64 / 8
 // each line's squared norm at most MaxFloat64/8.
 // Blank lines and lines starting with '#' are skipped. This lets the estimators
 // run on real embedding dumps (e.g. fasttext .vec files converted to CSV)
-// instead of the synthetic stand-ins.
+// instead of the synthetic stand-ins. A component in the JSON number
+// grammar, as WriteCSV writes it, is parsed in one pass by
+// decimal.Parse; any other (+1, .5, Inf, a typo) goes to
+// strconv.ParseFloat, which decides it and words its errors. Both give
+// the same bits.
 func ReadCSV(r io.Reader, name string, dist distance.Func) (*Database, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -28,25 +34,30 @@ func ReadCSV(r io.Reader, name string, dist distance.Func) (*Database, error) {
 	line := 0
 	for scanner.Scan() {
 		line++
-		text := strings.TrimSpace(scanner.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := bytes.TrimSpace(scanner.Bytes())
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		parts := strings.Split(text, ",")
-		v := make([]float64, len(parts))
+		v := make([]float64, 0, bytes.Count(text, []byte(","))+1)
 		var sq float64
-		for i, p := range parts {
-			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return nil, fmt.Errorf("vecdata: line %d component %d: %w", line, i+1, err)
+		for more := true; more; {
+			var p []byte
+			p, text, more = bytes.Cut(text, []byte(","))
+			field := bytes.TrimSpace(p)
+			f, n, ok := decimal.Parse(field)
+			if !ok || n != len(field) {
+				var err error
+				if f, err = strconv.ParseFloat(string(field), 64); err != nil {
+					return nil, fmt.Errorf("vecdata: line %d component %d: %w", line, len(v)+1, err)
+				}
 			}
 			// A non-finite coordinate makes distances to its row NaN or
 			// +Inf, which the workload labels and Selectivity (d <= t)
 			// count differently.
 			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, fmt.Errorf("vecdata: line %d component %d: non-finite value %q", line, i+1, p)
+				return nil, fmt.Errorf("vecdata: line %d component %d: non-finite value %q", line, len(v)+1, p)
 			}
-			v[i] = f
+			v = append(v, f)
 			sq += f * f
 		}
 		// A finite row can still overflow: ‖a − b‖² ≤ 2‖a‖² + 2‖b‖²
