@@ -93,6 +93,7 @@ import (
 
 	"selnet/internal/cluster"
 	"selnet/internal/distance"
+	"selnet/internal/estimator"
 	"selnet/internal/infer"
 	"selnet/internal/ingest"
 	"selnet/internal/modelcodec"
@@ -467,7 +468,7 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 		}
 	}()
 
-	loaded := map[string]serve.Estimator{}
+	loaded := map[string]estimator.Estimator{}
 	for _, spec := range models {
 		name, path, ok := strings.Cut(spec, "=")
 		if !ok {
@@ -611,7 +612,7 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 // the model's durable state first (snapshot + write-ahead-log replay)
 // and the directory is scanned for journals whose models are not
 // configured, which would otherwise never replay.
-func attachIngest(srv *serve.Server, loaded map[string]serve.Estimator, data []string, opts ingestOptions) (*ingest.Pipeline, error) {
+func attachIngest(srv *serve.Server, loaded map[string]estimator.Estimator, data []string, opts ingestOptions) (*ingest.Pipeline, error) {
 	if len(data) == 0 {
 		if opts.journalDir != "" {
 			warnOrphanJournals(opts.journalDir, nil)

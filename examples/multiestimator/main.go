@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 
 	"selnet/internal/distance"
+	"selnet/internal/estimator"
 	"selnet/internal/kde"
 	"selnet/internal/lshsampling"
 	"selnet/internal/modelcodec"
@@ -54,7 +55,7 @@ func main() {
 	check(err)
 	defer os.RemoveAll(dir)
 	paths := map[string]string{}
-	for name, est := range map[string]modelcodec.Estimator{
+	for name, est := range map[string]estimator.Estimator{
 		"kde": k, "lsh": lsh, "selnet": net,
 	} {
 		paths[name] = filepath.Join(dir, name+".gob")

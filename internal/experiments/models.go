@@ -6,10 +6,10 @@ import (
 	"selnet/internal/deepreg"
 	"selnet/internal/distance"
 	"selnet/internal/dln"
+	"selnet/internal/estimator"
 	"selnet/internal/gbm"
 	"selnet/internal/kde"
 	"selnet/internal/lshsampling"
-	"selnet/internal/metrics"
 	"selnet/internal/partition"
 	"selnet/internal/selnet"
 	"selnet/internal/umnn"
@@ -19,7 +19,7 @@ import (
 // the paper's tables: LSH, KDE, LightGBM, LightGBM-m, DNN, MoE, RMI, DLN,
 // UMNN, SelNet, SelNet-ct, SelNet-ad-ct. It returns nil when the model is
 // inapplicable to the setting (LSH on Euclidean distance, as in Table 2).
-func BuildModel(cfg Config, env *Env, name string) metrics.Estimator {
+func BuildModel(cfg Config, env *Env, name string) estimator.Model {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(len(name))*37))
 	switch name {
 	case "LSH":
@@ -159,13 +159,6 @@ func BuildSelNetCT(cfg Config, env *Env, queryDependent bool) *selnet.Net {
 // AllModelNames lists the models of Tables 1-4 in paper order.
 var AllModelNames = []string{
 	"LSH", "KDE", "LightGBM", "LightGBM-m", "DNN", "MoE", "RMI", "DLN", "UMNN", "SelNet",
-}
-
-// IsConsistent reports whether the named model is starred in the paper's
-// tables (consistency guaranteed).
-func IsConsistent(est metrics.Estimator) bool {
-	c, ok := est.(metrics.Consistent)
-	return ok && c.ConsistencyGuaranteed()
 }
 
 func max(a, b int) int {

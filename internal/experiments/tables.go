@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"selnet/internal/estimator"
 	"selnet/internal/metrics"
 	"selnet/internal/partition"
 	"selnet/internal/selnet"
@@ -56,7 +57,7 @@ func runAccuracy(cfg Config, env *Env, title string) AccuracyTable {
 		}
 		table.Rows = append(table.Rows, AccuracyRow{
 			Model:      est.Name(),
-			Consistent: IsConsistent(est),
+			Consistent: estimator.IsConsistent(est),
 			Valid:      metrics.Evaluate(est, env.Valid),
 			Test:       metrics.Evaluate(est, env.Test),
 			EstimateMS: metrics.AvgEstimationTime(est, env.Test),
@@ -301,7 +302,7 @@ func RunPartitionMethodTable(cfg Config) SweepTable {
 	return table
 }
 
-func sweepRow(label string, est metrics.Estimator, queries []vecdata.Query) struct {
+func sweepRow(label string, est estimator.Model, queries []vecdata.Query) struct {
 	Label  string
 	Errors metrics.Errors
 	EstMS  float64

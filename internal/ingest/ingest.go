@@ -34,32 +34,24 @@ import (
 	"sync/atomic"
 	"time"
 
+	"selnet/internal/estimator"
 	"selnet/internal/obs"
 	"selnet/internal/selnet"
 	"selnet/internal/serve"
 	"selnet/internal/vecdata"
 )
 
-// Updatable is the full-retrain surface of a model: the serving
-// interface plus the Sec. 5.4 update procedure. *selnet.Net and
-// *selnet.Partitioned both satisfy it.
+// Updatable is the full-retrain surface of a model: a cloneable
+// servable estimator plus the Sec. 5.4 update procedure. *selnet.Net and
+// *selnet.Partitioned both satisfy it. It is the one capability declared
+// outside package estimator: HandleUpdate names selnet's configuration
+// types, and selnet imports package estimator.
 type Updatable interface {
-	serve.Estimator
+	estimator.Estimator
+	estimator.Cloner
 	HandleUpdate(tc selnet.TrainConfig, uc selnet.UpdateConfig, db *vecdata.Database,
 		train, valid []vecdata.Query) selnet.UpdateResult
 	MAE(queries []vecdata.Query) float64
-}
-
-// Refresher is the cheaper capability of database-backed estimators
-// (e.g. LSH sampling): no training procedure, but derived state can be
-// rebuilt against an updated database. A cycle clones the estimator,
-// binds the clone to a private copy of the updated database, refreshes,
-// and hot-swaps — the same publish discipline as retraining.
-type Refresher interface {
-	serve.Estimator
-	CloneEstimator() any
-	BindDB(db *vecdata.Database) error
-	Refresh()
 }
 
 // updateMode is how an attached estimator absorbs data changes; Attach
@@ -87,15 +79,6 @@ func (m updateMode) String() string {
 	default:
 		return "static"
 	}
-}
-
-// bulkApplier is the optional cluster-bookkeeping surface of partitioned
-// models: inserted/deleted vectors must be registered so local labels
-// and indicator balls stay sound (*selnet.Partitioned implements it;
-// single models need no structural bookkeeping).
-type bulkApplier interface {
-	ApplyInsert(vecs [][]float64)
-	ApplyDelete(vecs [][]float64)
 }
 
 // Config assembles a Pipeline.
@@ -287,12 +270,12 @@ type modelPipeline struct {
 	db    *vecdata.Database
 	train []vecdata.Query
 	valid []vecdata.Query
-	cur   serve.Estimator
+	cur   estimator.Estimator
 	// published is the estimator this pipeline last installed in (or
 	// attached to) the registry; when the registry holds something else,
 	// an operator hot-swapped a model manually and the pipeline adopts it
 	// as the new shadow base instead of clobbering it.
-	published serve.Estimator
+	published estimator.Estimator
 	// baseline is the reference MAE of the δ_U trigger: the validation
 	// MAE recorded when the model was last (re)trained, so drift
 	// accumulates across skipped updates (Sec. 5.4).
@@ -353,7 +336,7 @@ func New(cfg Config) *Pipeline {
 // applied sequence is queued for replay through the normal
 // apply+retrain pipeline — so the δ_U loop resumes exactly where the
 // previous process left off and every acknowledged batch takes effect.
-func (p *Pipeline) Attach(name string, m serve.Estimator, db *vecdata.Database, train, valid []vecdata.Query) error {
+func (p *Pipeline) Attach(name string, m estimator.Estimator, db *vecdata.Database, train, valid []vecdata.Query) error {
 	if name == "" {
 		return fmt.Errorf("ingest: empty model name")
 	}
@@ -765,10 +748,10 @@ func (p *Pipeline) maybeSnapshot(mp *modelPipeline, c Cycle) {
 	model := mp.cur
 	if mp.mode != modeStatic {
 		var err error
-		model, err = cloneEstimator(mp.cur)
+		model, err = mp.cur.(estimator.Cloner).CloneEstimator()
 		if err != nil {
-			// Attach verified cloneability, so this is unreachable in
-			// practice; skip the snapshot rather than wedge the worker.
+			// Skip this snapshot rather than wedge the worker; the
+			// counter keeps accumulating, so a later cycle retries.
 			p.snapBusy.Store(false)
 			return
 		}
@@ -893,7 +876,7 @@ func (p *Pipeline) cycle(mp *modelPipeline, entries []Entry) Cycle {
 	// incremental training, or a database rebind + refresh.
 	p.sem <- struct{}{}
 	p.adoptManualSwap(mp, &c)
-	shadowEst, err := cloneEstimator(mp.cur)
+	shadowEst, err := mp.cur.(estimator.Cloner).CloneEstimator()
 	if err != nil {
 		<-p.sem
 		c.Err = err
@@ -903,7 +886,7 @@ func (p *Pipeline) cycle(mp *modelPipeline, entries []Entry) Cycle {
 	}
 
 	if mp.mode == modeRefresh {
-		r := shadowEst.(Refresher)
+		r := shadowEst.(estimator.Refresher)
 		// The clone gets its own copy of the updated database so later
 		// worker cycles never mutate what it serves from.
 		if err := r.BindDB(mp.db.Clone()); err != nil {
@@ -932,7 +915,7 @@ func (p *Pipeline) cycle(mp *modelPipeline, entries []Entry) Cycle {
 	}
 
 	shadow := shadowEst.(Updatable)
-	if ba, ok := shadowEst.(bulkApplier); ok {
+	if ba, ok := shadowEst.(estimator.BulkApplier); ok {
 		if len(inserted) > 0 {
 			ba.ApplyInsert(inserted)
 		}
@@ -985,9 +968,6 @@ func (p *Pipeline) adoptManualSwap(mp *modelPipeline, c *Cycle) {
 	if modeOf(pub.Est) != mp.mode {
 		return
 	}
-	if _, cerr := cloneEstimator(pub.Est); cerr != nil {
-		return
-	}
 	mp.cur, mp.published = pub.Est, pub.Est
 	if mp.mode == modeRetrain {
 		mp.baseline = pub.Est.(Updatable).MAE(mp.valid)
@@ -1025,33 +1005,18 @@ func (p *Pipeline) recordCycle(mp *modelPipeline, c Cycle) {
 	}
 }
 
-// modeOf picks the strongest update capability an estimator offers.
-// Retraining needs the Sec. 5.4 surface and cloneability; refreshing
-// needs clone + rebind; everything else serves statically.
-func modeOf(m serve.Estimator) updateMode {
-	if _, ok := m.(Updatable); ok {
-		if _, err := cloneEstimator(m); err == nil {
-			return modeRetrain
-		}
-	}
-	if _, ok := m.(Refresher); ok {
+// modeOf picks the strongest update capability an estimator offers:
+// retraining needs the Sec. 5.4 surface, refreshing needs rebind and
+// rebuild, and everything else serves statically. Both update modes
+// clone the estimator; a failed clone is the cycle's error.
+func modeOf(m estimator.Estimator) updateMode {
+	switch m.(type) {
+	case Updatable:
+		return modeRetrain
+	case estimator.Refresher:
 		return modeRefresh
 	}
 	return modeStatic
-}
-
-// cloneEstimator deep-copies a model through its CloneEstimator
-// capability, for shadow retraining, refresh rebuilds and snapshots.
-func cloneEstimator(m serve.Estimator) (serve.Estimator, error) {
-	c, ok := m.(interface{ CloneEstimator() any })
-	if !ok {
-		return nil, fmt.Errorf("ingest: cannot clone model of type %T", m)
-	}
-	v, ok := c.CloneEstimator().(serve.Estimator)
-	if !ok || v == nil {
-		return nil, fmt.Errorf("ingest: clone of %T failed", m)
-	}
-	return v, nil
 }
 
 // valueIndex resolves delete-by-value against a database in O(1) per

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"selnet/internal/distance"
+	"selnet/internal/estimator"
 	"selnet/internal/gbm"
 	"selnet/internal/kde"
 	"selnet/internal/lshsampling"
@@ -37,7 +38,7 @@ func TestModeOf(t *testing.T) {
 	g := gbm.FitSelectivity(gbm.DefaultConfig(), append(train, valid...), true)
 
 	for _, tc := range []struct {
-		est  serve.Estimator
+		est  estimator.Estimator
 		want updateMode
 	}{
 		{tinyModel(4, db.Dim, 1), modeRetrain},
@@ -146,7 +147,7 @@ func TestStaticMode(t *testing.T) {
 		t.Fatalf("private db size = %d, want %d", priv.Size(), db.Size()+len(ins))
 	}
 	m := mustGet(t, reg, "m")
-	if m.Generation != gen0 || m.Est != serve.Estimator(k) {
+	if m.Generation != gen0 || m.Est != estimator.Estimator(k) {
 		t.Fatalf("static model was swapped: gen %d -> %d", gen0, m.Generation)
 	}
 	st := p.UpdaterStats()["m"]

@@ -11,8 +11,8 @@ import (
 	"strings"
 
 	"selnet/internal/distance"
+	"selnet/internal/estimator"
 	"selnet/internal/modelcodec"
-	"selnet/internal/serve"
 	"selnet/internal/vecdata"
 )
 
@@ -42,7 +42,7 @@ type snapshotHeader struct {
 type modelSnapshot struct {
 	appliedSeq uint64
 	db         *vecdata.Database
-	model      serve.Estimator // nil when the snapshot carries no weights
+	model      estimator.Estimator // nil when the snapshot carries no weights
 }
 
 // writeSnapshot atomically replaces path with the snapshot.

@@ -27,6 +27,7 @@ import (
 	"math/rand"
 
 	"selnet/internal/distance"
+	"selnet/internal/estimator"
 	"selnet/internal/tensor"
 	"selnet/internal/vecdata"
 )
@@ -219,8 +220,8 @@ func (e *Estimator) Clone() *Estimator {
 	}
 }
 
-// CloneEstimator implements the serving layer's clone capability.
-func (e *Estimator) CloneEstimator() any { return e.Clone() }
+// CloneEstimator implements estimator.Cloner; it never fails.
+func (e *Estimator) CloneEstimator() (estimator.Estimator, error) { return e.Clone(), nil }
 
 // BindDB points the estimator at a different database snapshot. The
 // caller must Refresh afterwards so signatures match the new contents.

@@ -1,7 +1,6 @@
 // Package metrics implements the paper's evaluation measures: MSE, MAE and
 // MAPE (Appendix B.3), the empirical monotonicity score of Table 5, and
-// estimation-time measurement for Table 7. It also defines the Estimator
-// interface that every model in this repository satisfies.
+// estimation-time measurement for Table 7. It scores any estimator.Model.
 package metrics
 
 import (
@@ -9,24 +8,9 @@ import (
 	"math/rand"
 	"time"
 
+	"selnet/internal/estimator"
 	"selnet/internal/vecdata"
 )
-
-// Estimator is a trained selectivity estimator: given a query vector and a
-// distance threshold it returns the estimated number of matching objects.
-type Estimator interface {
-	// Estimate returns the estimated selectivity of (x, t).
-	Estimate(x []float64, t float64) float64
-	// Name returns the model's display name (as used in the paper's tables).
-	Name() string
-}
-
-// Consistent is implemented by estimators that guarantee monotonicity in
-// the threshold (the models marked with * in the paper's tables).
-type Consistent interface {
-	// ConsistencyGuaranteed reports whether monotonicity holds by construction.
-	ConsistencyGuaranteed() bool
-}
 
 // Errors aggregates the paper's three error measures.
 type Errors struct {
@@ -83,7 +67,7 @@ func checkLen(pred, label []float64) {
 
 // Predict runs the estimator over the queries and returns predictions and
 // labels as parallel slices.
-func Predict(est Estimator, queries []vecdata.Query) (pred, label []float64) {
+func Predict(est estimator.Model, queries []vecdata.Query) (pred, label []float64) {
 	pred = make([]float64, len(queries))
 	label = make([]float64, len(queries))
 	for i, q := range queries {
@@ -94,7 +78,7 @@ func Predict(est Estimator, queries []vecdata.Query) (pred, label []float64) {
 }
 
 // Evaluate computes all three error measures of the estimator on queries.
-func Evaluate(est Estimator, queries []vecdata.Query) Errors {
+func Evaluate(est estimator.Model, queries []vecdata.Query) Errors {
 	pred, label := Predict(est, queries)
 	return Errors{MSE: MSE(pred, label), MAE: MAE(pred, label), MAPE: MAPE(pred, label)}
 }
@@ -104,7 +88,7 @@ func Evaluate(est Estimator, queries []vecdata.Query) Errors {
 // [0, tMax]; among all ordered threshold pairs (t < t'), the score is the
 // percentage with Estimate(x,t) <= Estimate(x,t'). 100 means perfectly
 // consistent.
-func EmpiricalMonotonicity(rng *rand.Rand, est Estimator, queryVecs [][]float64, numQueries, numThresholds int, tMax float64) float64 {
+func EmpiricalMonotonicity(rng *rand.Rand, est estimator.Model, queryVecs [][]float64, numQueries, numThresholds int, tMax float64) float64 {
 	if numQueries > len(queryVecs) {
 		numQueries = len(queryVecs)
 	}
@@ -138,7 +122,7 @@ func EmpiricalMonotonicity(rng *rand.Rand, est Estimator, queryVecs [][]float64,
 	return 100 * float64(ok) / float64(total)
 }
 
-func estimates(est Estimator, x []float64, ts []float64) []float64 {
+func estimates(est estimator.Model, x []float64, ts []float64) []float64 {
 	out := make([]float64, len(ts))
 	for i, t := range ts {
 		out[i] = est.Estimate(x, t)
@@ -148,7 +132,7 @@ func estimates(est Estimator, x []float64, ts []float64) []float64 {
 
 // AvgEstimationTime measures the mean wall-clock time per Estimate call
 // over the queries (Table 7), in milliseconds.
-func AvgEstimationTime(est Estimator, queries []vecdata.Query) float64 {
+func AvgEstimationTime(est estimator.Model, queries []vecdata.Query) float64 {
 	if len(queries) == 0 {
 		return 0
 	}

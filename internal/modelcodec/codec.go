@@ -6,7 +6,7 @@
 // Servable means consistent: every model that enters the process from
 // outside (-model, POST /v1/models/{name}, snapshot recovery) passes
 // through Load or LoadFile, and both return ErrInconsistentKind unless
-// the decoded estimator reports ConsistencyGuaranteed() — its estimates
+// estimator.IsConsistent holds for the decoded estimator — its estimates
 // never decrease as t grows. That rejects a LightGBM fitted without the
 // monotone constraint, and files tagged with a retired deep-baseline
 // kind (DNN, MoE, RMI), which remain offline baselines in
@@ -21,8 +21,7 @@
 // decoders. testdata/ holds one file of each legacy form.
 //
 // The package sits below internal/serve: serve, ingest and the daemons
-// import it, and its Estimator interface is structurally identical to
-// serve.Estimator, so values pass between the two without adapters.
+// import it, and it encodes and decodes estimator.Estimator values.
 package modelcodec
 
 import (
@@ -35,23 +34,13 @@ import (
 	"os"
 
 	"selnet/internal/dln"
+	"selnet/internal/estimator"
 	"selnet/internal/gbm"
 	"selnet/internal/kde"
 	"selnet/internal/lshsampling"
 	"selnet/internal/selnet"
-	"selnet/internal/tensor"
 	"selnet/internal/umnn"
 )
-
-// Estimator is the inference surface every servable model kind shares.
-// It is structurally identical to serve.Estimator.
-type Estimator interface {
-	Estimate(x []float64, t float64) float64
-	EstimateBatch(x *tensor.Dense, ts []float64) []float64
-	Dim() int
-	TMax() float64
-	Name() string
-}
 
 // ErrInconsistentKind is returned for a model whose estimates are not
 // guaranteed to be non-decreasing in t.
@@ -98,7 +87,7 @@ func Kind(est any) string {
 }
 
 // Save writes est to w in the kind-tagged container format.
-func Save(w io.Writer, est Estimator) error {
+func Save(w io.Writer, est estimator.Estimator) error {
 	var kind string
 	var save func(io.Writer) error
 	switch v := est.(type) {
@@ -132,7 +121,7 @@ func Save(w io.Writer, est Estimator) error {
 // The reader may sit mid-stream, e.g. inside a snapshot file; exactly
 // one container is consumed. A model that decodes but cannot guarantee
 // consistency returns ErrInconsistentKind.
-func Load(r io.Reader) (Estimator, error) {
+func Load(r io.Reader) (estimator.Estimator, error) {
 	est, err := decode(r)
 	if err != nil {
 		return nil, err
@@ -141,7 +130,7 @@ func Load(r io.Reader) (Estimator, error) {
 }
 
 // decode reads one container and dispatches on its kind tag.
-func decode(r io.Reader) (Estimator, error) {
+func decode(r io.Reader) (estimator.Estimator, error) {
 	// Consecutive gob messages share one stream; without a ByteReader
 	// each decoder would buffer past its own message (see selnet.LoadNet).
 	if _, ok := r.(io.ByteReader); !ok {
@@ -160,19 +149,19 @@ func decode(r io.Reader) (Estimator, error) {
 	}
 	switch kind {
 	case kindNet:
-		return recovering(func() (Estimator, error) { return selnet.LoadNet(r) })
+		return recovering(func() (estimator.Estimator, error) { return selnet.LoadNet(r) })
 	case kindPart:
-		return recovering(func() (Estimator, error) { return selnet.LoadPartitioned(r) })
+		return recovering(func() (estimator.Estimator, error) { return selnet.LoadPartitioned(r) })
 	case kindKDE:
-		return recovering(func() (Estimator, error) { return kde.Load(r) })
+		return recovering(func() (estimator.Estimator, error) { return kde.Load(r) })
 	case kindLSH:
-		return recovering(func() (Estimator, error) { return lshsampling.Load(r) })
+		return recovering(func() (estimator.Estimator, error) { return lshsampling.Load(r) })
 	case kindGBM:
-		return recovering(func() (Estimator, error) { return gbm.Load(r) })
+		return recovering(func() (estimator.Estimator, error) { return gbm.Load(r) })
 	case kindDLN:
-		return recovering(func() (Estimator, error) { return dln.Load(r) })
+		return recovering(func() (estimator.Estimator, error) { return dln.Load(r) })
 	case kindUMNN:
-		return recovering(func() (Estimator, error) { return umnn.Load(r) })
+		return recovering(func() (estimator.Estimator, error) { return umnn.Load(r) })
 	case "deepreg.DNN", "deepreg.MoE", "deepreg.RMI":
 		// Older builds served the deep baselines; they are not consistent.
 		return nil, fmt.Errorf("%w: retired kind %q", ErrInconsistentKind, kind)
@@ -181,7 +170,7 @@ func decode(r io.Reader) (Estimator, error) {
 }
 
 // SaveFile writes est to path in the kind-tagged container format.
-func SaveFile(path string, est Estimator) error {
+func SaveFile(path string, est estimator.Estimator) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -199,7 +188,7 @@ func SaveFile(path string, est Estimator) error {
 // attempting each selnet decoder in turn, preserving the pre-codec
 // loading behavior for operator-supplied paths. Either way the result
 // passes the consistency gate.
-func LoadFile(path string) (Estimator, error) {
+func LoadFile(path string) (estimator.Estimator, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -208,14 +197,14 @@ func LoadFile(path string) (Estimator, error) {
 }
 
 // loadBytes is LoadFile on the file's contents; name labels errors.
-func loadBytes(name string, b []byte) (Estimator, error) {
+func loadBytes(name string, b []byte) (estimator.Estimator, error) {
 	if bytes.HasPrefix(b, []byte(magic)) {
-		return recovering(func() (Estimator, error) { return Load(bytes.NewReader(b)) })
+		return recovering(func() (estimator.Estimator, error) { return Load(bytes.NewReader(b)) })
 	}
-	est, netErr := recovering(func() (Estimator, error) { return selnet.LoadNet(bytes.NewReader(b)) })
+	est, netErr := recovering(func() (estimator.Estimator, error) { return selnet.LoadNet(bytes.NewReader(b)) })
 	if netErr != nil {
 		var partErr error
-		est, partErr = recovering(func() (Estimator, error) { return selnet.LoadPartitioned(bytes.NewReader(b)) })
+		est, partErr = recovering(func() (estimator.Estimator, error) { return selnet.LoadPartitioned(bytes.NewReader(b)) })
 		if partErr != nil {
 			return nil, fmt.Errorf("modelcodec: %s decodes as neither a single model (%w) nor a partitioned one (%w)",
 				name, netErr, partErr)
@@ -226,8 +215,8 @@ func loadBytes(name string, b []byte) (Estimator, error) {
 
 // consistent is the codec's consistency gate: it passes est through only
 // if est promises estimates non-decreasing in t.
-func consistent(est Estimator) (Estimator, error) {
-	if c, ok := est.(interface{ ConsistencyGuaranteed() bool }); !ok || !c.ConsistencyGuaranteed() {
+func consistent(est estimator.Estimator) (estimator.Estimator, error) {
+	if !estimator.IsConsistent(est) {
 		return nil, fmt.Errorf("%w: %s (%s)", ErrInconsistentKind, est.Name(), Kind(est))
 	}
 	return est, nil
@@ -237,7 +226,7 @@ func consistent(est Estimator) (Estimator, error) {
 // gob stream can decode into a nonsensical architecture the model
 // constructors reject by panicking, and a daemon loading an
 // operator-supplied path must survive that.
-func recovering(fn func() (Estimator, error)) (est Estimator, err error) {
+func recovering(fn func() (estimator.Estimator, error)) (est estimator.Estimator, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			est, err = nil, fmt.Errorf("modelcodec: model decode: %v", r)

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"selnet/internal/estimator"
 	"selnet/internal/modelcodec"
 	"selnet/internal/modeltest"
 	"selnet/internal/tensor"
@@ -18,7 +19,7 @@ import (
 
 // queryProbe evaluates a fixed probe workload so two estimators can be
 // compared for behavioral equality.
-func queryProbe(est modelcodec.Estimator) []float64 {
+func queryProbe(est estimator.Estimator) []float64 {
 	rng := rand.New(rand.NewSource(42))
 	dim := est.Dim()
 	out := make([]float64, 0, 16)
@@ -35,7 +36,7 @@ func queryProbe(est modelcodec.Estimator) []float64 {
 
 // sortedKinds returns the builder map's keys in order, so subtests and
 // seed corpora are stable across runs.
-func sortedKinds(builders map[string]func() modelcodec.Estimator) []string {
+func sortedKinds(builders map[string]func() estimator.Estimator) []string {
 	return slices.Sorted(maps.Keys(builders))
 }
 
@@ -102,7 +103,7 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-func builders(t *testing.T, kind string) modelcodec.Estimator {
+func builders(t *testing.T, kind string) estimator.Estimator {
 	t.Helper()
 	b, ok := modeltest.Builders()[kind]
 	if !ok {
@@ -149,7 +150,7 @@ func TestSelnetInterop(t *testing.T) {
 	if modelcodec.Kind(got) != "selnet" {
 		t.Fatalf("kind = %q", modelcodec.Kind(got))
 	}
-	for name, est := range map[string]modelcodec.Estimator{"reloaded": got, "rebuilt": builders(t, "selnet")} {
+	for name, est := range map[string]estimator.Estimator{"reloaded": got, "rebuilt": builders(t, "selnet")} {
 		var buf bytes.Buffer
 		if err := modelcodec.Save(&buf, est); err != nil {
 			t.Fatalf("%s: modelcodec.Save: %v", name, err)

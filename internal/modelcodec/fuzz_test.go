@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"selnet/internal/estimator"
 	"selnet/internal/modelcodec"
 	"selnet/internal/modeltest"
 )
@@ -37,7 +38,7 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if c, ok := est.(interface{ ConsistencyGuaranteed() bool }); !ok || !c.ConsistencyGuaranteed() {
+		if !estimator.IsConsistent(est) {
 			t.Fatalf("loaded %s (%s) without a consistency guarantee", est.Name(), modelcodec.Kind(est))
 		}
 	})

@@ -12,6 +12,7 @@ import (
 
 	"selnet/internal/distance"
 	"selnet/internal/dln"
+	"selnet/internal/estimator"
 	"selnet/internal/gbm"
 	"selnet/internal/kde"
 	"selnet/internal/lshsampling"
@@ -83,12 +84,12 @@ func Inconsistent() map[string][]byte {
 // Builders returns one constructor of a small fitted estimator per
 // codec kind, keyed by the modelcodec.Kind slug. Each call fits fresh
 // models; callers that only need one kind invoke just that builder.
-func Builders() map[string]func() modelcodec.Estimator {
-	return map[string]func() modelcodec.Estimator{
-		"selnet": func() modelcodec.Estimator {
+func Builders() map[string]func() estimator.Estimator {
+	return map[string]func() estimator.Estimator{
+		"selnet": func() estimator.Estimator {
 			return TinySelNet(11, 3)
 		},
-		"selnet-part": func() modelcodec.Estimator {
+		"selnet-part": func() estimator.Estimator {
 			db, _ := Workload(distance.Euclidean, 240, 3, 0)
 			pcfg := selnet.DefaultPartitionedConfig()
 			pcfg.K = 2
@@ -102,13 +103,13 @@ func Builders() map[string]func() modelcodec.Estimator {
 			// Untrained locals serve fine for shape/round-trip tests.
 			return selnet.NewPartitioned(rand.New(rand.NewSource(3)), db, pcfg)
 		},
-		"kde": func() modelcodec.Estimator {
+		"kde": func() estimator.Estimator {
 			db, queries := Workload(distance.Euclidean, 200, 3, 40)
 			cfg := kde.DefaultConfig()
 			cfg.SampleSize = 50
 			return kde.FitTuned(rand.New(rand.NewSource(5)), db, cfg, queries)
 		},
-		"lsh": func() modelcodec.Estimator {
+		"lsh": func() estimator.Estimator {
 			db, _ := Workload(distance.Cosine, 200, 3, 0)
 			cfg := lshsampling.DefaultConfig()
 			cfg.SampleBudget = 100
@@ -118,13 +119,13 @@ func Builders() map[string]func() modelcodec.Estimator {
 			}
 			return est
 		},
-		"gbm": func() modelcodec.Estimator {
+		"gbm": func() estimator.Estimator {
 			_, queries := Workload(distance.Euclidean, 200, 3, 80)
 			cfg := gbm.DefaultConfig()
 			cfg.NumTrees = 8
 			return gbm.FitSelectivity(cfg, queries, true)
 		},
-		"dln": func() modelcodec.Estimator {
+		"dln": func() estimator.Estimator {
 			_, queries := Workload(distance.Euclidean, 200, 3, 60)
 			cfg := dln.DefaultConfig()
 			cfg.Epochs = 2
@@ -135,7 +136,7 @@ func Builders() map[string]func() modelcodec.Estimator {
 			m.Fit(queries)
 			return m
 		},
-		"umnn": func() modelcodec.Estimator {
+		"umnn": func() estimator.Estimator {
 			_, queries := Workload(distance.Euclidean, 200, 3, 60)
 			cfg := umnn.DefaultConfig()
 			cfg.Epochs = 2

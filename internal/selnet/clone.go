@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+
+	"selnet/internal/estimator"
 )
 
 // Clone returns a deep copy of the model: a freshly constructed network
@@ -40,17 +42,15 @@ func (p *Partitioned) Clone() (*Partitioned, error) {
 	return c, nil
 }
 
-// CloneEstimator implements the serving layer's clone capability; the
-// registry and ingest pipeline use it without knowing the concrete type.
-func (n *Net) CloneEstimator() any { return n.Clone() }
+// CloneEstimator implements estimator.Cloner; it never fails.
+func (n *Net) CloneEstimator() (estimator.Estimator, error) { return n.Clone(), nil }
 
-// CloneEstimator implements the serving layer's clone capability. A
-// failed round-trip clone returns nil, which callers treat as
-// not-cloneable.
-func (p *Partitioned) CloneEstimator() any {
+// CloneEstimator implements estimator.Cloner, returning the round trip's
+// error.
+func (p *Partitioned) CloneEstimator() (estimator.Estimator, error) {
 	c, err := p.Clone()
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return c
+	return c, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"selnet/internal/autodiff"
+	"selnet/internal/estimator"
 	"selnet/internal/nn"
 	"selnet/internal/tensor"
 	"selnet/internal/vecdata"
@@ -162,9 +163,7 @@ func (n *Net) Loss(tc TrainConfig, queries []vecdata.Query) float64 {
 func (n *Net) MAE(queries []vecdata.Query) float64 { return mae(n, queries) }
 
 // mae is the mean absolute error of est's batch estimates on queries.
-func mae(est interface {
-	EstimateBatch(x *tensor.Dense, ts []float64) []float64
-}, queries []vecdata.Query) float64 {
+func mae(est estimator.Estimator, queries []vecdata.Query) float64 {
 	if len(queries) == 0 {
 		return 0
 	}

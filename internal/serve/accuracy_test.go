@@ -13,7 +13,7 @@ import (
 )
 
 // regionEstimator is a fake estimator that also implements
-// PartitionLocator: region = 0 for x[0] < 0, 1 otherwise.
+// estimator.PartitionLocator: region = 0 for x[0] < 0, 1 otherwise.
 type regionEstimator struct{ v float64 }
 
 func (e regionEstimator) Estimate(x []float64, t float64) float64 { return e.v }

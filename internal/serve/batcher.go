@@ -8,18 +8,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"selnet/internal/tensor"
+	"selnet/internal/estimator"
 )
 
 // ErrBatcherClosed is returned by Submit after Close has begun.
 var ErrBatcherClosed = errors.New("serve: batcher closed")
-
-// BatchIntoEstimator is the allocation-free batch surface of the plan
-// path (selnet.Net and selnet.Partitioned implement it): the batch is
-// written into a caller-owned slice.
-type BatchIntoEstimator interface {
-	EstimateBatchInto(out []float64, x *tensor.Dense, ts []float64)
-}
 
 // BatcherConfig is the per-model Batcher configuration. It has no
 // settings left: every estimate runs on its caller's goroutine.
@@ -43,7 +36,7 @@ type BatcherStats struct {
 // that closes a displaced model's Batcher before DropPlans never drops
 // plans under a running estimate.
 type Batcher struct {
-	est Estimator
+	est estimator.Estimator
 	dim int
 
 	mu       sync.Mutex // guards closed + inflight Add
@@ -65,7 +58,7 @@ type BatchTiming struct {
 }
 
 // NewBatcher returns an open Batcher for est. cfg has no effect.
-func NewBatcher(est Estimator, cfg BatcherConfig) *Batcher {
+func NewBatcher(est estimator.Estimator, cfg BatcherConfig) *Batcher {
 	return &Batcher{est: est, dim: est.Dim()}
 }
 

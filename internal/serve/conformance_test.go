@@ -8,47 +8,33 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
 
+	"selnet/internal/estimator"
 	"selnet/internal/modelcodec"
 	"selnet/internal/modeltest"
 	"selnet/internal/tensor"
 )
 
-// The Estimator contract every servable kind must honor to sit behind
-// the registry: estimates never decrease as t grows (the paper's
-// consistency, with no per-kind exemptions), scalar and batch estimation
-// agree, the self-reported shape is sane, and concurrent reads are
-// race-free (the registry hot-swaps models under live traffic, so
-// estimators must be immutable once published). The suite runs over every kind the codec registers —
-// adding a kind to modeltest.Builders enrolls it here automatically.
+// Helpers shared by the fleet tests below and by the capability table
+// of package serve_test (capability_test.go), which holds every kind to
+// the estimator contract.
+
+// Exported to package serve_test.
+var (
+	LadderProbes      = ladderProbes
+	AssertMonotoneInT = assertMonotoneInT
+)
 
 // kindsInOrder returns the builder map's keys sorted, so subtest order
 // (and failure output) is stable across runs.
-func kindsInOrder(builders map[string]func() modelcodec.Estimator) []string {
+func kindsInOrder(builders map[string]func() estimator.Estimator) []string {
 	kinds := make([]string, 0, len(builders))
 	for k := range builders {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
 	return kinds
-}
-
-// probes builds a deterministic set of (query, threshold) pairs covering
-// the estimator's input space, including the t=0 and t=TMax edges.
-func probes(dim int, tmax float64) ([][]float64, []float64) {
-	qs := make([][]float64, 0, 5)
-	for i := 0; i < 5; i++ {
-		q := make([]float64, dim)
-		for j := range q {
-			// Deterministic, varied, includes negatives.
-			q[j] = math.Sin(float64(i*dim+j)+0.5) * 0.8
-		}
-		qs = append(qs, q)
-	}
-	ts := []float64{0, tmax * 0.25, tmax * 0.5, tmax * 0.75, tmax}
-	return qs, ts
 }
 
 // ladderProbes builds threshold ladders — runs of adjacent rows sharing
@@ -117,101 +103,6 @@ func vecBits(v []float64) []uint64 {
 		bits[i] = math.Float64bits(f)
 	}
 	return bits
-}
-
-func TestEstimatorConformance(t *testing.T) {
-	builders := modeltest.Builders()
-	for _, kind := range kindsInOrder(builders) {
-		build := builders[kind]
-		t.Run(kind, func(t *testing.T) {
-			est := Estimator(build())
-
-			// Shape sanity: the registry and router both trust these.
-			if est.Name() == "" {
-				t.Error("Name() is empty")
-			}
-			if d := est.Dim(); d <= 0 {
-				t.Errorf("Dim() = %d, want > 0", d)
-			}
-			if tm := est.TMax(); tm <= 0 || math.IsNaN(tm) || math.IsInf(tm, 0) {
-				t.Errorf("TMax() = %g, want finite > 0", tm)
-			}
-
-			qs, ts := probes(est.Dim(), est.TMax())
-			want := make([]float64, 0, len(qs)*len(ts))
-			x := tensor.New(len(qs)*len(ts), est.Dim())
-			tcol := make([]float64, 0, len(qs)*len(ts))
-			for _, q := range qs {
-				for _, tt := range ts {
-					y := est.Estimate(q, tt)
-					if math.IsNaN(y) || math.IsInf(y, 0) {
-						t.Fatalf("Estimate(%v, %g) = %g, want finite", q, tt, y)
-					}
-					copy(x.Row(len(tcol)), q)
-					tcol = append(tcol, tt)
-					want = append(want, y)
-				}
-			}
-
-			// EstimateBatch must agree with the scalar path bit for bit:
-			// the server batches transparently, so a divergence would make
-			// an estimate depend on traffic shape.
-			got := est.EstimateBatch(x, tcol)
-			if len(got) != len(want) {
-				t.Fatalf("EstimateBatch returned %d estimates for %d pairs", len(got), len(want))
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Errorf("pair %d: batch %g vs scalar %g", i, got[i], want[i])
-				}
-			}
-
-			// Ladders must agree exactly: grouping rows by vector is an
-			// evaluation strategy, never a change in the answer.
-			lx, lts := ladderProbes(est.Dim(), est.TMax())
-			batch := est.EstimateBatch(lx, lts)
-			scalar := make([]float64, len(lts))
-			for i, y := range batch {
-				if scalar[i] = est.Estimate(lx.Row(i), lts[i]); y != scalar[i] {
-					t.Errorf("ladder row %d: batch %g vs scalar %g", i, y, scalar[i])
-				}
-			}
-
-			// Consistency: every servable kind promises it, and both
-			// paths keep it along each ladder vector.
-			if c, ok := est.(interface{ ConsistencyGuaranteed() bool }); !ok || !c.ConsistencyGuaranteed() {
-				t.Errorf("%s does not report ConsistencyGuaranteed()", est.Name())
-			}
-			assertMonotoneInT(t, "Estimate", lx, lts, scalar)
-			assertMonotoneInT(t, "EstimateBatch", lx, lts, batch)
-
-			// Concurrent reads must be race-free (run under -race in CI):
-			// published estimators serve many goroutines at once.
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < 20; i++ {
-						q := qs[(w+i)%len(qs)]
-						tt := ts[(w+i)%len(ts)]
-						if y := est.Estimate(q, tt); math.IsNaN(y) {
-							t.Errorf("concurrent Estimate returned NaN")
-							return
-						}
-					}
-				}(w)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 5; i++ {
-						est.EstimateBatch(x, tcol)
-					}
-				}()
-			}
-			wg.Wait()
-		})
-	}
 }
 
 // TestEveryKindServesOverHTTP is the fleet e2e: every estimator kind is

@@ -65,7 +65,10 @@ func decodeRequest(r *http.Request, v any) error {
 type estimateBody struct {
 	raw bytes.Buffer // the request body as read
 
-	model  string
+	model string
+	// name is the last model name scan decoded; scan reuses it while
+	// requests repeat it, so a warm body decodes without allocating.
+	name   string
 	rows   []float64 // rows of dim values, row-major
 	n, dim int       // n counts the batch route's rows
 	// ragged is the first row whose length differs from row 0's, and
@@ -195,7 +198,10 @@ func (e *estimateBody) scan(batch bool) bool {
 		case keyModel:
 			var v []byte
 			v, ok = s.str()
-			e.model = string(v)
+			if string(v) != e.name {
+				e.name = string(v)
+			}
+			e.model = e.name
 		case keyT:
 			e.t, ok = s.num()
 			e.hasT = true

@@ -391,11 +391,11 @@ func TestEstimateErrorsUnchanged(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeBatchBody scans a batch body shaped like selbench's
-// batch_scan requests (the body decimal's TestFastPathCoversClientBodies
-// checks): 32 jittered fasttext-like vectors of 64 dims, each at its 8
-// ascending thresholds, written by json.Marshal.
-func BenchmarkDecodeBatchBody(b *testing.B) {
+// selbenchBatchBody is a batch body shaped like selbench's batch_scan
+// requests (the body decimal's TestFastPathCoversClientBodies checks):
+// 32 jittered fasttext-like vectors of 64 dims, each at its 8 ascending
+// thresholds, written by json.Marshal.
+func selbenchBatchBody(tb testing.TB) []byte {
 	rng := rand.New(rand.NewSource(1))
 	db := vecdata.SyntheticFasttext(rng, 2000, 64, distance.Euclidean)
 	wl := vecdata.GeometricWorkload(rng, db, 32, 8)
@@ -412,8 +412,39 @@ func BenchmarkDecodeBatchBody(b *testing.B) {
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return body
+}
+
+// TestScanBatchBodyZeroAllocs pins a warm body's scan at zero heap
+// allocations: the model name is converted only when it changes. A body
+// without "model" still reads as the empty name.
+func TestScanBatchBodyZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	var e estimateBody
+	e.raw.Write(selbenchBatchBody(t))
+	scan := func() {
+		if !e.scan(true) || e.n != 256 || e.model != "part" {
+			t.Fatalf("scanner declined the body or read %d rows of model %q", e.n, e.model)
+		}
+	}
+	scan()
+	if got := testing.AllocsPerRun(100, scan); got != 0 {
+		t.Errorf("scan(true) allocates %v per body, want 0", got)
+	}
+	e.raw.Reset()
+	e.raw.WriteString(`{"queries":[[1]],"t":0.5}`)
+	if !e.scan(true) || e.model != "" {
+		t.Errorf("body without a model scanned as model %q", e.model)
+	}
+}
+
+// BenchmarkDecodeBatchBody scans selbenchBatchBody.
+func BenchmarkDecodeBatchBody(b *testing.B) {
+	body := selbenchBatchBody(b)
 	var e estimateBody
 	e.raw.Write(body)
 	b.SetBytes(int64(len(body)))

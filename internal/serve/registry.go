@@ -4,9 +4,9 @@
 // estimates across hot-swaps, an LRU cache of recent estimates, and an
 // HTTP server tying them together with graceful, drain-aware shutdown.
 //
-// The subsystem serves any Estimator; in practice that is *selnet.Net,
-// whose inference methods are read-only and safe for concurrent use (see
-// the concurrency note on Net.EstimateBatch).
+// The subsystem serves any estimator.Estimator; in practice that is
+// *selnet.Net, whose inference methods are read-only and safe for
+// concurrent use (see the concurrency note on Net.EstimateBatch).
 package serve
 
 import (
@@ -16,37 +16,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"selnet/internal/infer"
-	"selnet/internal/tensor"
+	"selnet/internal/estimator"
 )
 
-// Estimator is the inference surface the server needs from a model.
-// *selnet.Net satisfies it. Implementations must be safe for concurrent
-// use: the server calls EstimateBatch from many goroutines at once.
-// Estimate must not keep x, nor EstimateBatch x or ts, after it
-// returns: they live in the request's pooled buffers, which the next
-// request reuses.
-type Estimator interface {
-	Estimate(x []float64, t float64) float64
-	EstimateBatch(x *tensor.Dense, ts []float64) []float64
-	Dim() int
-	TMax() float64
-	Name() string
-}
-
-// PlanDropper is implemented by estimators whose inference runs on
-// compiled plan pools (selnet.Net, selnet.Partitioned). The registry
-// calls DropPlans on a displaced model after its batcher drains, so a
-// hot-swap releases the old generation's plan buffers instead of
-// leaving them pinned behind an unreachable estimator.
-type PlanDropper interface {
-	DropPlans()
-}
-
-// PlanStatser exposes plan-pool counters for /stats and /metrics.
-type PlanStatser interface {
-	PlanStats() infer.PoolStats
-}
+// Estimator and BatchIntoEstimator are the estimator package's types
+// under the names the benchmark module (bench/) still uses; they go once
+// it names package estimator (ROADMAP item 17).
+type (
+	Estimator          = estimator.Estimator
+	BatchIntoEstimator = estimator.BatchInto
+)
 
 // Model is one registry entry: an estimator plus its serving apparatus
 // (per-model Batcher) and metadata. Models are immutable once
@@ -56,7 +35,7 @@ type Model struct {
 	// architecture name).
 	Name string
 	// Est is the underlying estimator.
-	Est Estimator
+	Est estimator.Estimator
 	// Source records where the model was loaded from (a file path).
 	Source string
 	// LoadedAt is the publication time.
@@ -82,14 +61,14 @@ type Registry struct {
 
 	mu         sync.Mutex // serializes writers
 	generation map[string]uint64
-	newBatcher func(Estimator) *Batcher
+	newBatcher func(estimator.Estimator) *Batcher
 	onSwap     func(name string, old, next *Model)
 }
 
 // NewRegistry returns an empty registry. newBatcher, if non-nil, is
 // invoked for each published model to build its Batcher; the registry
 // closes the old model's batcher after a swap.
-func NewRegistry(newBatcher func(Estimator) *Batcher) *Registry {
+func NewRegistry(newBatcher func(estimator.Estimator) *Batcher) *Registry {
 	r := &Registry{
 		generation: make(map[string]uint64),
 		newBatcher: newBatcher,
@@ -134,7 +113,7 @@ func (r *Registry) Len() int { return len(*r.table.Load()) }
 // Publish installs est under name, replacing any existing model with
 // that name (hot-swap). The previous model's batcher, if any, is closed
 // in the background after draining. It returns the new entry.
-func (r *Registry) Publish(name string, est Estimator, source string) (*Model, error) {
+func (r *Registry) Publish(name string, est estimator.Estimator, source string) (*Model, error) {
 	m, _, err := r.publish(name, est, source, false, nil)
 	return m, err
 }
@@ -145,11 +124,11 @@ func (r *Registry) Publish(name string, est Estimator, source string) (*Model, e
 // when something else was published in the meantime — the compare-and-
 // swap the ingest pipeline uses so a shadow retrain that raced a manual
 // model load never clobbers the operator's model.
-func (r *Registry) PublishIf(name string, est Estimator, source string, expected Estimator) (*Model, bool, error) {
+func (r *Registry) PublishIf(name string, est estimator.Estimator, source string, expected estimator.Estimator) (*Model, bool, error) {
 	return r.publish(name, est, source, true, expected)
 }
 
-func (r *Registry) publish(name string, est Estimator, source string, conditional bool, expected Estimator) (*Model, bool, error) {
+func (r *Registry) publish(name string, est estimator.Estimator, source string, conditional bool, expected estimator.Estimator) (*Model, bool, error) {
 	if name == "" {
 		return nil, false, fmt.Errorf("serve: empty model name")
 	}
@@ -165,7 +144,7 @@ func (r *Registry) publish(name string, est Estimator, source string, conditiona
 
 	r.mu.Lock()
 	if conditional {
-		var curEst Estimator
+		var curEst estimator.Estimator
 		if cur := (*r.table.Load())[name]; cur != nil {
 			curEst = cur.Est
 		}
@@ -204,7 +183,7 @@ func retireModel(old *Model) {
 	if old.batcher != nil {
 		old.batcher.Close()
 	}
-	if d, ok := old.Est.(PlanDropper); ok {
+	if d, ok := old.Est.(estimator.PlanDropper); ok {
 		d.DropPlans()
 	}
 }
@@ -256,7 +235,7 @@ func (r *Registry) Close() {
 		if m.batcher != nil {
 			m.batcher.Close()
 		}
-		if d, ok := m.Est.(PlanDropper); ok {
+		if d, ok := m.Est.(estimator.PlanDropper); ok {
 			d.DropPlans()
 		}
 	}

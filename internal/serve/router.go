@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"selnet/internal/estimator"
 	"selnet/internal/modelcodec"
 	"selnet/internal/obs"
 	"selnet/internal/tensor"
@@ -232,7 +233,7 @@ func (rt *Router) decideAuto(candidates []*Model, dim int) *routeEntry {
 				selnetClass = m
 			}
 		default:
-			ds, ok := m.Est.(interface{ DataSize() int })
+			ds, ok := m.Est.(estimator.DataSizer)
 			if ok && (sampling == nil || ds.DataSize() < samplingSize) {
 				sampling, samplingSize = m, ds.DataSize()
 			}
@@ -405,7 +406,7 @@ const logBlendEps = 1e-9
 // non-decreasing in t. log, the mean with fixed equal weights, exp and
 // the clamps at zero are all non-decreasing, so their composition is too.
 type ensembleEstimator struct {
-	members []Estimator
+	members []estimator.Estimator
 	names   []string
 	dim     int
 	tmax    float64
@@ -460,4 +461,4 @@ func (e *ensembleEstimator) Dim() int      { return e.dim }
 func (e *ensembleEstimator) TMax() float64 { return e.tmax }
 func (e *ensembleEstimator) Name() string  { return "Ensemble" }
 
-var _ Estimator = (*ensembleEstimator)(nil)
+var _ estimator.Estimator = (*ensembleEstimator)(nil)

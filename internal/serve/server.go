@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"selnet/internal/estimator"
 	"selnet/internal/infer"
 	"selnet/internal/modelcodec"
 	"selnet/internal/obs"
@@ -58,7 +59,7 @@ type Server struct {
 // NewServer builds a server with an empty registry.
 func NewServer(cfg Config) *Server {
 	s := &Server{cfg: cfg, started: time.Now()}
-	s.registry = NewRegistry(func(est Estimator) *Batcher { return NewBatcher(est, cfg.Batcher) })
+	s.registry = NewRegistry(func(est estimator.Estimator) *Batcher { return NewBatcher(est, cfg.Batcher) })
 	s.registry.SetSwapHook(func(name string, old, next *Model) {
 		if old != nil && next != nil {
 			s.swaps.Add(1)
@@ -101,15 +102,6 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // Call before Handler sees traffic.
 func (s *Server) SetDrift(d *obs.DriftMonitor) { s.drift = d }
 
-// PartitionLocator is the optional attribution surface of partitioned
-// estimators: PartitionOf maps a query to the cluster that owns it (-1
-// when the partitioning carries no geometry). *selnet.Partitioned
-// implements it; the shadow scorer uses it to break q-errors down by
-// region.
-type PartitionLocator interface {
-	PartitionOf(x []float64, t float64) int
-}
-
 // SetShadow attaches the live-traffic accuracy sampler: a deterministic
 // fraction of estimate requests is tapped (keyed by trace ID, enqueued
 // without blocking) and scored against ground truth off the serving
@@ -128,7 +120,7 @@ func (s *Server) SetShadow(sh *obs.Shadow) {
 		if !ok {
 			return 0, false
 		}
-		pl, ok := m.Est.(PartitionLocator)
+		pl, ok := m.Est.(estimator.PartitionLocator)
 		if !ok {
 			return 0, false
 		}
@@ -511,7 +503,7 @@ func newModelInfo(m *Model) modelInfo {
 		Generation: m.Generation,
 		LoadedAt:   m.LoadedAt,
 	}
-	if p, ok := m.Est.(interface{ K() int }); ok {
+	if p, ok := m.Est.(estimator.PartitionCounter); ok {
 		mi.Partitions = p.K()
 	}
 	return mi
@@ -528,7 +520,7 @@ func (s *Server) modelInfos(withBatcher bool) []modelInfo {
 		if withBatcher {
 			bs := m.Batcher().Stats()
 			mi.Batcher = &bs
-			if ps, ok := m.Est.(PlanStatser); ok {
+			if ps, ok := m.Est.(estimator.PlanStatser); ok {
 				st := ps.PlanStats()
 				mi.Plans = &st
 			}
@@ -798,7 +790,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			float64(m.Generation), "model", m.Name)
 		p.Value("selestd_batcher_requests_total", "Single estimates submitted to the model's Batcher.",
 			"counter", float64(m.Batcher().Stats().Requests), "model", m.Name)
-		if ps, ok := m.Est.(PlanStatser); ok {
+		if ps, ok := m.Est.(estimator.PlanStatser); ok {
 			st := ps.PlanStats()
 			p.Value("selestd_plan_checkouts_total", "Compiled-plan checkouts from the model's pools.",
 				"counter", float64(st.Checkouts), "model", m.Name)
