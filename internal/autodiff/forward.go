@@ -107,14 +107,32 @@ func PWLAt(tau, p []float64, x float64) float64 {
 
 // blockLinearInto applies the per-block linear decoder into out:
 // out[r, l] = Σ_k a[r, l*bw+k] * w[l, k] + b[0, l].
+//
+// Four blocks run side by side so their add chains overlap; each block
+// keeps its own chain from the bias in ascending k, so every output has
+// the bits of the one-block-at-a-time loop.
 func blockLinearInto(out, a, w, b *tensor.Dense, nb, bw int) {
+	wd, bias := w.Data(), b.Data()
 	for r := 0; r < a.Rows(); r++ {
 		arow := a.Row(r)
 		o := out.Row(r)
-		for l := 0; l < nb; l++ {
-			wrow := w.Row(l)
-			blk := arow[l*bw : (l+1)*bw]
-			s := b.At(0, l)
+		l := 0
+		for ; l+4 <= nb; l += 4 {
+			a0 := arow[l*bw : (l+1)*bw]
+			a1, a2, a3 := arow[(l+1)*bw:][:len(a0)], arow[(l+2)*bw:][:len(a0)], arow[(l+3)*bw:][:len(a0)]
+			w0, w1, w2, w3 := wd[l*bw:][:len(a0)], wd[(l+1)*bw:][:len(a0)], wd[(l+2)*bw:][:len(a0)], wd[(l+3)*bw:][:len(a0)]
+			s0, s1, s2, s3 := bias[l], bias[l+1], bias[l+2], bias[l+3]
+			for k := range a0 {
+				s0 += a0[k] * w0[k]
+				s1 += a1[k] * w1[k]
+				s2 += a2[k] * w2[k]
+				s3 += a3[k] * w3[k]
+			}
+			o[l], o[l+1], o[l+2], o[l+3] = s0, s1, s2, s3
+		}
+		for ; l < nb; l++ {
+			blk, wrow := arow[l*bw:(l+1)*bw], wd[l*bw:(l+1)*bw]
+			s := bias[l]
 			for k, x := range blk {
 				s += x * wrow[k]
 			}

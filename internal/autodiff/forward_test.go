@@ -90,3 +90,37 @@ func TestForwardTapeRejectsBackward(t *testing.T) {
 	}()
 	rec.Backward(n)
 }
+
+// TestBlockLinearIntoMatchesSerialChain checks the four-blocks-at-a-time
+// decoder against one ascending chain per block, started from the bias,
+// for Float64bits equality: block counts on both sides of the stride of
+// four, and inputs with ±0, NaN and ±Inf.
+func TestBlockLinearIntoMatchesSerialChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, nb := range []int{1, 3, 4, 5, 8, 9, 11} {
+		for _, bw := range []int{1, 2, 7, 16} {
+			const rows = 3
+			a := randDense(rng, rows, nb*bw)
+			w := randDense(rng, nb, bw)
+			b := randDense(rng, 1, nb)
+			for i := 0; i < 2; i++ {
+				a.Set(rng.Intn(rows), rng.Intn(nb*bw), specials[rng.Intn(len(specials))])
+				w.Set(rng.Intn(nb), rng.Intn(bw), math.Copysign(0, -1))
+			}
+			got := tensor.New(rows, nb)
+			blockLinearInto(got, a, w, b, nb, bw)
+			for r := 0; r < rows; r++ {
+				for l := 0; l < nb; l++ {
+					s := b.At(0, l)
+					for k := 0; k < bw; k++ {
+						s += a.At(r, l*bw+k) * w.At(l, k)
+					}
+					if math.Float64bits(got.At(r, l)) != math.Float64bits(s) {
+						t.Fatalf("nb=%d bw=%d out[%d,%d] = %v, want %v", nb, bw, r, l, got.At(r, l), s)
+					}
+				}
+			}
+		}
+	}
+}

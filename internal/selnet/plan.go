@@ -1,10 +1,12 @@
 package selnet
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"selnet/internal/autodiff"
 	"selnet/internal/infer"
@@ -268,14 +270,15 @@ func (ps *plans) run(sc *planScratch, out []float64, x *tensor.Dense, ts []float
 }
 
 // ladderRuns splits the rows of x from start on into runs of adjacent
-// rows whose vectors are bit-identical (math.Float64bits, so +0 and -0
-// differ), recording the exclusive end row of each run in ends until
-// ends is full or x is exhausted. It returns the number of runs.
+// rows whose vectors are bit-identical (so +0 and -0 differ, and NaNs
+// with equal bits match), recording the exclusive end row of each run in
+// ends until ends is full or x is exhausted. It returns the number of
+// runs.
 func ladderRuns(ends []int, x *tensor.Dense, start int) int {
 	runs := 0
 	for row := start; row < x.Rows() && runs < len(ends); runs++ {
 		end := row + 1
-		for end < x.Rows() && sameBits(x.Row(row), x.Row(end)) {
+		for end < x.Rows() && bytes.Equal(rowBytes(x, row), rowBytes(x, end)) {
 			end++
 		}
 		ends[runs] = end
@@ -284,13 +287,14 @@ func ladderRuns(ends []int, x *tensor.Dense, start int) int {
 	return runs
 }
 
-func sameBits(a, b []float64) bool {
-	for i, v := range a {
-		if math.Float64bits(v) != math.Float64bits(b[i]) {
-			return false
-		}
+// rowBytes views row i of x as its bytes, so two rows compare with one
+// memequal: byte equality is bit equality.
+func rowBytes(x *tensor.Dense, i int) []byte {
+	r := x.Row(i)
+	if len(r) == 0 {
+		return nil
 	}
-	return true
+	return unsafe.Slice((*byte)(unsafe.Pointer(&r[0])), len(r)*8)
 }
 
 // planState returns the Net's plans: its one head over its own

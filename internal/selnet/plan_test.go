@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -851,5 +852,30 @@ func BenchmarkPartitionedEstimateBatchLadder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.EstimateBatchInto(out, x, ts)
+	}
+}
+
+// TestLadderRunsComparesBits pins ladderRuns' equality: adjacent rows
+// join a run only when every component has the same bits, so -0 splits
+// from +0, a NaN joins only a NaN with its own bits, and ends caps the
+// number of runs.
+func TestLadderRunsComparesBits(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	negZero := math.Copysign(0, -1)
+	rows := [][]float64{
+		{1, 0}, {1, 0}, {1, negZero}, // +0 and -0 differ
+		{nan1, 2}, {nan1, 2}, {nan2, 2}, // NaNs match only bit for bit
+		{3, 3},
+	}
+	x := tensor.New(len(rows), 2)
+	for i, r := range rows {
+		copy(x.Row(i), r)
+	}
+	ends := make([]int, 8)
+	if got, want := ends[:ladderRuns(ends, x, 0)], []int{2, 3, 5, 6, 7}; !slices.Equal(got, want) {
+		t.Fatalf("run ends %v, want %v", got, want)
+	}
+	if got, want := ends[:ladderRuns(ends[:2], x, 3)], []int{5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("capped run ends from row 3: %v, want %v", got, want)
 	}
 }

@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2+FMA micro-kernels for the packed GEMM (see kernels.go for the
-// layout). Each output element is one VFMADD231PD chain in ascending k —
-// the per-element determinism contract the plan layer depends on.
+// AVX2+FMA and AVX-512F micro-kernels for the packed GEMM (see
+// kernels.go for the layout). Each output element of a full panel is one
+// VFMADD231PD chain in ascending k — the per-element determinism
+// contract the plan layer depends on.
 
 // func gemm4x8(k int, a *float64, lda int, b *float64, c *float64, ldc int)
 // Computes c[0:4][0:8] = a[0:4][0:k] * panel for a packed k x 8 panel at b.
@@ -94,6 +95,140 @@ loop1x8:
 
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// The AVX-512F tile for the compiled-plan GEMM (GemmPacked). One zmm holds
+// a whole packed 8-column panel row, so the panel layout is the one the
+// AVX2 tiles read. Rows are addressed off two bases (SI for rows 0..3,
+// R10 for rows 4..7) with lda and 3*lda as index registers, so the loop
+// advances two pointers instead of eight. R15 is left alone: the linker
+// clobbers it in dynamically linked builds.
+//
+// The tile finishes with the register epilogue ep, an Epilogue value:
+// EpNone (0) stores the product, EpBias (1) adds the bias row (acc +
+// bias, as epilogueRows does), EpBiasReLU (2) also takes max(v, 0) with
+// zero as the second source, so NaN maps to 0 exactly as in
+// vecAddBiasRelu and the scalar ReLU.
+
+// func gemm8x8(k int, a *float64, lda int, b *float64, c *float64, ldc int, bias *float64, ep int, w int)
+// Computes c[0:8][0:w] = a[0:8][0:k] * panel for a packed k x 8 panel at
+// b (k >= 1, 1 <= w <= 8), then applies ep with bias[0:w]. A full panel
+// (w = 8) runs one VFMADD231PD chain per element in ascending k with A
+// as an embedded broadcast: the bits of gemm4x8 and gemm1x8. The partial
+// tail panel (w < 8) rounds each product before adding it (VMULPD then
+// VADDPD), which is gemmPanelGo's chain. The bias load and the stores
+// are masked to w lanes, so nothing past column w is read or written.
+TEXT ·gemm8x8(SB), NOSPLIT, $0-72
+	MOVQ w+64(FP), CX
+	MOVL $1, BX
+	SHLL CX, BX
+	DECL BX
+	KMOVW BX, K1             // lanes 0..w-1
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	MOVQ b+24(FP), DX
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), R9
+	SHLQ $3, R8              // lda in bytes
+	SHLQ $3, R9              // ldc in bytes
+	LEAQ (R8)(R8*2), AX      // 3*lda: rows 3 and 7 off their base
+	LEAQ (SI)(R8*4), R10     // a row 4, base of rows 4..7
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	CMPQ BX, $0xff
+	JNE  loop8xt
+
+loop8x8:
+	VMOVUPD (DX), Z8         // panel row kk
+	VFMADD231PD.BCST (SI), Z8, Z0
+	VFMADD231PD.BCST (SI)(R8*1), Z8, Z1
+	VFMADD231PD.BCST (SI)(R8*2), Z8, Z2
+	VFMADD231PD.BCST (SI)(AX*1), Z8, Z3
+	VFMADD231PD.BCST (R10), Z8, Z4
+	VFMADD231PD.BCST (R10)(R8*1), Z8, Z5
+	VFMADD231PD.BCST (R10)(R8*2), Z8, Z6
+	VFMADD231PD.BCST (R10)(AX*1), Z8, Z7
+	ADDQ $8, SI
+	ADDQ $8, R10
+	ADDQ $64, DX
+	DECQ CX
+	JNZ  loop8x8
+	JMP  epilogue8x8
+
+loop8xt:
+	VMOVUPD (DX), Z8         // panel row kk (zero-padded past w)
+	VMULPD.BCST (SI), Z8, Z16
+	VMULPD.BCST (SI)(R8*1), Z8, Z17
+	VMULPD.BCST (SI)(R8*2), Z8, Z18
+	VMULPD.BCST (SI)(AX*1), Z8, Z19
+	VMULPD.BCST (R10), Z8, Z20
+	VMULPD.BCST (R10)(R8*1), Z8, Z21
+	VMULPD.BCST (R10)(R8*2), Z8, Z22
+	VMULPD.BCST (R10)(AX*1), Z8, Z23
+	VADDPD Z16, Z0, Z0
+	VADDPD Z17, Z1, Z1
+	VADDPD Z18, Z2, Z2
+	VADDPD Z19, Z3, Z3
+	VADDPD Z20, Z4, Z4
+	VADDPD Z21, Z5, Z5
+	VADDPD Z22, Z6, Z6
+	VADDPD Z23, Z7, Z7
+	ADDQ $8, SI
+	ADDQ $8, R10
+	ADDQ $64, DX
+	DECQ CX
+	JNZ  loop8xt
+
+epilogue8x8:
+	MOVQ ep+56(FP), BX
+	TESTQ BX, BX
+	JZ   store8x8
+	MOVQ bias+48(FP), R11
+	VMOVUPD.Z (R11), K1, Z9
+	VADDPD Z9, Z0, Z0
+	VADDPD Z9, Z1, Z1
+	VADDPD Z9, Z2, Z2
+	VADDPD Z9, Z3, Z3
+	VADDPD Z9, Z4, Z4
+	VADDPD Z9, Z5, Z5
+	VADDPD Z9, Z6, Z6
+	VADDPD Z9, Z7, Z7
+	CMPQ BX, $1
+	JEQ  store8x8
+	VPXORQ Z10, Z10, Z10
+	VMAXPD Z10, Z0, Z0
+	VMAXPD Z10, Z1, Z1
+	VMAXPD Z10, Z2, Z2
+	VMAXPD Z10, Z3, Z3
+	VMAXPD Z10, Z4, Z4
+	VMAXPD Z10, Z5, Z5
+	VMAXPD Z10, Z6, Z6
+	VMAXPD Z10, Z7, Z7
+store8x8:
+	VMOVUPD Z0, K1, (DI)
+	ADDQ R9, DI
+	VMOVUPD Z1, K1, (DI)
+	ADDQ R9, DI
+	VMOVUPD Z2, K1, (DI)
+	ADDQ R9, DI
+	VMOVUPD Z3, K1, (DI)
+	ADDQ R9, DI
+	VMOVUPD Z4, K1, (DI)
+	ADDQ R9, DI
+	VMOVUPD Z5, K1, (DI)
+	ADDQ R9, DI
+	VMOVUPD Z6, K1, (DI)
+	ADDQ R9, DI
+	VMOVUPD Z7, K1, (DI)
 	VZEROUPPER
 	RET
 

@@ -24,13 +24,27 @@ import (
 // partial tail panel a scalar path is used at every call site, so tail
 // columns too are computed identically everywhere.
 //
+// Register tiles: 4x8 and 1x8 (AVX2+FMA on amd64, blocked Go elsewhere)
+// serve every caller. GemmPacked, the compiled plans' entry point, runs
+// 8-row blocks through an 8x8 AVX-512F tile first where the CPU and OS
+// support it: one zmm per row of a panel, so the packing is unchanged,
+// the same fused chain per element, a masked loop that rounds like the
+// scalar path for the tail panel, and the bias and bias+ReLU epilogues
+// applied to the accumulators before the store. Training
+// (MatMulInto) stays on the 4x8 tile; see MatMulInto. The tiles agree
+// bit for bit on every input but one: where A and B both hold a NaN at
+// the same k, the result is NaN on every tile, but whose payload it
+// carries depends on the tile (x86 NaN propagation follows operand
+// order, and the broadcast operand of an FMA must be the last source).
+//
 // The tensor_noopt build tag (kernels_noopt.go) pins MatMulInto to the
 // reference triple loop and disables plan-level fusion, as an escape
 // hatch and as the oracle for the differential tests.
 
 const (
-	gemmMR = 4 // rows per register tile
-	gemmNR = 8 // columns per packed panel (and per register tile)
+	gemmMR     = 4 // rows per register tile
+	gemmWideMR = 8 // rows per AVX-512 register tile (GemmPacked only)
+	gemmNR     = 8 // columns per packed panel (and per register tile)
 )
 
 // Epilogue selects the fused element-wise tail applied to each output row
@@ -122,18 +136,24 @@ func GemmPacked(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue) {
 	if ep != EpNone && (bias == nil || bias.rows != 1 || bias.cols != pb.n) {
 		panic(fmt.Sprintf("tensor: GemmPacked epilogue %q needs 1x%d bias", ep.Name(), pb.n))
 	}
-	gemmPacked(out, a, pb, bias, ep)
+	gemmPacked(out, a, pb, bias, ep, true)
 }
 
-// gemmPacked computes every row of out: gemmMR-row register tiles from
-// row 0, then the leftover rows one at a time, each block followed by its
-// epilogue while it is still cache-hot.
-func gemmPacked(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue) {
+// gemmPacked computes every row of out: with wide set and the AVX-512
+// tile available, gemmWideMR-row blocks from row 0; then gemmMR-row
+// register tiles; then the leftover rows one at a time, each block
+// followed by its epilogue while it is still cache-hot.
+func gemmPacked(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue, wide bool) {
 	m := a.rows
 	if m == 0 || pb.n == 0 {
 		return
 	}
 	i := 0
+	if wide && gemmWide && pb.k > 0 {
+		for ; i+gemmWideMR <= m; i += gemmWideMR {
+			gemmWideBlock(out, a, pb, bias, ep, i)
+		}
+	}
 	for ; i+gemmMR <= m; i += gemmMR {
 		gemmBlock(out, a, pb, i, gemmMR)
 		epilogueRows(out, bias, ep, i, i+gemmMR)
@@ -177,6 +197,29 @@ func gemmBlock(out, a *Dense, pb *PackedB, i, mr int) {
 				row[j] = 0
 			}
 		}
+	}
+}
+
+// gemmWideBlock computes rows [i, i+gemmWideMR) of out across all panels
+// with the AVX-512 tile (pb.k > 0), then their epilogue: in registers
+// for EpBias and EpBiasReLU, through epilogueRows for the others.
+func gemmWideBlock(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue, i int) {
+	k, n := pb.k, pb.n
+	lda, ldc := a.cols, out.cols
+	rep := EpNone // the epilogue the tile applies in registers
+	if ep == EpBias || ep == EpBiasReLU {
+		rep = ep
+	}
+	var bp *float64
+	for p := 0; p < pb.panels; p++ {
+		if rep != EpNone {
+			bp = &bias.data[p*gemmNR]
+		}
+		w := min(n-p*gemmNR, gemmNR)
+		gemm8x8(k, &a.data[i*lda], lda, &pb.data[p*k*gemmNR], &out.data[i*ldc+p*gemmNR], ldc, bp, int(rep), w)
+	}
+	if rep == EpNone {
+		epilogueRows(out, bias, ep, i, i+gemmWideMR)
 	}
 }
 

@@ -74,15 +74,16 @@ func assertExact(t *testing.T, tag string, want, got *Dense) {
 }
 
 // withSIMD runs f with the SIMD micro-kernels forced on or off, so the
-// blocked-Go fallback is differential-tested even on AVX2 machines.
+// blocked-Go fallback is differential-tested even on AVX2 machines. Off
+// turns the AVX-512 tile off too; on leaves it as detected.
 func withSIMD(t *testing.T, on bool, f func(t *testing.T)) {
 	t.Helper()
-	old := gemmSIMD
+	old, oldWide := gemmSIMD, gemmWide
 	if on && !old {
 		t.Skip("SIMD kernels unavailable on this CPU")
 	}
-	gemmSIMD = on
-	defer func() { gemmSIMD = old }()
+	gemmSIMD, gemmWide = on, on && oldWide
+	defer func() { gemmSIMD, gemmWide = old, oldWide }()
 	f(t)
 }
 
