@@ -4,7 +4,7 @@ package tensor
 
 // SIMD micro-kernels for the packed GEMM: 4x8 and 1x8 register tiles in
 // AVX2+FMA assembly (gemm_amd64.s), selected at init by CPUID, and an
-// 8x8 AVX-512F tile that GemmPacked adds where the CPU and OS support it.
+// 8x8 AVX-512F tile that runs first where the CPU and OS support it.
 // Every full-panel tile keeps one fused-multiply-add chain per output
 // element in ascending k order. The FMA contraction (no intermediate rounding of
 // a*b) differs from the Go fallback's separate multiply+add by at most
@@ -16,10 +16,9 @@ package tensor
 // tests can force the portable path on SIMD machines.
 var gemmSIMD = hasAVX2FMA()
 
-// gemmWide enables the 8x8 AVX-512F tile for GemmPacked, the compiled
-// plans' entry point; it is never set without gemmSIMD. Like gemmSIMD it
-// is a variable so the tests can run the 4x8 path as the reference on
-// AVX-512 machines.
+// gemmWide enables the 8x8 AVX-512F tile; it is never set without
+// gemmSIMD. Like gemmSIMD it is a variable so the tests can run the 4x8
+// path as the reference on AVX-512 machines.
 var gemmWide = gemmSIMD && hasAVX512F()
 
 // gemm4x8 computes the 4x8 register tile c[0:4][0:8] = a[0:4][0:k] *

@@ -98,7 +98,7 @@ loop1x8:
 	VZEROUPPER
 	RET
 
-// The AVX-512F tile for the compiled-plan GEMM (GemmPacked). One zmm holds
+// The AVX-512F tile (MatMulInto and GemmPacked alike). One zmm holds
 // a whole packed 8-column panel row, so the panel layout is the one the
 // AVX2 tiles read. Rows are addressed off two bases (SI for rows 0..3,
 // R10 for rows 4..7) with lda and 3*lda as index registers, so the loop

@@ -24,14 +24,13 @@ import (
 // partial tail panel a scalar path is used at every call site, so tail
 // columns too are computed identically everywhere.
 //
-// Register tiles: 4x8 and 1x8 (AVX2+FMA on amd64, blocked Go elsewhere)
-// serve every caller. GemmPacked, the compiled plans' entry point, runs
-// 8-row blocks through an 8x8 AVX-512F tile first where the CPU and OS
-// support it: one zmm per row of a panel, so the packing is unchanged,
-// the same fused chain per element, a masked loop that rounds like the
-// scalar path for the tail panel, and the bias and bias+ReLU epilogues
-// applied to the accumulators before the store. Training
-// (MatMulInto) stays on the 4x8 tile; see MatMulInto. The tiles agree
+// Register tiles: 4x8 and 1x8 (AVX2+FMA on amd64, blocked Go elsewhere).
+// Where the CPU and OS support AVX-512F, 8-row blocks run through an 8x8
+// tile first, for MatMulInto and GemmPacked alike: one zmm per row of a
+// panel, so the packing is unchanged, the same fused chain per element,
+// a masked loop that rounds like the scalar path for the tail panel, and
+// the bias and bias+ReLU epilogues applied to the accumulators before
+// the store. The tiles agree
 // bit for bit on every input but one: where A and B both hold a NaN at
 // the same k, the result is NaN on every tile, but whose payload it
 // carries depends on the tile (x86 NaN propagation follows operand
@@ -43,7 +42,7 @@ import (
 
 const (
 	gemmMR     = 4 // rows per register tile
-	gemmWideMR = 8 // rows per AVX-512 register tile (GemmPacked only)
+	gemmWideMR = 8 // rows per AVX-512 register tile
 	gemmNR     = 8 // columns per packed panel (and per register tile)
 )
 
@@ -136,20 +135,20 @@ func GemmPacked(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue) {
 	if ep != EpNone && (bias == nil || bias.rows != 1 || bias.cols != pb.n) {
 		panic(fmt.Sprintf("tensor: GemmPacked epilogue %q needs 1x%d bias", ep.Name(), pb.n))
 	}
-	gemmPacked(out, a, pb, bias, ep, true)
+	gemmPacked(out, a, pb, bias, ep)
 }
 
-// gemmPacked computes every row of out: with wide set and the AVX-512
-// tile available, gemmWideMR-row blocks from row 0; then gemmMR-row
-// register tiles; then the leftover rows one at a time, each block
-// followed by its epilogue while it is still cache-hot.
-func gemmPacked(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue, wide bool) {
+// gemmPacked computes every row of out: gemmWideMR-row blocks from row 0
+// where the AVX-512 tile is available, then gemmMR-row register tiles,
+// then the leftover rows one at a time, each block followed by its
+// epilogue while it is still cache-hot.
+func gemmPacked(out, a *Dense, pb *PackedB, bias *Dense, ep Epilogue) {
 	m := a.rows
 	if m == 0 || pb.n == 0 {
 		return
 	}
 	i := 0
-	if wide && gemmWide && pb.k > 0 {
+	if gemmWide && pb.k > 0 {
 		for ; i+gemmWideMR <= m; i += gemmWideMR {
 			gemmWideBlock(out, a, pb, bias, ep, i)
 		}

@@ -178,15 +178,6 @@ func MatMul(a, b *Dense) *Dense {
 // and must not alias a or b. The default build dispatches to the blocked
 // kernel layer (kernels.go); the tensor_noopt build tag pins the reference
 // triple loop below.
-//
-// MatMulInto is the training tape's product, and it stays on the 4x8
-// tile even where GemmPacked uses the AVX-512 8x8 tile. The bits would be
-// the same; the cost to readers is not. Retraining runs back to back
-// beside the serving reader on the same cores, so a faster fit means
-// more retrains, not idle time: with the 8x8 tile here too, selbench's
-// update_mixed ran ≈ 25 % more retrain cycles per trial and its reader's
-// p95 latency rose ≈ 10 % (9 of 10 pairs, 2-core AVX-512 host). Until
-// retraining is paced, training keeps the narrow tile.
 func MatMulInto(out, a, b *Dense) {
 	if a.cols != b.rows || out.rows != a.rows || out.cols != b.cols {
 		panic(fmt.Sprintf("tensor: matmulInto out %dx%d = %dx%d * %dx%d",
@@ -194,7 +185,7 @@ func MatMulInto(out, a, b *Dense) {
 	}
 	if optimizedKernels {
 		pb := packBPooled(b)
-		gemmPacked(out, a, &pb, nil, EpNone, false)
+		gemmPacked(out, a, &pb, nil, EpNone)
 		pb.Release()
 		return
 	}
