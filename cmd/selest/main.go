@@ -13,6 +13,8 @@
 //
 // Comma-separated -index and -t lists estimate every (query, threshold)
 // pair in one batched tensor pass — the same path selestd serves.
+// evaluate and estimate load -model through the model codec, as selestd
+// does: any consistent kind it serves, tagged or legacy untagged.
 //
 // Against a running selestd, 'selest models -addr http://host:8080'
 // prints the daemon's model listing: every loaded estimator's kind,
@@ -33,6 +35,7 @@ import (
 
 	"selnet/internal/distance"
 	"selnet/internal/metrics"
+	"selnet/internal/modelcodec"
 	"selnet/internal/selnet"
 	"selnet/internal/tensor"
 	"selnet/internal/vecdata"
@@ -195,7 +198,7 @@ func cmdEvaluate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	net, err := selnet.LoadNetFile(*modelPath)
+	est, err := modelcodec.LoadFile(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -214,8 +217,8 @@ func cmdEvaluate(args []string) error {
 	default:
 		return fmt.Errorf("unknown split %q", *split)
 	}
-	e := metrics.Evaluate(net, queries)
-	ms := metrics.AvgEstimationTime(net, queries)
+	e := metrics.Evaluate(est, queries)
+	ms := metrics.AvgEstimationTime(est, queries)
 	fmt.Printf("%s split (%d queries): MSE %.4g  MAE %.4g  MAPE %.3f  avg est. time %.4f ms\n",
 		*split, len(queries), e.MSE, e.MAE, e.MAPE, ms)
 	return nil
@@ -232,7 +235,7 @@ func cmdEstimate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	net, err := selnet.LoadNetFile(*modelPath)
+	est, err := modelcodec.LoadFile(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -279,14 +282,14 @@ func cmdEstimate(args []string) error {
 		return fmt.Errorf("provide a query via -index or -vec")
 	}
 	for _, x := range queries {
-		if len(x) != net.Dim() {
-			return fmt.Errorf("query has dim %d, model expects %d", len(x), net.Dim())
+		if len(x) != est.Dim() {
+			return fmt.Errorf("query has dim %d, model expects %d", len(x), est.Dim())
 		}
 	}
 
 	// One estimate per (query, threshold) pair, computed in a single
 	// EstimateBatch tensor pass — the same path selestd serves.
-	x := tensor.New(len(queries)*len(ts), net.Dim())
+	x := tensor.New(len(queries)*len(ts), est.Dim())
 	tcol := make([]float64, 0, len(queries)*len(ts))
 	for _, q := range queries {
 		for _, t := range ts {
@@ -294,7 +297,7 @@ func cmdEstimate(args []string) error {
 			tcol = append(tcol, t)
 		}
 	}
-	ests := net.EstimateBatch(x, tcol)
+	ests := est.EstimateBatch(x, tcol)
 
 	if len(ests) == 1 {
 		fmt.Printf("estimated selectivity at t=%.4f: %.2f\n", ts[0], ests[0])
@@ -310,11 +313,11 @@ func cmdEstimate(args []string) error {
 	}
 	for i, q := range queries {
 		for j, t := range ts {
-			est := ests[i*len(ts)+j]
+			v := ests[i*len(ts)+j]
 			if db != nil {
-				fmt.Printf("%8s %10.4f %12.2f %10.0f\n", labels[i], t, est, db.Selectivity(q, t))
+				fmt.Printf("%8s %10.4f %12.2f %10.0f\n", labels[i], t, v, db.Selectivity(q, t))
 			} else {
-				fmt.Printf("%8s %10.4f %12.2f\n", labels[i], t, est)
+				fmt.Printf("%8s %10.4f %12.2f\n", labels[i], t, v)
 			}
 		}
 	}

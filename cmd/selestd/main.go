@@ -522,7 +522,7 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 			Models: clusterModels, Pipe: pipe,
 			Heartbeat: co.heartbeat, FailAfter: co.failover,
 			AckFollowers: co.ack, AckTimeout: co.ackTimeout,
-			Monitor: obs.NewClusterMonitor(), Logger: slog.Default(),
+			Logger: slog.Default(),
 		})
 		if err != nil {
 			return err

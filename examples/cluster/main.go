@@ -23,7 +23,7 @@ import (
 
 	"selnet/internal/cluster"
 	"selnet/internal/ingest"
-	"selnet/internal/obs"
+	"selnet/internal/modelcodec"
 	"selnet/internal/selnet"
 	"selnet/internal/serve"
 	"selnet/internal/vecdata"
@@ -92,7 +92,7 @@ func main() {
 			Update:  selnet.UpdateConfig{DeltaU: 1e18, Patience: 1, MaxEpochs: 1},
 			Journal: ingest.JournalConfig{Dir: filepath.Join(dir, fmt.Sprintf("journal-%d", i))},
 		})
-		m, err := selnet.LoadNetFile(modelPath)
+		m, err := modelcodec.LoadFile(modelPath)
 		check(err)
 		_, err = srv.Registry().Publish("m", m, modelPath)
 		check(err)
@@ -101,7 +101,6 @@ func main() {
 			Self: peers[i], Peers: peers, Replicas: 3, Models: []string{"m"}, Pipe: pipe,
 			Heartbeat: 50 * time.Millisecond, FailAfter: 400 * time.Millisecond,
 			AckFollowers: 1, AckTimeout: 5 * time.Second,
-			Monitor: obs.NewClusterMonitor(),
 		})
 		check(err)
 		srv.SetUpdater(node)

@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,8 +52,6 @@ type Config struct {
 	PullBatch int
 	PullWait  time.Duration
 
-	// Monitor receives replication telemetry (optional).
-	Monitor *obs.ClusterMonitor
 	// Client overrides the intra-cluster HTTP client (tests inject short
 	// timeouts). The default tolerates PullWait-length long-polls.
 	Client *http.Client
@@ -85,6 +85,9 @@ type modelState struct {
 	// unreplicated suffix, or a pull cursor ahead of the leader's log).
 	// A diverged replica stops replicating and must be reseeded.
 	diverged bool
+	// promotions and demotions count the leaderships this node won and
+	// ceded, for /metrics.
+	promotions, demotions uint64
 	// rr round-robins fan-out reads across the replica set.
 	rr uint64
 }
@@ -99,11 +102,13 @@ type Node struct {
 	client *http.Client // WAL pulls: tolerates PullWait-length long-polls
 	probe  *http.Client // state probes: must fail fast so elections aren't stalled
 	logger *slog.Logger
-	mon    *obs.ClusterMonitor
 
 	mu      sync.Mutex
 	ackCond *sync.Cond
 	models  map[string]*modelState
+	// pulls, pullErrors and entries count this node's WAL pulls as a
+	// follower, across every hosted model, for /metrics.
+	pulls, pullErrors, entries uint64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -175,7 +180,6 @@ func NewNode(cfg Config) (*Node, error) {
 		client: client,
 		probe:  probe,
 		logger: cfg.Logger,
-		mon:    cfg.Monitor,
 		models: make(map[string]*modelState, len(cfg.Models)),
 		stop:   make(chan struct{}),
 	}
@@ -344,7 +348,6 @@ func (n *Node) adoptClaimsLocked(ms *modelState, states map[string]*PeerStatus, 
 	if ms.leader {
 		ms.leaderSeen = now
 	}
-	n.publishRoleLocked(ms)
 }
 
 func (n *Node) placementRank(ms *modelState, peer string) int {
@@ -407,8 +410,7 @@ func (n *Node) promoteLocked(ms *modelState, term uint64, why string) {
 	ms.followerAck = make(map[string]uint64)
 	n.logger.Info("cluster: promoted to leader",
 		slog.String("model", ms.name), slog.Uint64("term", term), slog.String("reason", why))
-	n.mon.Promotion(ms.name)
-	n.publishRoleLocked(ms)
+	ms.promotions++
 	n.ackCond.Broadcast()
 }
 
@@ -417,7 +419,7 @@ func (n *Node) followLocked(ms *modelState, leader string, term uint64, now time
 		n.logger.Warn("cluster: stepping down",
 			slog.String("model", ms.name), slog.String("new_leader", leader),
 			slog.Uint64("term", term), slog.String("reason", why))
-		n.mon.Demotion(ms.name)
+		ms.demotions++
 		// Entries this node journaled as leader that no follower ever
 		// pulled cannot be on the successor: it will reassign those
 		// sequence numbers to different batches, and the pull loop's
@@ -442,14 +444,9 @@ func (n *Node) followLocked(ms *modelState, leader string, term uint64, now time
 	}
 	ms.leaderURL = leader
 	ms.leaderSeen = now
-	n.publishRoleLocked(ms)
 	// Wake Enqueue waiters so they fail fast with ErrNotLeader instead
 	// of riding out the ack timeout.
 	n.ackCond.Broadcast()
-}
-
-func (n *Node) publishRoleLocked(ms *modelState) {
-	n.mon.SetRole(ms.name, ms.leader, ms.term)
 }
 
 // markDivergedLocked latches the divergence flag: the local journal
@@ -466,7 +463,6 @@ func (n *Node) markDivergedLocked(ms *modelState, why string) {
 	ms.diverged = true
 	n.logger.Error("cluster: replica diverged from leader history; needs reseed",
 		slog.String("model", ms.name), slog.String("reason", why))
-	n.mon.MarkDiverged(ms.name)
 }
 
 // ----------------------------------------------------------------------------
@@ -676,39 +672,100 @@ func (n *Node) ClusterStats() any {
 	defer n.mu.Unlock()
 	resp := ClusterStatsResponse{Self: n.cfg.Self, Models: make(map[string]ModelClusterStats, len(n.models))}
 	for name, ms := range n.models {
-		if !ms.hosted {
-			continue
+		if st, ok := n.modelStatsLocked(ms); ok {
+			resp.Models[name] = st
 		}
-		last, applied, ok := n.pipe.Position(name)
-		if !ok {
-			continue
-		}
-		st := ModelClusterStats{
-			Replicas:   ms.replicas,
-			Leader:     ms.leader,
-			LeaderURL:  ms.leaderURL,
-			Term:       ms.term,
-			LastSeq:    last,
-			AppliedSeq: applied,
-			Diverged:   ms.diverged,
-		}
-		if ms.leader {
-			if len(ms.followerAck) > 0 {
-				st.FollowerAck = make(map[string]uint64, len(ms.followerAck))
-				for peer, seq := range ms.followerAck {
-					st.FollowerAck[peer] = seq
-				}
-			}
-		} else if ms.leaderLast > last {
-			st.Lag = ms.leaderLast - last
-		}
-		resp.Models[name] = st
 	}
 	return resp
 }
 
-// WriteMetrics renders the cluster metric families into /metrics.
-func (n *Node) WriteMetrics(p *obs.PromWriter) { n.mon.WriteMetrics(p) }
+// modelStatsLocked is one model's replication picture as this node holds
+// it now, the single source of its /stats section and its /metrics
+// series. ok is false for a model not hosted here or not attached to
+// the pipeline.
+func (n *Node) modelStatsLocked(ms *modelState) (ModelClusterStats, bool) {
+	if !ms.hosted {
+		return ModelClusterStats{}, false
+	}
+	last, applied, ok := n.pipe.Position(ms.name)
+	if !ok {
+		return ModelClusterStats{}, false
+	}
+	st := ModelClusterStats{
+		Replicas:   ms.replicas,
+		Leader:     ms.leader,
+		LeaderURL:  ms.leaderURL,
+		Term:       ms.term,
+		LastSeq:    last,
+		AppliedSeq: applied,
+		Diverged:   ms.diverged,
+	}
+	if ms.leader {
+		if len(ms.followerAck) > 0 {
+			st.FollowerAck = maps.Clone(ms.followerAck)
+		}
+	} else {
+		st.Lag = behind(ms.leaderLast, last)
+	}
+	return st, true
+}
+
+// behind is how many sequences seq trails tip by (0 when it does not).
+func behind(tip, seq uint64) uint64 {
+	if tip > seq {
+		return tip - seq
+	}
+	return 0
+}
+
+// WriteMetrics renders the cluster metric families into /metrics from
+// the node's state at scrape time, through the same per-model picture
+// as /stats. Lag series follow the current role: a follower exports its
+// own lag (peer = self, the /stats lag), a leader one series per
+// follower it lists under follower_ack (its last sequence minus that
+// follower's journaled one).
+func (n *Node) WriteMetrics(p *obs.PromWriter) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, name := range n.sortedModelsLocked() {
+		ms := n.models[name]
+		st, ok := n.modelStatsLocked(ms)
+		if !ok {
+			continue
+		}
+		p.Value("selestd_cluster_is_leader", "1 when this node leads the model's replica group.",
+			"gauge", oneIf(st.Leader), "model", name)
+		p.Value("selestd_cluster_term", "Leadership term of the model's replica group.",
+			"gauge", float64(st.Term), "model", name)
+		p.Value("selestd_cluster_failovers_total", "Leader promotions won by this node.",
+			"counter", float64(ms.promotions), "model", name)
+		p.Value("selestd_cluster_demotions_total", "Leaderships this node ceded to a higher-term claim.",
+			"counter", float64(ms.demotions), "model", name)
+		p.Value("selestd_replication_diverged", "1 when the local replica's journal conflicts with the leader's history and needs a reseed.",
+			"gauge", oneIf(st.Diverged), "model", name)
+		const lagHelp = "Leader sequence minus the peer's replicated sequence."
+		if !st.Leader {
+			p.Value("selestd_replication_lag", lagHelp, "gauge", float64(st.Lag), "model", name, "peer", n.cfg.Self)
+		}
+		for _, peer := range slices.Sorted(maps.Keys(st.FollowerAck)) {
+			p.Value("selestd_replication_lag", lagHelp,
+				"gauge", float64(behind(st.LastSeq, st.FollowerAck[peer])), "model", name, "peer", peer)
+		}
+	}
+	p.Value("selestd_replication_pulls_total", "WAL pull round-trips made as a follower.",
+		"counter", float64(n.pulls))
+	p.Value("selestd_replication_pull_errors_total", "WAL pulls that failed.",
+		"counter", float64(n.pullErrors))
+	p.Value("selestd_replication_entries_total", "WAL entries replicated into the local journal.",
+		"counter", float64(n.entries))
+}
+
+func oneIf(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 func (n *Node) sortedModelsLocked() []string {
 	names := make([]string, 0, len(n.models))

@@ -8,11 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 
 	"selnet/internal/ingest"
-	"selnet/internal/obs"
 	"selnet/internal/selnet"
 	"selnet/internal/serve"
 	"selnet/internal/vecdata"
@@ -167,8 +167,7 @@ func startCluster(t *testing.T, n int) []*testNode {
 			Heartbeat: 20 * time.Millisecond, FailAfter: 150 * time.Millisecond,
 			AckFollowers: 1, AckTimeout: 3 * time.Second,
 			PullBatch: 8, PullWait: 50 * time.Millisecond,
-			Monitor: obs.NewClusterMonitor(),
-			Client:  &http.Client{Timeout: 2 * time.Second},
+			Client: &http.Client{Timeout: 2 * time.Second},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -329,9 +328,9 @@ func TestClusterReplicationAndFailover(t *testing.T) {
 		})
 	}
 
-	// Telemetry recorded the promotion.
-	if c := next.node.mon.Counters(); c.Promotions == 0 {
-		t.Fatalf("promotion not counted: %+v", c)
+	// /metrics counts the promotion.
+	if v, _ := sample(t, scrape(next.node), `selestd_cluster_failovers_total{model="m"}`); v == 0 {
+		t.Fatal("promotion not counted in /metrics")
 	}
 }
 
@@ -344,7 +343,7 @@ func newLeaderNode(t *testing.T) (*Node, string) {
 	self, follower := "http://self:1", "http://b:1"
 	n, err := NewNode(Config{
 		Self: self, Peers: []string{self, follower}, Replicas: 2,
-		Models: []string{"m"}, Pipe: p, Monitor: obs.NewClusterMonitor(),
+		Models: []string{"m"}, Pipe: p,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -452,8 +451,8 @@ func TestDemotionWithUnreplicatedSuffixMarksDiverged(t *testing.T) {
 	if !diverged {
 		t.Fatal("deposed leader with unreplicated suffix not flagged as diverged")
 	}
-	if c := n.mon.Counters(); c.Diverged != 1 {
-		t.Fatalf("diverged counter = %d, want 1", c.Diverged)
+	if v, _ := sample(t, scrape(n), `selestd_replication_diverged{model="m"}`); v != 1 {
+		t.Fatalf("selestd_replication_diverged = %v, want 1", v)
 	}
 	st := n.ClusterStats().(ClusterStatsResponse)
 	if !st.Models["m"].Diverged {
@@ -474,6 +473,75 @@ func TestPullRejectionMarksDiverged(t *testing.T) {
 	n.mu.Unlock()
 	if !diverged {
 		t.Fatal("416 pull rejection did not latch the divergence flag")
+	}
+}
+
+// TestClusterMetricsRenderNodeState renders a node through every role
+// change and counter: the nine families with their types, divergence
+// latched and shown once, and the promotion, demotion and pull counts.
+func TestClusterMetricsRenderNodeState(t *testing.T) {
+	n, follower := newLeaderNode(t) // one promotion, term 1
+	ms := n.models["m"]
+	enqueueN(t, n, 1)
+	n.countPull(5, false)
+	n.countPull(0, true)
+	n.mu.Lock()
+	n.followLocked(ms, follower, 2, time.Now(), "test") // seq 1 unacked: diverged
+	n.markDivergedLocked(ms, "test")                    // latched, not counted twice
+	n.mu.Unlock()
+
+	out := scrape(n)
+	for fam, typ := range map[string]string{
+		"selestd_cluster_is_leader":             "gauge",
+		"selestd_cluster_term":                  "gauge",
+		"selestd_cluster_failovers_total":       "counter",
+		"selestd_cluster_demotions_total":       "counter",
+		"selestd_replication_diverged":          "gauge",
+		"selestd_replication_lag":               "gauge",
+		"selestd_replication_pulls_total":       "counter",
+		"selestd_replication_pull_errors_total": "counter",
+		"selestd_replication_entries_total":     "counter",
+	} {
+		if !strings.Contains(out, "# TYPE "+fam+" "+typ+"\n") {
+			t.Errorf("exposition lacks # TYPE %s %s:\n%s", fam, typ, out)
+		}
+	}
+	want := map[string]float64{
+		`selestd_cluster_is_leader{model="m"}`:       0,
+		`selestd_cluster_term{model="m"}`:            2,
+		`selestd_cluster_failovers_total{model="m"}`: 1,
+		`selestd_cluster_demotions_total{model="m"}`: 1,
+		`selestd_replication_diverged{model="m"}`:    1,
+		lagSeries(n.cfg.Self):                        0,
+		`selestd_replication_pulls_total`:            2,
+		`selestd_replication_pull_errors_total`:      1,
+		`selestd_replication_entries_total`:          5,
+	}
+	for series, v := range want {
+		if got, ok := sample(t, out, series); !ok || got != v {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, v)
+		}
+	}
+	if c := strings.Count(out, "selestd_replication_diverged{"); c != 1 {
+		t.Errorf("%d diverged series, want 1", c)
+	}
+
+	// Re-promoted, the series follow the role at once.
+	n.mu.Lock()
+	n.promoteLocked(ms, 3, "test")
+	n.mu.Unlock()
+	out = scrape(n)
+	for series, v := range map[string]float64{
+		`selestd_cluster_is_leader{model="m"}`:       1,
+		`selestd_cluster_term{model="m"}`:            3,
+		`selestd_cluster_failovers_total{model="m"}`: 2,
+	} {
+		if got, _ := sample(t, out, series); got != v {
+			t.Errorf("after re-promotion %s = %v, want %v", series, got, v)
+		}
+	}
+	if strings.Contains(out, "selestd_replication_lag{") {
+		t.Errorf("a leader no follower has pulled from exports lag:\n%s", out)
 	}
 }
 

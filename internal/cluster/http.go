@@ -164,9 +164,6 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		if ms.followerAck[peer] < acked {
 			ms.followerAck[peer] = acked
 		}
-		if havePos && leaderLast >= acked {
-			n.mon.SetLag(model, peer, leaderLast-acked)
-		}
 		n.ackCond.Broadcast()
 	}
 	n.mu.Unlock()

@@ -105,7 +105,6 @@ func (n *Node) pullLoop(model string) {
 				}
 				ms.leaderURL = leader
 				ms.leaderSeen = time.Now()
-				n.publishRoleLocked(ms)
 			}
 			n.mu.Unlock()
 		}
@@ -120,7 +119,7 @@ func (n *Node) pullLoop(model string) {
 		if len(entries) > 0 {
 			accepted, err = n.pipe.Replicate(model, entries)
 		}
-		n.mon.ObservePull(accepted, err != nil)
+		n.countPull(accepted, err != nil)
 		if err != nil && !errors.Is(err, serve.ErrUpdateQueueFull) {
 			// Queue-full is ordinary backpressure (the worker drains it);
 			// anything else — a gap, a dimension mismatch — means this
@@ -146,9 +145,6 @@ func (n *Node) pullLoop(model string) {
 
 		n.mu.Lock()
 		ms.leaderLast = chunk.LastSeq
-		if nowLast, _, ok := n.pipe.Position(model); ok && chunk.LastSeq >= nowLast {
-			n.mon.SetLag(model, n.cfg.Self, chunk.LastSeq-nowLast)
-		}
 		n.mu.Unlock()
 
 		// A full chunk suggests more is waiting: pull again immediately.
@@ -167,7 +163,7 @@ func (n *Node) pullLoop(model string) {
 // markDivergedLocked so the loop stops replicating. Transport errors
 // just count: the heartbeat loop notices a dead leader via FailAfter.
 func (n *Node) handlePullError(model, leader string, err error) {
-	n.mon.ObservePull(0, true)
+	n.countPull(0, true)
 	var notLeader *errNotLeaderPeer
 	switch {
 	case errors.As(err, &notLeader):
@@ -189,6 +185,18 @@ func (n *Node) handlePullError(model, leader string, err error) {
 			slog.String("model", model), slog.String("leader", leader),
 			slog.String("err", err.Error()))
 	}
+}
+
+// countPull records one WAL pull round-trip: entries replicated into
+// the local journal, and whether the pull failed.
+func (n *Node) countPull(entries int, failed bool) {
+	n.mu.Lock()
+	n.pulls++
+	n.entries += uint64(entries)
+	if failed {
+		n.pullErrors++
+	}
+	n.mu.Unlock()
 }
 
 // sleep waits d or until shutdown, reporting false on shutdown.

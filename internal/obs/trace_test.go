@@ -177,3 +177,16 @@ func TestTraceIDContext(t *testing.T) {
 		t.Fatal("unexpected trace id on fresh context")
 	}
 }
+
+func TestParseTraceID(t *testing.T) {
+	id := NextTraceID()
+	got, ok := ParseTraceID(FormatTraceID(id))
+	if !ok || got != id {
+		t.Fatalf("round-trip: got %d ok=%v, want %d", got, ok, id)
+	}
+	for _, bad := range []string{"", "zz", "0", "00000000000000000", "0000000000000000", "-1"} {
+		if _, ok := ParseTraceID(bad); ok {
+			t.Errorf("ParseTraceID(%q) accepted", bad)
+		}
+	}
+}

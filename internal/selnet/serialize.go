@@ -121,13 +121,3 @@ func (n *Net) SaveFile(path string) error {
 	}
 	return f.Close()
 }
-
-// LoadNetFile reads a model from path.
-func LoadNetFile(path string) (*Net, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadNet(f)
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -45,7 +46,12 @@ func TestNetSaveLoadFile(t *testing.T) {
 	if err := net.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadNetFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	restored, err := LoadNet(f)
 	if err != nil {
 		t.Fatal(err)
 	}

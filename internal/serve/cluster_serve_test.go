@@ -10,13 +10,12 @@ import (
 )
 
 // fakeCluster is a scriptable ClusterRouter: tests point reads and
-// writes wherever they like and feed the metrics pass a real monitor.
+// writes wherever they like.
 type fakeCluster struct {
 	readTargets []string
 	readLocal   bool
 	writeTarget string
 	writeLocal  bool
-	mon         *obs.ClusterMonitor
 }
 
 func (f *fakeCluster) RouteRead(model string) ([]string, bool) { return f.readTargets, f.readLocal }
@@ -24,10 +23,30 @@ func (f *fakeCluster) RouteWrite(model string) (string, bool)  { return f.writeT
 func (f *fakeCluster) ShardMap() any                           { return map[string]string{"self": "here"} }
 func (f *fakeCluster) ClusterStats() any                       { return map[string]string{"self": "here"} }
 func (f *fakeCluster) Handler() http.Handler                   { return http.NotFoundHandler() }
-func (f *fakeCluster) WriteMetrics(p *obs.PromWriter)          { f.mon.WriteMetrics(p) }
+
+// WriteMetrics writes the nine cluster families a node renders: one led
+// model with a lagging peer and a promotion, one followed model with a
+// demotion, and pull traffic with one failure.
+func (f *fakeCluster) WriteMetrics(p *obs.PromWriter) {
+	for _, m := range []struct {
+		name                      string
+		leader, term, fail, demot float64
+	}{{"m", 1, 3, 1, 0}, {"shadow", 0, 2, 0, 1}} {
+		p.Value("selestd_cluster_is_leader", "1 when this node leads the model's replica group.", "gauge", m.leader, "model", m.name)
+		p.Value("selestd_cluster_term", "Leadership term of the model's replica group.", "gauge", m.term, "model", m.name)
+		p.Value("selestd_cluster_failovers_total", "Leader promotions won by this node.", "counter", m.fail, "model", m.name)
+		p.Value("selestd_cluster_demotions_total", "Leaderships this node ceded to a higher-term claim.", "counter", m.demot, "model", m.name)
+		p.Value("selestd_replication_diverged", "1 when the local replica's journal conflicts with the leader's history and needs a reseed.", "gauge", 0, "model", m.name)
+	}
+	p.Value("selestd_replication_lag", "Leader sequence minus the peer's replicated sequence.", "gauge", 4, "model", "m", "peer", "http://peer:9")
+	p.Value("selestd_replication_lag", "Leader sequence minus the peer's replicated sequence.", "gauge", 0, "model", "shadow", "peer", "http://here:1")
+	p.Value("selestd_replication_pulls_total", "WAL pull round-trips made as a follower.", "counter", 2)
+	p.Value("selestd_replication_pull_errors_total", "WAL pulls that failed.", "counter", 1)
+	p.Value("selestd_replication_entries_total", "WAL entries replicated into the local journal.", "counter", 5)
+}
 
 func localCluster() *fakeCluster {
-	return &fakeCluster{readLocal: true, writeLocal: true, mon: obs.NewClusterMonitor()}
+	return &fakeCluster{readLocal: true, writeLocal: true}
 }
 
 // newClusterTestServer builds a server with the router attached before
@@ -110,7 +129,7 @@ func TestForwarding(t *testing.T) {
 	defer tap.Close()
 
 	// Router: hosts nothing; reads and writes both point at the owner.
-	router := &fakeCluster{readTargets: []string{tap.URL}, writeTarget: tap.URL, mon: obs.NewClusterMonitor()}
+	router := &fakeCluster{readTargets: []string{tap.URL}, writeTarget: tap.URL}
 	_, routerTS := newClusterTestServer(t, router)
 
 	resp, body := postJSON(t, routerTS.URL+"/v1/estimate",
@@ -143,7 +162,7 @@ func TestForwarding(t *testing.T) {
 func TestForwardingNoReplicaReachable(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // now refusing connections
-	router := &fakeCluster{readTargets: []string{dead.URL}, mon: obs.NewClusterMonitor()}
+	router := &fakeCluster{readTargets: []string{dead.URL}}
 	_, ts := newClusterTestServer(t, router)
 	resp, _ := postJSON(t, ts.URL+"/v1/estimate",
 		map[string]any{"model": "m", "query": []float64{0.1}, "t": 0.5})
@@ -158,7 +177,7 @@ func TestForwardingNoReplicaReachable(t *testing.T) {
 // TestLeaderlessWriteAnswers503: a hosted model with no known leader
 // cannot accept or forward writes.
 func TestLeaderlessWriteAnswers503(t *testing.T) {
-	router := &fakeCluster{mon: obs.NewClusterMonitor()} // writeTarget "", writeLocal false
+	router := &fakeCluster{} // writeTarget "", writeLocal false
 	_, ts := newClusterTestServer(t, router)
 	resp, body := postJSON(t, ts.URL+"/v1/models/m/update",
 		map[string]any{"insert": [][]float64{{1, 2, 3}}})

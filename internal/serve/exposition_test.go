@@ -61,17 +61,10 @@ func TestMetricsExposition(t *testing.T) {
 	sh.Close()
 	s.SetShadow(sh)
 
-	// Cluster families: one led model with a lagging peer, one followed,
-	// a promotion and a demotion, and pull traffic with one failure.
-	fc := localCluster()
-	fc.mon.SetRole("m", true, 3)
-	fc.mon.SetRole("shadow", false, 2)
-	fc.mon.SetLag("m", "http://peer:9", 4)
-	fc.mon.Promotion("m")
-	fc.mon.Demotion("shadow")
-	fc.mon.ObservePull(5, false)
-	fc.mon.ObservePull(0, true)
-	s.SetCluster(fc)
+	// Cluster families: the fake writes one led model with a lagging
+	// peer, one followed, a promotion and a demotion, and pull traffic
+	// with one failure.
+	s.SetCluster(localCluster())
 
 	infer.SetKernelTiming(true)
 	defer infer.SetKernelTiming(false)
