@@ -75,7 +75,8 @@ type modelState struct {
 
 	// followerAck tracks, on the leader, the highest sequence each
 	// follower has journaled — learned implicitly from WAL-pull cursors:
-	// a follower asking from=N+1 has durably journaled through N.
+	// a follower asking from=N+1 has durably journaled through N. It
+	// lists every other replica from the promotion on, at 0 until heard.
 	followerAck map[string]uint64
 	// leaderLast is, on a follower, the leader's last assigned sequence
 	// from the most recent WAL chunk — the basis of the lag gauge.
@@ -241,7 +242,7 @@ func (n *Node) bootstrap() {
 		}
 		n.adoptClaimsLocked(ms, states, now)
 		if ms.leaderURL == "" && len(ms.replicas) > 0 && ms.replicas[0] == n.cfg.Self {
-			n.promoteLocked(ms, ms.maxTerm+1, "bootstrap")
+			n.promoteLocked(ms, ms.maxTerm+1, "bootstrap", false)
 		}
 		if ms.leaderSeen.IsZero() {
 			ms.leaderSeen = now // grace: don't elect before FailAfter of silence
@@ -396,10 +397,16 @@ func (n *Node) electLocked(ms *modelState, states map[string]*PeerStatus) {
 		ms.leaderSeen = time.Now()
 		return
 	}
-	n.promoteLocked(ms, ms.maxTerm+1, "leader silent")
+	n.promoteLocked(ms, ms.maxTerm+1, "leader silent", true)
 }
 
-func (n *Node) promoteLocked(ms *modelState, term uint64, why string) {
+// promoteLocked makes this node the model's leader at term. Only a
+// promotion won by an election is a failover (counted in
+// selestd_cluster_failovers_total); the placement home's bootstrap claim
+// is not. Every other replica starts at ack 0, "not heard from this
+// term": it counts toward no semi-sync ack and raises no deposed-leader
+// maxAck, yet has a lag series even while it is down.
+func (n *Node) promoteLocked(ms *modelState, term uint64, why string, elected bool) {
 	ms.leader = true
 	ms.term = term
 	if term > ms.maxTerm {
@@ -407,10 +414,17 @@ func (n *Node) promoteLocked(ms *modelState, term uint64, why string) {
 	}
 	ms.leaderURL = n.cfg.Self
 	ms.leaderSeen = time.Now()
-	ms.followerAck = make(map[string]uint64)
+	ms.followerAck = make(map[string]uint64, len(ms.replicas))
+	for _, r := range ms.replicas {
+		if r != n.cfg.Self {
+			ms.followerAck[r] = 0
+		}
+	}
 	n.logger.Info("cluster: promoted to leader",
 		slog.String("model", ms.name), slog.Uint64("term", term), slog.String("reason", why))
-	ms.promotions++
+	if elected {
+		ms.promotions++
+	}
 	n.ackCond.Broadcast()
 }
 

@@ -262,13 +262,17 @@ func TestClusterReplicationAndFailover(t *testing.T) {
 	if journaled == 0 {
 		t.Fatalf("no follower journaled seq %d despite semi-sync ack", lastSeq)
 	}
-	// And replication converges everywhere (both followers, applied).
+	// And replication converges everywhere (both followers, applied),
+	// as each node's ingest stats report too.
 	for _, tn := range nodes {
 		tn := tn
 		waitFor(t, 5*time.Second, "replication convergence", func() bool {
 			last, applied, ok := tn.pipe.Position("m")
 			return ok && last >= lastSeq && applied >= lastSeq
 		})
+		if st := tn.node.UpdaterStats()["m"]; st.AppliedSeq < lastSeq {
+			t.Fatalf("%s UpdaterStats applied_seq = %d, want >= %d", tn.url, st.AppliedSeq, lastSeq)
+		}
 	}
 
 	// The shard map names the leader.
@@ -349,7 +353,7 @@ func newLeaderNode(t *testing.T) (*Node, string) {
 		t.Fatal(err)
 	}
 	n.mu.Lock()
-	n.promoteLocked(n.models["m"], 1, "test")
+	n.promoteLocked(n.models["m"], 1, "test", true)
 	n.mu.Unlock()
 	return n, follower
 }
@@ -382,7 +386,7 @@ func TestWALPullCreditClampedToReplicaSet(t *testing.T) {
 	if code := get("from=2&peer=" + url.QueryEscape(follower)); code != http.StatusRequestedRangeNotSatisfiable {
 		t.Fatalf("divergent cursor on empty journal: status %d, want 416", code)
 	}
-	if got := ack(); len(got) != 0 {
+	if got := ack(); len(got) != 1 || got[follower] != 0 {
 		t.Fatalf("rejected pull still credited an ack: %v", got)
 	}
 
@@ -439,7 +443,7 @@ func TestDemotionWithUnreplicatedSuffixMarksDiverged(t *testing.T) {
 	// Re-promoted, one more batch that no follower ever pulls: being
 	// deposed now strands a suffix the new leader cannot have.
 	n.mu.Lock()
-	n.promoteLocked(ms, 3, "test")
+	n.promoteLocked(ms, 3, "test", true)
 	n.mu.Unlock()
 	if _, err := n.Enqueue("m", [][]float64{vec(3)}, nil); err != nil {
 		t.Fatal(err)
@@ -473,6 +477,36 @@ func TestPullRejectionMarksDiverged(t *testing.T) {
 	n.mu.Unlock()
 	if !diverged {
 		t.Fatal("416 pull rejection did not latch the divergence flag")
+	}
+}
+
+// TestPullFromNonLeaderAdoptsItsHint drives the 409 path of a WAL
+// pull: a peer that no longer leads answers with its leader hint, and
+// the puller that thought it led takes the hint.
+func TestPullFromNonLeaderAdoptsItsHint(t *testing.T) {
+	n, _ := newLeaderNode(t)
+	ms := n.models["m"]
+	const hint = "http://c:1"
+	n.mu.Lock()
+	n.followLocked(ms, hint, 2, time.Now(), "test")
+	n.mu.Unlock()
+	ts := httptest.NewServer(n.Handler())
+	defer ts.Close()
+
+	_, err := n.fetchWAL(ts.URL, "m", 1)
+	var notLeader *errNotLeaderPeer
+	if !errors.As(err, &notLeader) || notLeader.Leader != hint || err.Error() != "cluster: peer is not the leader" {
+		t.Fatalf("pull from a non-leader: err = %v, want errNotLeaderPeer with hint %s", err, hint)
+	}
+	n.mu.Lock()
+	ms.leaderURL = ts.URL
+	n.mu.Unlock()
+	n.handlePullError("m", ts.URL, err)
+	n.mu.Lock()
+	got := ms.leaderURL
+	n.mu.Unlock()
+	if got != hint {
+		t.Fatalf("leader after a 409 = %s, want the hint %s", got, hint)
 	}
 }
 
@@ -528,7 +562,7 @@ func TestClusterMetricsRenderNodeState(t *testing.T) {
 
 	// Re-promoted, the series follow the role at once.
 	n.mu.Lock()
-	n.promoteLocked(ms, 3, "test")
+	n.promoteLocked(ms, 3, "test", true)
 	n.mu.Unlock()
 	out = scrape(n)
 	for series, v := range map[string]float64{
@@ -540,8 +574,10 @@ func TestClusterMetricsRenderNodeState(t *testing.T) {
 			t.Errorf("after re-promotion %s = %v, want %v", series, got, v)
 		}
 	}
-	if strings.Contains(out, "selestd_replication_lag{") {
-		t.Errorf("a leader no follower has pulled from exports lag:\n%s", out)
+	// The follower has not pulled this term: ack 0, so its lag is the
+	// whole journal (seq 1).
+	if got, ok := sample(t, out, lagSeries(follower)); !ok || got != 1 || strings.Count(out, "selestd_replication_lag{") != 1 {
+		t.Errorf("a re-promoted leader exports lag %v (present %v) for %s, want 1 and no other series:\n%s", got, ok, follower, out)
 	}
 }
 

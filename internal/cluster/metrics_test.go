@@ -143,6 +143,64 @@ func TestPromotedFollowerExportsNoSelfLag(t *testing.T) {
 	}
 }
 
+// TestFreshClusterCountsNoFailover: the placement home's bootstrap
+// claim of term 1 is not a failover, so no node of a cluster that never
+// lost a leader counts one.
+func TestFreshClusterCountsNoFailover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node integration test")
+	}
+	nodes := startCluster(t, 3)
+	waitFor(t, 5*time.Second, "initial leader", func() bool { return leaderOf(nodes) != nil })
+	for _, tn := range nodes {
+		if v, ok := sample(t, scrape(tn.node), `selestd_cluster_failovers_total{model="m"}`); !ok || v != 0 {
+			t.Errorf("%s failovers_total = %v (present %v) on a fresh cluster, want 0", tn.url, v, ok)
+		}
+	}
+}
+
+// TestNewLeaderExportsLagForDeadReplica: a leader lists every replica
+// peer from its promotion on, so the one that died with the old term
+// has a lag series (and a follower_ack entry) before it ever pulls.
+func TestNewLeaderExportsLagForDeadReplica(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node integration test")
+	}
+	nodes := startCluster(t, 3)
+	var lead *testNode
+	waitFor(t, 5*time.Second, "initial leader", func() bool {
+		lead = leaderOf(nodes)
+		return lead != nil
+	})
+	enqueueN(t, lead.node, 3)
+	lead.kill()
+	var next *testNode
+	waitFor(t, 5*time.Second, "failover", func() bool {
+		for _, tn := range nodes {
+			if tn != lead && tn.node.ClusterStats().(ClusterStatsResponse).Models["m"].Leader {
+				next = tn
+				return true
+			}
+		}
+		return false
+	})
+
+	st := next.node.ClusterStats().(ClusterStatsResponse).Models["m"]
+	out := scrape(next.node)
+	if ack, ok := st.FollowerAck[lead.url]; !ok || ack != 0 {
+		t.Fatalf("follower_ack = %v, want the dead %s at 0", st.FollowerAck, lead.url)
+	}
+	if got, ok := sample(t, out, lagSeries(lead.url)); !ok || got != float64(st.LastSeq) || got < 3 {
+		t.Fatalf("lag of the dead replica = %v (present %v), want the leader's last seq %d:\n%s", got, ok, st.LastSeq, out)
+	}
+	if len(st.FollowerAck) != 2 || strings.Count(out, "selestd_replication_lag{") != 2 {
+		t.Fatalf("follower_ack %v and lag series must both list the two other replicas:\n%s", st.FollowerAck, out)
+	}
+	if v, _ := sample(t, out, `selestd_cluster_failovers_total{model="m"}`); v != 1 {
+		t.Fatalf("new leader failovers_total = %v, want 1", v)
+	}
+}
+
 func TestFollowerStatsLagMatchesMetrics(t *testing.T) {
 	n, leader := newLeaderNode(t)
 	ms := n.models["m"]

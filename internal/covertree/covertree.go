@@ -59,9 +59,6 @@ func Build(vecs [][]float64, dist DistFunc) *Tree {
 // Size returns the number of indexed points.
 func (t *Tree) Size() int { return t.root.size }
 
-// Root returns the root node (read-only use).
-func (t *Tree) Root() *Node { return t.root }
-
 func covdist(level int) float64 { return math.Pow(2, float64(level)) }
 
 func (t *Tree) insert(idx int) {

@@ -3,6 +3,7 @@ package distance
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -230,6 +231,15 @@ func TestFuncDispatchAndString(t *testing.T) {
 	}
 	if !Euclidean.Metric() || Cosine.Metric() {
 		t.Fatalf("Metric() wrong")
+	}
+	// Parse reads both spellings of each name, String's among them.
+	for name, want := range map[string]Func{"l2": Euclidean, "euclidean": Euclidean, "cos": Cosine, "cosine": Cosine} {
+		if got, err := Parse(name); err != nil || got != want {
+			t.Fatalf("Parse(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := Parse("manhattan"); err == nil || !strings.Contains(err.Error(), `"manhattan"`) {
+		t.Fatalf("Parse of an unknown name: err = %v, want one naming it", err)
 	}
 }
 

@@ -400,13 +400,6 @@ func (m *Model) Dim() int { return m.dim }
 // calibrator's top keypoint).
 func (m *Model) TMax() float64 { return m.tmax }
 
-// SetTMax overrides the advertised threshold ceiling.
-func (m *Model) SetTMax(t float64) {
-	if t > 0 {
-		m.tmax = t
-	}
-}
-
 // Name returns the paper's model name.
 func (m *Model) Name() string { return "DLN" }
 

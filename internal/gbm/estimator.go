@@ -86,13 +86,6 @@ func (e *SelectivityEstimator) Dim() int { return e.dim }
 // beyond it are extrapolation.
 func (e *SelectivityEstimator) TMax() float64 { return e.tmax }
 
-// SetTMax overrides the advertised threshold ceiling.
-func (e *SelectivityEstimator) SetTMax(t float64) {
-	if t > 0 {
-		e.tmax = t
-	}
-}
-
 // Name returns the paper's model name.
 func (e *SelectivityEstimator) Name() string {
 	if e.monotonic {

@@ -423,6 +423,32 @@ func TestPipelineJournalRecovery(t *testing.T) {
 	}
 	p1.Close()
 
+	// The boot-time scan lists every WAL in the directory, the orphan of
+	// a model no pipeline attaches included, without opening any.
+	orphan, _, err := OpenWAL(walPath(dir, "gone/model"), "gone/model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, orphan, testEntry(1, 1), testEntry(2, 2))
+	orphan.Close()
+	infos, err := ScanJournalDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]int{}
+	for _, info := range infos {
+		if info.Path != walPath(dir, info.Model) || info.Bytes <= 0 {
+			t.Fatalf("scan entry %+v", info)
+		}
+		entries[info.Model] = info.Entries
+	}
+	if len(infos) != 2 || entries["m"] != 5 || entries["gone/model"] != 2 {
+		t.Fatalf("journal scan = %+v, want m with 5 entries and the orphan with 2", infos)
+	}
+	if infos, err := ScanJournalDir(filepath.Join(dir, "absent")); infos != nil || err != nil {
+		t.Fatalf("scan of a missing directory = %v, %v; want nothing", infos, err)
+	}
+
 	// "Crash": p1 is gone; nothing of its in-memory state survives. A new
 	// pipeline over the same journal dir starts from the pristine CSV-
 	// equivalent database and must replay all five batches.

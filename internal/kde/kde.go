@@ -179,14 +179,6 @@ func (e *Estimator) Dim() int { return e.dim }
 // proxy for the data diameter.
 func (e *Estimator) TMax() float64 { return e.tmax }
 
-// SetTMax overrides the advertised threshold ceiling (e.g. from the max
-// training-query threshold).
-func (e *Estimator) SetTMax(t float64) {
-	if t > 0 {
-		e.tmax = t
-	}
-}
-
 // DataSize returns the database size at fit time; the serving router
 // uses it to decide when VC-style sampling bounds make a sampling-backed
 // estimator preferable.

@@ -192,15 +192,8 @@ func (e *Estimator) EstimateBatch(x *tensor.Dense, ts []float64) []float64 {
 func (e *Estimator) Dim() int { return e.dim }
 
 // TMax returns the largest answerable threshold (2, the cosine-distance
-// ceiling, unless overridden by SetTMax).
+// ceiling).
 func (e *Estimator) TMax() float64 { return e.tmax }
-
-// SetTMax overrides the advertised threshold ceiling.
-func (e *Estimator) SetTMax(t float64) {
-	if t > 0 {
-		e.tmax = t
-	}
-}
 
 // DataSize returns the number of database vectors currently backing the
 // estimator; the serving router compares it against VC sampling bounds.

@@ -515,9 +515,6 @@ func NewShadow(cfg ShadowConfig) *Shadow {
 // Enabled reports whether the sampler can ever sample (nil-safe).
 func (s *Shadow) Enabled() bool { return s != nil && s.threshold > 0 }
 
-// SampleRate returns the configured sampling fraction.
-func (s *Shadow) SampleRate() float64 { return s.cfg.SampleRate }
-
 // Accuracy returns the monitor receiving the scored samples.
 func (s *Shadow) Accuracy() *AccuracyMonitor { return s.cfg.Accuracy }
 

@@ -126,9 +126,6 @@ func (d *DriftMonitor) Stats() map[string]DriftStats {
 	return out
 }
 
-// Threshold reports the configured p95 q-error alarm threshold.
-func (d *DriftMonitor) Threshold() float64 { return d.cfg.Threshold }
-
 // WriteMetrics emits the drift gauges and counters: per-model rolling
 // q-error quantiles, sample/cycle totals, and the exceeded counter.
 func (d *DriftMonitor) WriteMetrics(p *PromWriter) {

@@ -85,9 +85,6 @@ func NewWorkloadMonitor(cfg WorkloadConfig) *WorkloadMonitor {
 	return &WorkloadMonitor{cfg: cfg, models: make(map[string]*workloadState)}
 }
 
-// Threshold reports the configured divergence alarm threshold.
-func (m *WorkloadMonitor) Threshold() float64 { return m.cfg.Threshold }
-
 // SetBaseline captures the training workload snapshot for a model:
 // queries are the training/validation query vectors, ts the matching
 // thresholds (len(ts) may be 0 if thresholds are unknown, in which case

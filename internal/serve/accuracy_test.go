@@ -2,13 +2,17 @@ package serve
 
 import (
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"selnet/internal/modeltest"
 	"selnet/internal/obs"
+	"selnet/internal/selnet"
 	"selnet/internal/tensor"
 )
 
@@ -63,23 +67,29 @@ func newShadowServer(t *testing.T) (*Server, *obs.Shadow, *httptest.Server) {
 	return s, sh, ts
 }
 
-func waitForSamples(t *testing.T, url string, want uint64) accuracyResponse {
+// waitForSamples polls /debug/accuracy until model has want scored
+// samples, then reads it once more: the handler snapshots the sampler
+// before the models, so only a read that starts after the wait is over
+// sees sampler counters that cover every scored sample.
+func waitForSamples(t *testing.T, url, model string, want uint64) accuracyResponse {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	var acc accuracyResponse
 	for time.Now().Before(deadline) {
 		getJSON(t, url+"/debug/accuracy", &acc)
-		if st, ok := acc.Models["default"]; ok && st.Samples >= want {
-			return acc
+		if st, ok := acc.Models[model]; ok && st.Samples >= want {
+			var fresh accuracyResponse
+			getJSON(t, url+"/debug/accuracy", &fresh)
+			return fresh
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("shadow never scored %d samples: %+v", want, acc)
+	t.Fatalf("shadow never scored %d samples of %s: %+v", want, model, acc)
 	return acc
 }
 
 func TestAccuracyEndpoint(t *testing.T) {
-	_, sh, ts := newShadowServer(t)
+	s, sh, ts := newShadowServer(t)
 
 	// Drive estimates on both sides of the region split and across
 	// threshold bands; every one is sampled (rate 1).
@@ -99,7 +109,7 @@ func TestAccuracyEndpoint(t *testing.T) {
 		}
 	}
 
-	acc := waitForSamples(t, ts.URL, 16)
+	acc := waitForSamples(t, ts.URL, "default", 16)
 	if acc.Sampler.Sampled < 16 {
 		t.Fatalf("sampler.sampled = %d, want >= 16", acc.Sampler.Sampled)
 	}
@@ -164,7 +174,31 @@ func TestAccuracyEndpoint(t *testing.T) {
 			t.Fatalf("/metrics missing %s", fam)
 		}
 	}
-	_ = sh
+
+	// A real partitioned SelNet: each sample lands in the partition its
+	// PartitionOf names, so the breakdown matches the in-process one.
+	part := modeltest.Builders()["selnet-part"]().(*selnet.Partitioned)
+	sh.SetOracle("part", fixedOracle{v: 50})
+	if _, err := s.Registry().Publish("part", part, "test"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{}
+	for i := 0; i < 24; i++ {
+		x := []float64{float64(i%5) - 2, float64(i%3) - 1, 0.5 * float64(i%4)}
+		tq := 0.2 + 0.1*float64(i%6)
+		want[strconv.Itoa(part.PartitionOf(x, tq))]++
+		resp, body := postJSON(t, ts.URL+"/v1/estimate", estimateRequest{Model: "part", Query: x, T: tq})
+		if resp.StatusCode != 200 {
+			t.Fatalf("estimate part %d: %d %s", i, resp.StatusCode, body)
+		}
+	}
+	got := map[string]uint64{}
+	for id, b := range waitForSamples(t, ts.URL, "part", 24).Models["part"].Partitions {
+		got[id] = b.Count
+	}
+	if len(want) < 2 || !maps.Equal(got, want) {
+		t.Fatalf("partition breakdown counts = %v, want %v (from PartitionOf, over two or more regions)", got, want)
+	}
 }
 
 func TestAccuracyEndpointLimitAndContentType(t *testing.T) {
@@ -173,7 +207,7 @@ func TestAccuracyEndpointLimitAndContentType(t *testing.T) {
 		postJSON(t, ts.URL+"/v1/estimate",
 			estimateRequest{Model: "default", Query: []float64{1, float64(i)}, T: 0.2})
 	}
-	waitForSamples(t, ts.URL, 8)
+	waitForSamples(t, ts.URL, "default", 8)
 
 	var acc accuracyResponse
 	resp := getJSON(t, ts.URL+"/debug/accuracy?limit=1", &acc)
@@ -235,7 +269,7 @@ func TestAccuracyBatchSampling(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("batch: %d %s", resp.StatusCode, body)
 	}
-	acc := waitForSamples(t, ts.URL, 12)
+	acc := waitForSamples(t, ts.URL, "default", 12)
 	if got := acc.Models["default"].Samples; got != 12 {
 		t.Fatalf("batch scored %d samples, want 12", got)
 	}

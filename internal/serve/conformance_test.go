@@ -195,6 +195,22 @@ func TestEveryKindServesOverHTTP(t *testing.T) {
 		}
 	}
 
+	// /stats carries a plans block for both SelNet kinds, counting the
+	// row each estimate above pushed through the compiled plans.
+	var stats statsResponse
+	getJSON(t, ts.URL+"/stats", &stats)
+	plans := map[string]uint64{}
+	for _, m := range stats.Models {
+		if m.Plans != nil {
+			plans[m.Name] = m.Plans.Rows
+		}
+	}
+	for _, kind := range []string{"selnet", "selnet-part"} {
+		if plans[kind] == 0 {
+			t.Errorf("/stats plans rows by model = %v, want rows for %s", plans, kind)
+		}
+	}
+
 	// Hot-swap: re-POST each file and the generation must advance while
 	// serving continues (same bytes, new registry generation).
 	for _, kind := range kinds {

@@ -109,9 +109,6 @@ func NewRouter(reg *Registry, cfg RouterConfig) *Router {
 	return rt
 }
 
-// Mode returns the configured routing policy.
-func (rt *Router) Mode() string { return rt.cfg.Mode }
-
 // Routes reports whether name is a virtual name this router resolves.
 // The server consults it only after a registry miss, so a concrete
 // model published under "default" always wins.

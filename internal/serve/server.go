@@ -84,18 +84,12 @@ func (s *Server) SetUpdater(u Updater) { s.updater = u }
 // through it instead of answering 404. Install before serving traffic.
 func (s *Server) SetRouter(rt *Router) { s.router = rt }
 
-// Router returns the attached workload router, or nil.
-func (s *Server) Router() *Router { return s.router }
-
 // SetTracer attaches the request tracer: spans are captured through
 // the estimate path, served at GET /debug/traces, and exported as
 // per-stage histograms in /metrics. Call before Handler sees traffic;
 // without one, tracing is compiled out of the request path (a single
 // nil check per handler).
 func (s *Server) SetTracer(t *obs.Tracer) { s.tracer = t }
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // SetDrift attaches the accuracy drift monitor so /stats and /metrics
 // surface rolling q-error quantiles (the ingest pipeline feeds it).
@@ -128,9 +122,6 @@ func (s *Server) SetShadow(sh *obs.Shadow) {
 		return p, p >= 0
 	})
 }
-
-// Shadow returns the attached sampler (nil when shadow scoring is off).
-func (s *Server) Shadow() *obs.Shadow { return s.shadow }
 
 // SetAccessLog enables structured per-request logging (method, path,
 // status, duration, trace ID) through l. Call before Handler sees

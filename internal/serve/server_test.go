@@ -5,16 +5,20 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"selnet/internal/kde"
 	"selnet/internal/modelcodec"
+	"selnet/internal/obs"
 	"selnet/internal/selnet"
 )
 
@@ -74,6 +78,41 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 	return resp
 }
 
+// TestAccessLogLinePerRequest checks the structured access log: one
+// request writes one line, carrying the trace ID the response echoes.
+func TestAccessLogLinePerRequest(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewServer(Config{})
+	s.SetAccessLog(slog.New(slog.NewJSONHandler(&buf, nil)))
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+
+	resp, _ := postJSON(t, ts.URL+"/v1/estimate", estimateRequest{Model: "absent", Query: []float64{1}, T: 0.1})
+	id := resp.Header.Get("X-Trace-Id")
+	if resp.StatusCode != http.StatusNotFound || len(id) != 16 {
+		t.Fatalf("status %d, X-Trace-Id %q", resp.StatusCode, id)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("%d access-log lines, want 1:\n%s", len(lines), buf.String())
+	}
+	var rec struct {
+		Level, Msg, Method, Path string
+		TraceID                  string `json:"trace_id"`
+		Status                   int
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Msg != "request" || rec.Level != "WARN" || rec.TraceID != id ||
+		rec.Method != "POST" || rec.Path != "/v1/estimate" || rec.Status != http.StatusNotFound {
+		t.Fatalf("access-log line %+v, want a WARN POST /v1/estimate 404 with trace %s", rec, id)
+	}
+}
+
 func TestServerEndToEnd(t *testing.T) {
 	const dim = 4
 	s, ts := newTestServer(t, Config{
@@ -90,6 +129,13 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if health.Status != "ok" || health.Models != 0 {
 		t.Fatalf("healthz = %+v", health)
+	}
+	var bi obs.BuildInfo
+	if resp := getJSON(t, ts.URL+"/v1/buildinfo", &bi); resp.StatusCode != 200 {
+		t.Fatalf("buildinfo status %d", resp.StatusCode)
+	}
+	if bi.GoVersion == "" || bi.GOMAXPROCS != runtime.GOMAXPROCS(0) || bi.UptimeSeconds < 0 {
+		t.Fatalf("buildinfo = %+v", bi)
 	}
 
 	// Load a model from disk through the API.

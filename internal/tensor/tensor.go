@@ -543,23 +543,3 @@ func sameShape(op string, a, b *Dense) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.rows, a.cols, b.rows, b.cols))
 	}
 }
-
-// String renders small matrices for debugging.
-func (m *Dense) String() string {
-	if m.rows*m.cols > 400 {
-		return fmt.Sprintf("Dense(%dx%d)", m.rows, m.cols)
-	}
-	s := fmt.Sprintf("Dense(%dx%d)[", m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		if i > 0 {
-			s += "; "
-		}
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				s += " "
-			}
-			s += fmt.Sprintf("%.4g", m.At(i, j))
-		}
-	}
-	return s + "]"
-}

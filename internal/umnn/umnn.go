@@ -204,13 +204,6 @@ func (m *Model) Dim() int { return m.dim }
 // TMax returns the largest threshold seen during training.
 func (m *Model) TMax() float64 { return m.tmax }
 
-// SetTMax overrides the advertised threshold ceiling.
-func (m *Model) SetTMax(t float64) {
-	if t > 0 {
-		m.tmax = t
-	}
-}
-
 // Name returns the paper's model name.
 func (m *Model) Name() string { return "UMNN" }
 
