@@ -1,14 +1,29 @@
-//go:build amd64 && !tensor_noopt
-
 package main
+
+import (
+	"fmt"
+	"os"
+	"testing"
+
+	"selnet/internal/tensor"
+)
+
+// TestMain runs the pinned Example only where its output holds. The run
+// is seeded, but training turns a one-ulp difference in any product into
+// other printed numbers, so the pin needs the packed GEMM to fuse every
+// multiply-add: amd64 with AVX2+FMA, built without tensor_noopt. An
+// Example cannot skip itself, so on other CPUs and builds the package
+// exits before running it.
+func TestMain(m *testing.M) {
+	if !tensor.SIMDEnabled() || !tensor.Optimized() {
+		fmt.Println("skipping Example: the portable kernels print other numbers than the pin")
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // Example pins the walkthrough of the consistency claim: a trained
 // SelNet whose estimates are monotone in the threshold.
-//
-// The run is seeded, but training turns a one-ulp difference in any
-// product into other printed numbers, so the output holds only where the
-// packed GEMM fuses every multiply-add: amd64 with AVX2+FMA, built
-// without tensor_noopt. The portable kernels print other numbers.
 func Example() {
 	main()
 	// Output:

@@ -86,8 +86,8 @@ type modelState struct {
 	// unreplicated suffix, or a pull cursor ahead of the leader's log).
 	// A diverged replica stops replicating and must be reseeded.
 	diverged bool
-	// promotions and demotions count the leaderships this node won and
-	// ceded, for /metrics.
+	// promotions and demotions count the elections this node won and
+	// the leaderships it ceded, for /metrics.
 	promotions, demotions uint64
 	// rr round-robins fan-out reads across the replica set.
 	rr uint64
@@ -242,7 +242,7 @@ func (n *Node) bootstrap() {
 		}
 		n.adoptClaimsLocked(ms, states, now)
 		if ms.leaderURL == "" && len(ms.replicas) > 0 && ms.replicas[0] == n.cfg.Self {
-			n.promoteLocked(ms, ms.maxTerm+1, "bootstrap", false)
+			n.promoteLocked(ms, ms.maxTerm+1, "bootstrap")
 		}
 		if ms.leaderSeen.IsZero() {
 			ms.leaderSeen = now // grace: don't elect before FailAfter of silence
@@ -397,16 +397,17 @@ func (n *Node) electLocked(ms *modelState, states map[string]*PeerStatus) {
 		ms.leaderSeen = time.Now()
 		return
 	}
-	n.promoteLocked(ms, ms.maxTerm+1, "leader silent", true)
+	n.promoteLocked(ms, ms.maxTerm+1, "leader silent")
+	// Only a promotion won by an election is a failover; the placement
+	// home's bootstrap claim is not.
+	ms.promotions++
 }
 
-// promoteLocked makes this node the model's leader at term. Only a
-// promotion won by an election is a failover (counted in
-// selestd_cluster_failovers_total); the placement home's bootstrap claim
-// is not. Every other replica starts at ack 0, "not heard from this
-// term": it counts toward no semi-sync ack and raises no deposed-leader
-// maxAck, yet has a lag series even while it is down.
-func (n *Node) promoteLocked(ms *modelState, term uint64, why string, elected bool) {
+// promoteLocked makes this node the model's leader at term. Every other
+// replica starts at ack 0, "not heard from this term": it counts toward
+// no semi-sync ack and raises no deposed-leader maxAck, yet has a lag
+// series even while it is down.
+func (n *Node) promoteLocked(ms *modelState, term uint64, why string) {
 	ms.leader = true
 	ms.term = term
 	if term > ms.maxTerm {
@@ -422,9 +423,6 @@ func (n *Node) promoteLocked(ms *modelState, term uint64, why string, elected bo
 	}
 	n.logger.Info("cluster: promoted to leader",
 		slog.String("model", ms.name), slog.Uint64("term", term), slog.String("reason", why))
-	if elected {
-		ms.promotions++
-	}
 	n.ackCond.Broadcast()
 }
 

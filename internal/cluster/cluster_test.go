@@ -353,7 +353,7 @@ func newLeaderNode(t *testing.T) (*Node, string) {
 		t.Fatal(err)
 	}
 	n.mu.Lock()
-	n.promoteLocked(n.models["m"], 1, "test", true)
+	n.promoteLocked(n.models["m"], 1, "test")
 	n.mu.Unlock()
 	return n, follower
 }
@@ -443,7 +443,7 @@ func TestDemotionWithUnreplicatedSuffixMarksDiverged(t *testing.T) {
 	// Re-promoted, one more batch that no follower ever pulls: being
 	// deposed now strands a suffix the new leader cannot have.
 	n.mu.Lock()
-	n.promoteLocked(ms, 3, "test", true)
+	n.promoteLocked(ms, 3, "test")
 	n.mu.Unlock()
 	if _, err := n.Enqueue("m", [][]float64{vec(3)}, nil); err != nil {
 		t.Fatal(err)
@@ -514,8 +514,9 @@ func TestPullFromNonLeaderAdoptsItsHint(t *testing.T) {
 // change and counter: the nine families with their types, divergence
 // latched and shown once, and the promotion, demotion and pull counts.
 func TestClusterMetricsRenderNodeState(t *testing.T) {
-	n, follower := newLeaderNode(t) // one promotion, term 1
+	n, follower := newLeaderNode(t)
 	ms := n.models["m"]
+	ms.promotions++ // as electLocked counts a won election: one, term 1
 	enqueueN(t, n, 1)
 	n.countPull(5, false)
 	n.countPull(0, true)
@@ -562,7 +563,8 @@ func TestClusterMetricsRenderNodeState(t *testing.T) {
 
 	// Re-promoted, the series follow the role at once.
 	n.mu.Lock()
-	n.promoteLocked(ms, 3, "test", true)
+	n.promoteLocked(ms, 3, "test")
+	ms.promotions++
 	n.mu.Unlock()
 	out = scrape(n)
 	for series, v := range map[string]float64{

@@ -565,11 +565,14 @@ func (s *Shadow) Offer(model string, traceID, salt uint64, q []float64, t, tmax,
 	} else {
 		sm.spill = append([]float64(nil), q...)
 	}
+	// Counted before the send, so no worker scores a sample that
+	// sampled does not yet include; undone if the queue is full.
+	s.sampled.Add(1)
 	select {
 	case s.ch <- sm:
-		s.sampled.Add(1)
 		return true
 	default:
+		s.sampled.Add(^uint64(0))
 		s.dropped.Add(1)
 		return false
 	}

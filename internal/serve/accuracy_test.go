@@ -67,10 +67,6 @@ func newShadowServer(t *testing.T) (*Server, *obs.Shadow, *httptest.Server) {
 	return s, sh, ts
 }
 
-// waitForSamples polls /debug/accuracy until model has want scored
-// samples, then reads it once more: the handler snapshots the sampler
-// before the models, so only a read that starts after the wait is over
-// sees sampler counters that cover every scored sample.
 func waitForSamples(t *testing.T, url, model string, want uint64) accuracyResponse {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -78,9 +74,7 @@ func waitForSamples(t *testing.T, url, model string, want uint64) accuracyRespon
 	for time.Now().Before(deadline) {
 		getJSON(t, url+"/debug/accuracy", &acc)
 		if st, ok := acc.Models[model]; ok && st.Samples >= want {
-			var fresh accuracyResponse
-			getJSON(t, url+"/debug/accuracy", &fresh)
-			return fresh
+			return acc
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

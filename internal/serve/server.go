@@ -467,10 +467,11 @@ func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := accuracyResponse{
-		Sampler: s.shadow.Stats(),
-		Models:  s.shadow.Accuracy().Stats(limit),
-	}
+	// Models before the sampler: a sample's oracle method and sampled
+	// count are bumped before it is scored, so the sampler read second
+	// covers every sample the models show.
+	resp := accuracyResponse{Models: s.shadow.Accuracy().Stats(limit)}
+	resp.Sampler = s.shadow.Stats()
 	if wl := s.shadow.Workload(); wl != nil {
 		if ws := wl.Stats(); len(ws) > 0 {
 			resp.Workload = ws
