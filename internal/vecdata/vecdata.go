@@ -120,7 +120,9 @@ func (db *Database) Clone() *Database {
 }
 
 // parallelFor splits [0, n) into GOMAXPROCS chunks. On a single-core box it
-// degenerates to a plain loop with no goroutine overhead.
+// degenerates to a plain loop with no goroutine overhead. It takes every
+// P until the last chunk ends, so it is for start-up and offline scans
+// only, never for code that runs beside serving (see Relabel).
 func parallelFor(n int, f func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || n < 256 {
@@ -443,13 +445,54 @@ func vecKey(v []float64) string {
 }
 
 // Relabel recomputes the exact selectivity of every query against db,
-// used after database updates (Sec. 5.4).
-func Relabel(queries []Query, db *Database) {
-	parallelFor(len(queries), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			queries[i].Y = db.Selectivity(queries[i].X, queries[i].T)
+// used after database updates (Sec. 5.4), and returns the number of
+// distance evaluations it made.
+//
+// Workloads keep a vector's thresholds adjacent (GeometricWorkload,
+// Split), so each run of adjacent queries with bit-identical X costs one
+// pass over db: the distance to each row is computed once and compared
+// against every threshold of the run. That is the call and comparison
+// Selectivity makes, so each label is the one Selectivity gives.
+//
+// It runs on the caller's goroutine. The ingest cycle calls it beside
+// serving, and a scan fanned out to every P would leave an arriving
+// request no P to run on until the scan ends.
+func Relabel(queries []Query, db *Database) (evals int) {
+	for lo := 0; lo < len(queries); {
+		x := queries[lo].X
+		hi := lo + 1
+		for hi < len(queries) && sameVec(queries[hi].X, x) {
+			hi++
 		}
-	})
+		run := queries[lo:hi]
+		for j := range run {
+			run[j].Y = 0
+		}
+		for _, o := range db.Vecs {
+			d := db.Dist.Distance(x, o)
+			for j := range run {
+				if d <= run[j].T {
+					run[j].Y++ // exact: counts stay far below 2^53
+				}
+			}
+		}
+		evals += len(db.Vecs)
+		lo = hi
+	}
+	return evals
+}
+
+// sameVec reports whether a and b hold the same float64 bits.
+func sameVec(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ----------------------------------------------------------------------------
