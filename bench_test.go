@@ -359,7 +359,7 @@ func BenchmarkServeShadowSampled(b *testing.B) {
 	queries := servingQueries(256, net.Dim())
 	rng := rand.New(rand.NewSource(3))
 	db := vecdata.SyntheticFasttext(rng, 500, net.Dim(), distance.Euclidean)
-	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 0.1, QueueDepth: 1024})
+	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 0.1})
 	sh.SetOracle("bench", ingest.NewDBOracle(db, ingest.OracleConfig{}))
 	defer sh.Close()
 

@@ -60,7 +60,7 @@
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener stops, open
 // requests finish, the ingest journals drain (every accepted batch is
-// applied), and in-flight inference batches drain.
+// applied), and Close waits for the single estimates already admitted.
 //
 // With -cluster-peers set, several selestd processes form one serving
 // group: models are placed on nodes by consistent hashing with
@@ -87,6 +87,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -113,39 +114,6 @@ func (m *repeatedFlags) Set(v string) error {
 	return nil
 }
 
-// ingestOptions carries the -update-*, retrain, and journal flag values.
-type ingestOptions struct {
-	queueDepth     int
-	coalesceMax    int
-	retrainWorkers int
-	deltaU         float64
-	patience       int
-	maxEpochs      int
-	queries        int
-	dist           distance.Func
-	journalDir     string
-	snapshotEvery  int
-	compactBytes   int64
-	syncInterval   time.Duration
-	drift          *obs.DriftMonitor
-	shadow         *obs.Shadow
-	workload       *obs.WorkloadMonitor
-	oracleBudget   int
-}
-
-// clusterOptions carries the -cluster-* flag values.
-type clusterOptions struct {
-	self       string
-	peers      []string
-	replicas   int
-	heartbeat  time.Duration
-	failover   time.Duration
-	ack        int
-	ackTimeout time.Duration
-}
-
-func (c clusterOptions) enabled() bool { return len(c.peers) > 0 }
-
 // parsePeers splits a comma-separated peer list into normalized base
 // URLs (trailing slashes stripped, empties dropped).
 func parsePeers(s string) []string {
@@ -159,116 +127,118 @@ func parsePeers(s string) []string {
 	return out
 }
 
-// obsOptions carries the observability flag values.
-type obsOptions struct {
-	debugAddr     string
-	traceSlow     time.Duration
-	driftQError   float64
-	kernelTiming  bool
-	accessLog     bool
-	shadowSample  float64
-	shadowBudget  int
-	workloadShift float64
-	mutexFraction int
-	blockRate     int
+// splitSpec splits a -model or -data spec into its model name and
+// path; a bare path names "default".
+func splitSpec(spec string) (name, path string) {
+	name, path, ok := strings.Cut(spec, "=")
+	if !ok {
+		return "default", spec
+	}
+	return name, path
+}
+
+// config is the daemon's whole configuration. Each flag binds directly
+// onto one field, most of them onto the serve, ingest, cluster and obs
+// configs that run hands to those packages, and each of those starts
+// from its package's defaults, so a flag's default is written once.
+type config struct {
+	addr, debugAddr, dist, router    string
+	models, data                     repeatedFlags
+	drain                            time.Duration
+	updateQueries                    int
+	kernelTiming, accessLog, logJSON bool
+	mutexFraction, blockRate         int
+
+	serve    serve.Config
+	ingest   ingest.Config
+	cluster  cluster.Config
+	trace    obs.TracerConfig
+	drift    obs.DriftConfig
+	shadow   obs.ShadowConfig
+	workload obs.WorkloadConfig
+}
+
+// newConfig returns the configuration the daemon runs with when no
+// flag is given.
+func newConfig() *config {
+	c := &config{
+		addr: ":8080", dist: "l2", drain: 10 * time.Second,
+		updateQueries: 32, kernelTiming: true,
+		serve:    serve.Config{Cache: serve.DefaultCacheConfig()},
+		ingest:   ingest.DefaultConfig(),
+		cluster:  cluster.DefaultConfig(),
+		trace:    obs.DefaultTracerConfig(),
+		workload: obs.WorkloadConfig{Threshold: 0.25},
+	}
+	c.cluster.AckFollowers = 1
+	c.ingest.Train = selnet.DefaultTrainConfig()
+	c.ingest.Train.AEPretrainEpochs = 0 // incremental retraining continues from current weights
+	return c
+}
+
+// bind registers every flag on fs, each defaulting to c's current value.
+func (c *config) bind(fs *flag.FlagSet) {
+	ic, cc := &c.ingest, &c.cluster
+	fs.StringVar(&c.addr, "addr", c.addr, "listen address")
+	fs.IntVar(&c.serve.Cache.Capacity, "cache", c.serve.Cache.Capacity, "LRU estimate cache capacity; a key is cached on its second miss (0 disables)")
+	fs.Float64Var(&c.serve.Cache.Quantum, "quantum", c.serve.Cache.Quantum, "cache key quantization step for query coordinates and thresholds")
+	fs.DurationVar(&c.drain, "drain", c.drain, "graceful shutdown timeout")
+	fs.IntVar(&ic.QueueDepth, "update-queue", ic.QueueDepth, "pending update batches per model before 429 backpressure")
+	fs.IntVar(&ic.RetrainWorkers, "retrain-workers", ic.RetrainWorkers, "concurrent shadow retrains across all models")
+	fs.Float64Var(&ic.Update.DeltaU, "delta-u", ic.Update.DeltaU, "MAE-change threshold delta_U gating incremental retraining (Sec. 5.4)")
+	fs.IntVar(&ic.Update.Patience, "retrain-patience", ic.Update.Patience, "non-improving epochs that stop incremental retraining")
+	fs.IntVar(&ic.Update.MaxEpochs, "retrain-epochs", ic.Update.MaxEpochs, "max incremental epochs per retrain cycle")
+	fs.IntVar(&c.updateQueries, "update-queries", c.updateQueries, "query vectors in the generated delta_U validation workload")
+	fs.StringVar(&c.dist, "dist", c.dist, "distance function for -data CSV databases: l2 or cosine")
+	fs.StringVar(&ic.Journal.Dir, "journal-dir", ic.Journal.Dir, "directory for the durable update journal (empty keeps it in memory)")
+	fs.IntVar(&ic.Journal.SnapshotEvery, "snapshot-every", ic.Journal.SnapshotEvery, "applied update batches between durable snapshots (with -journal-dir)")
+	fs.Int64Var(&ic.Journal.CompactBytes, "journal-compact-bytes", ic.Journal.CompactBytes, "WAL size forcing a snapshot+compaction (with -journal-dir)")
+	fs.DurationVar(&ic.Journal.SyncInterval, "journal-sync-interval", ic.Journal.SyncInterval, "tick-based WAL fsync window: batch records per fsync at the cost of up to this much added ack latency (0 = fsync per group commit)")
+	fs.StringVar(&c.debugAddr, "debug-addr", c.debugAddr, "secondary listen address serving net/http/pprof under /debug/pprof/ (empty disables)")
+	fs.DurationVar(&c.trace.SlowThreshold, "trace-slow", c.trace.SlowThreshold, "requests at least this slow are retained in the /debug/traces slowest-N list")
+	fs.Float64Var(&c.drift.Threshold, "drift-qerror", c.drift.Threshold, "rolling p95 q-error above which an ingest cycle counts as drift_exceeded (0 disables the alarm counter)")
+	fs.BoolVar(&c.kernelTiming, "kernel-timing", c.kernelTiming, "accumulate per-kernel plan-execution timings (surfaced in /stats and /metrics)")
+	fs.BoolVar(&c.accessLog, "access-log", c.accessLog, "log every HTTP request via slog with its trace id")
+	fs.Float64Var(&c.shadow.SampleRate, "shadow-sample", c.shadow.SampleRate, "fraction of estimate requests shadow-scored against a ground-truth oracle, 0..1 (0 disables)")
+	fs.IntVar(&ic.Oracle.Budget, "shadow-oracle-budget", ic.Oracle.Budget, "max vectors the shadow oracle scans (or samples) per ground-truth evaluation")
+	fs.Float64Var(&c.workload.Threshold, "workload-shift", c.workload.Threshold, "live-vs-training workload divergence above which retraining is advised (with -shadow-sample; 0 disables the alarm)")
+	fs.IntVar(&c.mutexFraction, "mutex-profile-fraction", c.mutexFraction, "runtime.SetMutexProfileFraction sampling rate for /debug/pprof/mutex (with -debug-addr; 0 disables)")
+	fs.IntVar(&c.blockRate, "block-profile-rate", c.blockRate, "runtime.SetBlockProfileRate nanoseconds threshold for /debug/pprof/block (with -debug-addr; 0 disables)")
+	fs.Func("cluster-self", "this node's base URL as peers reach it, e.g. http://10.0.0.1:8080 (with -cluster-peers)", func(v string) error {
+		cc.Self = strings.TrimRight(strings.TrimSpace(v), "/")
+		return nil
+	})
+	fs.Func("cluster-peers", "comma-separated base URLs of every cluster node including this one (empty disables clustering)", func(v string) error {
+		cc.Peers = parsePeers(v)
+		return nil
+	})
+	fs.IntVar(&cc.Replicas, "cluster-replicas", cc.Replicas, "replicas per model (clamped to the cluster size)")
+	fs.DurationVar(&cc.Heartbeat, "cluster-heartbeat", cc.Heartbeat, "peer heartbeat interval")
+	fs.DurationVar(&cc.FailAfter, "cluster-failover", cc.FailAfter, "leader silence before a follower takes over (0 = 6x the heartbeat)")
+	fs.IntVar(&cc.AckFollowers, "cluster-ack", cc.AckFollowers, "follower journal acknowledgements required before an update is acknowledged (0 = asynchronous replication)")
+	fs.DurationVar(&cc.AckTimeout, "cluster-ack-timeout", cc.AckTimeout, "max wait for follower acknowledgements before answering 503")
+	fs.StringVar(&c.router, "router", c.router, "workload routing for the virtual names \"default\"/\"auto\": auto, ensemble, or an estimator kind slug (empty disables)")
+	fs.BoolVar(&c.logJSON, "log-json", c.logJSON, "emit logs as JSON instead of text")
+	fs.Var(&c.models, "model", "model to serve as name=path (repeatable); bare path serves as \"default\"")
+	fs.Var(&c.data, "data", "CSV vector database attached to a -model for streaming updates, as name=path.csv (repeatable)")
 }
 
 func main() {
-	var models, data repeatedFlags
-	addr := flag.String("addr", ":8080", "listen address")
-	cacheSize := flag.Int("cache", 4096, "LRU estimate cache capacity; a key is cached on its second miss (0 disables)")
-	quantum := flag.Float64("quantum", 1e-6, "cache key quantization step for query coordinates and thresholds")
-	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
-	updateQueue := flag.Int("update-queue", 64, "pending update batches per model before 429 backpressure")
-	coalesce := flag.Int("coalesce", 8, "max update batches fused into one retrain cycle")
-	retrainWorkers := flag.Int("retrain-workers", 1, "concurrent shadow retrains across all models")
-	deltaU := flag.Float64("delta-u", 1.0, "MAE-change threshold delta_U gating incremental retraining (Sec. 5.4)")
-	patience := flag.Int("retrain-patience", 3, "non-improving epochs that stop incremental retraining")
-	maxEpochs := flag.Int("retrain-epochs", 30, "max incremental epochs per retrain cycle")
-	updateQueries := flag.Int("update-queries", 32, "query vectors in the generated delta_U validation workload")
-	distName := flag.String("dist", "l2", "distance function for -data CSV databases: l2 or cosine")
-	journalDir := flag.String("journal-dir", "", "directory for the durable update journal (empty keeps it in memory)")
-	snapshotEvery := flag.Int("snapshot-every", 64, "applied update batches between durable snapshots (with -journal-dir)")
-	compactBytes := flag.Int64("journal-compact-bytes", 4<<20, "WAL size forcing a snapshot+compaction (with -journal-dir)")
-	syncInterval := flag.Duration("journal-sync-interval", 0, "tick-based WAL fsync window: batch records per fsync at the cost of up to this much added ack latency (0 = fsync per group commit)")
-	debugAddr := flag.String("debug-addr", "", "secondary listen address serving net/http/pprof under /debug/pprof/ (empty disables)")
-	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond, "requests at least this slow are retained in the /debug/traces slowest-N list")
-	driftQError := flag.Float64("drift-qerror", 0, "rolling p95 q-error above which an ingest cycle counts as drift_exceeded (0 disables the alarm counter)")
-	kernelTiming := flag.Bool("kernel-timing", true, "accumulate per-kernel plan-execution timings (surfaced in /stats and /metrics)")
-	accessLog := flag.Bool("access-log", false, "log every HTTP request via slog with its trace id")
-	shadowSample := flag.Float64("shadow-sample", 0, "fraction of estimate requests shadow-scored against a ground-truth oracle, 0..1 (0 disables)")
-	shadowBudget := flag.Int("shadow-oracle-budget", 2000, "max vectors the shadow oracle scans (or samples) per ground-truth evaluation")
-	workloadShift := flag.Float64("workload-shift", 0.25, "live-vs-training workload divergence above which retraining is advised (with -shadow-sample)")
-	mutexFraction := flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction sampling rate for /debug/pprof/mutex (with -debug-addr; 0 disables)")
-	blockRate := flag.Int("block-profile-rate", 0, "runtime.SetBlockProfileRate nanoseconds threshold for /debug/pprof/block (with -debug-addr; 0 disables)")
-	clusterSelf := flag.String("cluster-self", "", "this node's base URL as peers reach it, e.g. http://10.0.0.1:8080 (with -cluster-peers)")
-	clusterPeers := flag.String("cluster-peers", "", "comma-separated base URLs of every cluster node including this one (empty disables clustering)")
-	clusterReplicas := flag.Int("cluster-replicas", 2, "replicas per model (clamped to the cluster size)")
-	clusterHeartbeat := flag.Duration("cluster-heartbeat", 250*time.Millisecond, "peer heartbeat interval")
-	clusterFailover := flag.Duration("cluster-failover", 0, "leader silence before a follower takes over (0 = 6x the heartbeat)")
-	clusterAck := flag.Int("cluster-ack", 1, "follower journal acknowledgements required before an update is acknowledged (0 = asynchronous replication)")
-	clusterAckTimeout := flag.Duration("cluster-ack-timeout", 5*time.Second, "max wait for follower acknowledgements before answering 503")
-	routerMode := flag.String("router", "", "workload routing for the virtual names \"default\"/\"auto\": auto, ensemble, or an estimator kind slug (empty disables)")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
-	flag.Var(&models, "model", "model to serve as name=path (repeatable); bare path serves as \"default\"")
-	flag.Var(&data, "data", "CSV vector database attached to a -model for streaming updates, as name=path.csv (repeatable)")
+	c := newConfig()
+	c.bind(flag.CommandLine)
 	flag.Parse()
 
 	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
-	if *logJSON {
+	if c.logJSON {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	}
 	slog.SetDefault(slog.New(handler))
 
-	dist, err := distance.Parse(*distName)
+	err := validateFlags(c)
+	if err == nil {
+		err = run(c)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "selestd: %v\n", err)
-		os.Exit(1)
-	}
-	opts := ingestOptions{
-		queueDepth:     *updateQueue,
-		coalesceMax:    *coalesce,
-		retrainWorkers: *retrainWorkers,
-		deltaU:         *deltaU,
-		patience:       *patience,
-		maxEpochs:      *maxEpochs,
-		queries:        *updateQueries,
-		dist:           dist,
-		journalDir:     *journalDir,
-		snapshotEvery:  *snapshotEvery,
-		compactBytes:   *compactBytes,
-		syncInterval:   *syncInterval,
-	}
-	oo := obsOptions{
-		debugAddr:    *debugAddr,
-		traceSlow:    *traceSlow,
-		driftQError:  *driftQError,
-		kernelTiming: *kernelTiming,
-		accessLog:    *accessLog,
-
-		shadowSample:  *shadowSample,
-		shadowBudget:  *shadowBudget,
-		workloadShift: *workloadShift,
-		mutexFraction: *mutexFraction,
-		blockRate:     *blockRate,
-	}
-	co := clusterOptions{
-		self:       strings.TrimRight(strings.TrimSpace(*clusterSelf), "/"),
-		peers:      parsePeers(*clusterPeers),
-		replicas:   *clusterReplicas,
-		heartbeat:  *clusterHeartbeat,
-		failover:   *clusterFailover,
-		ack:        *clusterAck,
-		ackTimeout: *clusterAckTimeout,
-	}
-	cfg := serve.Config{
-		Cache: serve.CacheConfig{Capacity: *cacheSize, Quantum: *quantum},
-	}
-	if err := validateFlags(cfg, opts, oo, co, *routerMode, *drain); err != nil {
-		fmt.Fprintf(os.Stderr, "selestd: %v\n", err)
-		os.Exit(1)
-	}
-	if err := run(*addr, models, data, cfg, opts, oo, co, *routerMode, *drain); err != nil {
 		fmt.Fprintf(os.Stderr, "selestd: %v\n", err)
 		os.Exit(1)
 	}
@@ -277,190 +247,162 @@ func main() {
 // validateFlags rejects out-of-range flag values at startup with one
 // clear error, instead of letting a bad value surface later as silent
 // misbehavior (a negative sample rate never sampling, a zero queue
-// rejecting every update).
-func validateFlags(cfg serve.Config, opts ingestOptions, oo obsOptions, co clusterOptions, routerMode string, drain time.Duration) error {
+// rejecting every update, a zero that a package would quietly replace
+// with its default).
+func validateFlags(c *config) error {
+	ic, cc := &c.ingest, &c.cluster
 	// flag.Float64 accepts NaN and ±Inf, and a NaN compares false with
 	// everything, so it would slip past every range check below.
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{
-		{"-quantum", cfg.Cache.Quantum},
-		{"-shadow-sample", oo.shadowSample},
-		{"-drift-qerror", oo.driftQError},
-		{"-workload-shift", oo.workloadShift},
+		{"-quantum", c.serve.Cache.Quantum},
+		{"-shadow-sample", c.shadow.SampleRate},
+		{"-drift-qerror", c.drift.Threshold},
+		{"-workload-shift", c.workload.Threshold},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("%s must be finite, got %g", f.name, f.v)
 		}
 	}
-	if math.IsNaN(opts.deltaU) {
-		return fmt.Errorf("-delta-u must be a number, got %g", opts.deltaU)
+	if math.IsNaN(ic.Update.DeltaU) {
+		return fmt.Errorf("-delta-u must be a number, got %g", ic.Update.DeltaU)
 	}
-	if cfg.Cache.Quantum <= 0 {
-		return fmt.Errorf("-quantum must be > 0, got %g", cfg.Cache.Quantum)
+	if _, err := distance.Parse(c.dist); err != nil {
+		return fmt.Errorf("-dist: %w", err)
 	}
-	if oo.shadowSample < 0 || oo.shadowSample > 1 {
-		return fmt.Errorf("-shadow-sample must be in [0,1], got %g", oo.shadowSample)
+	if c.serve.Cache.Quantum <= 0 {
+		return fmt.Errorf("-quantum must be > 0, got %g", c.serve.Cache.Quantum)
 	}
-	if routerMode != "" && !serve.ValidRouterMode(routerMode) {
-		return fmt.Errorf("-router must be auto, ensemble, or an estimator kind slug, got %q", routerMode)
+	if c.shadow.SampleRate < 0 || c.shadow.SampleRate > 1 {
+		return fmt.Errorf("-shadow-sample must be in [0,1], got %g", c.shadow.SampleRate)
 	}
-	if oo.shadowBudget < 0 {
-		return fmt.Errorf("-shadow-oracle-budget must be >= 0, got %d", oo.shadowBudget)
+	if c.router != "" && !serve.ValidRouterMode(c.router) {
+		return fmt.Errorf("-router must be auto, ensemble, or an estimator kind slug, got %q", c.router)
 	}
-	if oo.traceSlow < 0 {
-		return fmt.Errorf("-trace-slow must be >= 0, got %s", oo.traceSlow)
+	if ic.Oracle.Budget < 1 {
+		return fmt.Errorf("-shadow-oracle-budget must be >= 1, got %d", ic.Oracle.Budget)
 	}
-	if oo.driftQError < 0 {
-		return fmt.Errorf("-drift-qerror must be >= 0, got %g", oo.driftQError)
+	if c.trace.SlowThreshold <= 0 {
+		return fmt.Errorf("-trace-slow must be > 0, got %s", c.trace.SlowThreshold)
 	}
-	if oo.workloadShift < 0 {
-		return fmt.Errorf("-workload-shift must be >= 0, got %g", oo.workloadShift)
+	if c.drift.Threshold < 0 {
+		return fmt.Errorf("-drift-qerror must be >= 0, got %g", c.drift.Threshold)
 	}
-	if cfg.Cache.Capacity < 0 {
-		return fmt.Errorf("-cache must be >= 0, got %d", cfg.Cache.Capacity)
+	if c.workload.Threshold < 0 {
+		return fmt.Errorf("-workload-shift must be >= 0, got %g", c.workload.Threshold)
 	}
-	if opts.queueDepth < 1 {
-		return fmt.Errorf("-update-queue must be >= 1, got %d", opts.queueDepth)
+	if c.serve.Cache.Capacity < 0 {
+		return fmt.Errorf("-cache must be >= 0, got %d", c.serve.Cache.Capacity)
 	}
-	if opts.queries < 1 {
-		return fmt.Errorf("-update-queries must be >= 1, got %d", opts.queries)
+	if ic.QueueDepth < 1 {
+		return fmt.Errorf("-update-queue must be >= 1, got %d", ic.QueueDepth)
 	}
-	if opts.coalesceMax < 1 {
-		return fmt.Errorf("-coalesce must be >= 1, got %d", opts.coalesceMax)
+	if c.updateQueries < 1 {
+		return fmt.Errorf("-update-queries must be >= 1, got %d", c.updateQueries)
 	}
-	if opts.retrainWorkers < 1 {
-		return fmt.Errorf("-retrain-workers must be >= 1, got %d", opts.retrainWorkers)
+	if ic.RetrainWorkers < 1 {
+		return fmt.Errorf("-retrain-workers must be >= 1, got %d", ic.RetrainWorkers)
 	}
-	if opts.snapshotEvery < 1 {
-		return fmt.Errorf("-snapshot-every must be >= 1, got %d", opts.snapshotEvery)
+	if ic.Journal.SnapshotEvery < 1 {
+		return fmt.Errorf("-snapshot-every must be >= 1, got %d", ic.Journal.SnapshotEvery)
 	}
-	if opts.compactBytes < 0 {
-		return fmt.Errorf("-journal-compact-bytes must be >= 0, got %d", opts.compactBytes)
+	if ic.Journal.CompactBytes < 1 {
+		return fmt.Errorf("-journal-compact-bytes must be >= 1, got %d", ic.Journal.CompactBytes)
 	}
-	if opts.syncInterval < 0 {
-		return fmt.Errorf("-journal-sync-interval must be >= 0, got %s", opts.syncInterval)
+	if ic.Journal.SyncInterval < 0 {
+		return fmt.Errorf("-journal-sync-interval must be >= 0, got %s", ic.Journal.SyncInterval)
 	}
-	if drain <= 0 {
-		return fmt.Errorf("-drain must be > 0, got %s", drain)
+	if c.drain <= 0 {
+		return fmt.Errorf("-drain must be > 0, got %s", c.drain)
 	}
-	if !co.enabled() {
-		if co.self != "" {
+	if len(cc.Peers) == 0 {
+		if cc.Self != "" {
 			return fmt.Errorf("-cluster-self requires -cluster-peers")
 		}
 		return nil
 	}
-	if co.self == "" {
+	if cc.Self == "" {
 		return fmt.Errorf("-cluster-peers requires -cluster-self")
 	}
-	found := false
-	for _, p := range co.peers {
-		found = found || p == co.self
+	if !slices.Contains(cc.Peers, cc.Self) {
+		return fmt.Errorf("-cluster-self %q is not in -cluster-peers %v", cc.Self, cc.Peers)
 	}
-	if !found {
-		return fmt.Errorf("-cluster-self %q is not in -cluster-peers %v", co.self, co.peers)
+	if cc.Replicas < 1 {
+		return fmt.Errorf("-cluster-replicas must be >= 1, got %d", cc.Replicas)
 	}
-	if co.replicas < 1 {
-		return fmt.Errorf("-cluster-replicas must be >= 1, got %d", co.replicas)
+	if cc.Heartbeat <= 0 {
+		return fmt.Errorf("-cluster-heartbeat must be > 0, got %s", cc.Heartbeat)
 	}
-	if co.heartbeat <= 0 {
-		return fmt.Errorf("-cluster-heartbeat must be > 0, got %s", co.heartbeat)
+	if cc.FailAfter < 0 {
+		return fmt.Errorf("-cluster-failover must be >= 0, got %s", cc.FailAfter)
 	}
-	if co.failover < 0 {
-		return fmt.Errorf("-cluster-failover must be >= 0, got %s", co.failover)
+	if cc.AckFollowers < 0 {
+		return fmt.Errorf("-cluster-ack must be >= 0, got %d", cc.AckFollowers)
 	}
-	if co.ack < 0 {
-		return fmt.Errorf("-cluster-ack must be >= 0, got %d", co.ack)
+	if cc.AckTimeout <= 0 {
+		return fmt.Errorf("-cluster-ack-timeout must be > 0, got %s", cc.AckTimeout)
 	}
-	if co.ackTimeout <= 0 {
-		return fmt.Errorf("-cluster-ack-timeout must be > 0, got %s", co.ackTimeout)
-	}
-	if opts.journalDir == "" {
+	if ic.Journal.Dir == "" {
 		return fmt.Errorf("-cluster-peers requires -journal-dir: replication streams the write-ahead log")
 	}
 	return nil
 }
 
-func run(addr string, models, data []string, cfg serve.Config, opts ingestOptions, oo obsOptions, co clusterOptions, routerMode string, drain time.Duration) error {
+func run(c *config) error {
+	models, data, co := c.models, c.data, &c.cluster
 	// With clustering on, every node is configured identically (same
 	// -model/-data specs, same peer list) and placement decides which
 	// models this node actually loads and attaches; the full name list
-	// still feeds the router so requests for remote models proxy out.
-	var clusterModels []string
-	hosted := func(string) bool { return true }
-	if co.enabled() {
-		seen := map[string]bool{}
+	// (co.Models) still feeds the router so requests for remote models
+	// proxy out.
+	if len(co.Peers) > 0 {
 		for _, spec := range models {
-			name, _, ok := strings.Cut(spec, "=")
-			if !ok {
-				name = "default"
-			}
-			if !seen[name] {
-				seen[name] = true
-				clusterModels = append(clusterModels, name)
+			if name, _ := splitSpec(spec); !slices.Contains(co.Models, name) {
+				co.Models = append(co.Models, name)
 			}
 		}
-		hosted = func(name string) bool {
-			for _, rep := range cluster.Placement(co.peers, co.replicas, name) {
-				if rep == co.self {
-					return true
-				}
+		placedElsewhere := func(spec string) bool {
+			name, _ := splitSpec(spec)
+			return !slices.Contains(cluster.Placement(co.Peers, co.Replicas, name), co.Self)
+		}
+		models = slices.DeleteFunc(models, func(spec string) bool {
+			if placedElsewhere(spec) {
+				name, _ := splitSpec(spec)
+				slog.Info("model placed on other nodes; serving it by proxy", "model", name)
+				return true
 			}
 			return false
-		}
-		kept := models[:0]
-		for _, spec := range models {
-			name, _, ok := strings.Cut(spec, "=")
-			if !ok {
-				name = "default"
-			}
-			if hosted(name) {
-				kept = append(kept, spec)
-			} else {
-				slog.Info("model placed on other nodes; serving it by proxy", "model", name)
-			}
-		}
-		models = kept
-		keptData := data[:0]
-		for _, spec := range data {
-			name, _, ok := strings.Cut(spec, "=")
-			if !ok {
-				name = "default"
-			}
-			if hosted(name) {
-				keptData = append(keptData, spec)
-			}
-		}
-		data = keptData
+		})
+		data = slices.DeleteFunc(data, placedElsewhere)
 	}
 
-	srv := serve.NewServer(cfg)
-	srv.SetTracer(obs.NewTracer(obs.TracerConfig{SlowThreshold: oo.traceSlow}))
-	opts.drift = obs.NewDriftMonitor(obs.DriftConfig{Threshold: oo.driftQError})
-	srv.SetDrift(opts.drift)
-	infer.SetKernelTiming(oo.kernelTiming)
-	if oo.accessLog {
+	srv := serve.NewServer(c.serve)
+	srv.SetTracer(obs.NewTracer(c.trace))
+	ic := &c.ingest
+	ic.Registry = srv.Registry()
+	ic.Drift = obs.NewDriftMonitor(c.drift)
+	srv.SetDrift(ic.Drift)
+	infer.SetKernelTiming(c.kernelTiming)
+	if c.accessLog {
 		srv.SetAccessLog(slog.Default())
 	}
-	if oo.shadowSample > 0 {
-		opts.workload = obs.NewWorkloadMonitor(obs.WorkloadConfig{Threshold: oo.workloadShift})
-		opts.shadow = obs.NewShadow(obs.ShadowConfig{
-			SampleRate: oo.shadowSample,
-			Workload:   opts.workload,
-		})
-		opts.oracleBudget = oo.shadowBudget
-		srv.SetShadow(opts.shadow)
+	if c.shadow.SampleRate > 0 {
+		ic.Workload = obs.NewWorkloadMonitor(c.workload)
+		c.shadow.Workload = ic.Workload
+		ic.Shadow = obs.NewShadow(c.shadow)
+		srv.SetShadow(ic.Shadow)
 		// Close stops the oracle workers after the ingest pipeline (whose
 		// databases they read) has drained; deferred before attachIngest so
 		// it runs after the pipeline's own deferred Close.
-		defer opts.shadow.Close()
+		defer ic.Shadow.Close()
 		slog.Info("shadow accuracy sampling enabled",
-			"rate", oo.shadowSample, "oracle_budget", oo.shadowBudget, "workload_shift", oo.workloadShift)
+			"rate", c.shadow.SampleRate, "oracle_budget", ic.Oracle.Budget, "workload_shift", c.workload.Threshold)
 	}
-	// srv.Close() waits for in-flight batches, which is unbounded if a
-	// handler is stuck; the drain-timeout path below skips it so -drain
-	// really bounds shutdown.
+	// srv.Close() waits for the estimates already admitted, which is
+	// unbounded if an estimator is stuck; the drain-timeout path below
+	// skips it so -drain really bounds shutdown.
 	closeServer := true
 	defer func() {
 		if closeServer {
@@ -470,10 +412,7 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 
 	loaded := map[string]estimator.Estimator{}
 	for _, spec := range models {
-		name, path, ok := strings.Cut(spec, "=")
-		if !ok {
-			name, path = "default", spec
-		}
+		name, path := splitSpec(spec)
 		m, err := modelcodec.LoadFile(path)
 		if err != nil {
 			return fmt.Errorf("load -model %s: %w", spec, err)
@@ -488,16 +427,16 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 	if len(models) == 0 {
 		slog.Info("no -model given; load one with POST /v1/models/{name}")
 	}
-	if routerMode != "" {
-		srv.SetRouter(serve.NewRouter(srv.Registry(), serve.RouterConfig{Mode: routerMode}))
-		slog.Info("workload router enabled", "mode", routerMode, "virtual_names", "default, auto")
+	if c.router != "" {
+		srv.SetRouter(serve.NewRouter(srv.Registry(), serve.RouterConfig{Mode: c.router}))
+		slog.Info("workload router enabled", "mode", c.router, "virtual_names", "default, auto")
 	}
 
 	// Like srv.Close, draining the update journals (shadow retrains
 	// included) is unbounded work; the drain-timeout path below skips it
 	// so -drain really bounds shutdown even with a full update queue.
 	drainPipeline := true
-	pipe, err := attachIngest(srv, loaded, data, opts)
+	pipe, err := attachIngest(srv, loaded, data, c)
 	if err != nil {
 		return err
 	}
@@ -513,17 +452,12 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 	// through leadership + replication acks, and attach the router so
 	// the server proxies requests for models placed elsewhere. Deferred
 	// after the pipeline's Close, so the node's loops stop first.
-	if co.enabled() {
+	if len(co.Peers) > 0 {
 		if pipe == nil {
 			return fmt.Errorf("clustering requires at least one -data attachment: replication streams the update journal")
 		}
-		node, err := cluster.NewNode(cluster.Config{
-			Self: co.self, Peers: co.peers, Replicas: co.replicas,
-			Models: clusterModels, Pipe: pipe,
-			Heartbeat: co.heartbeat, FailAfter: co.failover,
-			AckFollowers: co.ack, AckTimeout: co.ackTimeout,
-			Logger: slog.Default(),
-		})
+		co.Pipe, co.Logger = pipe, slog.Default()
+		node, err := cluster.NewNode(*co)
 		if err != nil {
 			return err
 		}
@@ -531,21 +465,21 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 		srv.SetCluster(node)
 		node.Start()
 		defer node.Close()
-		slog.Info("cluster enabled", "self", co.self, "peers", len(co.peers),
-			"replicas", co.replicas, "hosted", node.Hosted(), "ack_followers", co.ack)
+		slog.Info("cluster enabled", "self", co.Self, "peers", len(co.Peers),
+			"replicas", co.Replicas, "hosted", node.Hosted(), "ack_followers", co.AckFollowers)
 	}
 
 	// The pprof surface lives on its own listener so profiling never
 	// shares a port (or an operator firewall rule) with the public API.
 	var ds *http.Server
-	if oo.debugAddr != "" {
+	if c.debugAddr != "" {
 		// Contention profiling is opt-in and gated on the debug listener:
 		// without a pprof surface the samples would accumulate unread.
-		if oo.mutexFraction > 0 {
-			runtime.SetMutexProfileFraction(oo.mutexFraction)
+		if c.mutexFraction > 0 {
+			runtime.SetMutexProfileFraction(c.mutexFraction)
 		}
-		if oo.blockRate > 0 {
-			runtime.SetBlockProfileRate(oo.blockRate)
+		if c.blockRate > 0 {
+			runtime.SetBlockProfileRate(c.blockRate)
 		}
 		dm := http.NewServeMux()
 		dm.HandleFunc("/debug/pprof/", pprof.Index)
@@ -553,20 +487,20 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 		dm.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ds = &http.Server{Addr: oo.debugAddr, Handler: dm}
+		ds = &http.Server{Addr: c.debugAddr, Handler: dm}
 		go func() {
-			slog.Info("debug listener (pprof) up", "addr", oo.debugAddr)
+			slog.Info("debug listener (pprof) up", "addr", c.debugAddr)
 			if err := ds.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				slog.Warn("debug listener failed", "addr", oo.debugAddr, "err", err)
+				slog.Warn("debug listener failed", "addr", c.debugAddr, "err", err)
 			}
 		}()
 		defer ds.Close()
 	}
 
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: c.addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		slog.Info("selestd listening", "addr", addr)
+		slog.Info("selestd listening", "addr", c.addr)
 		errc <- hs.ListenAndServe()
 	}()
 
@@ -576,16 +510,17 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 	case err := <-errc:
 		return err
 	case sig := <-stop:
-		slog.Info("draining", "signal", sig.String(), "timeout", drain)
+		slog.Info("draining", "signal", sig.String(), "timeout", c.drain)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	ctx, cancel := context.WithTimeout(context.Background(), c.drain)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			// Handlers are still running; draining their batches — or the
-			// update journals, whose shadow retrains can take minutes —
-			// would block past the deadline the operator asked for.
+			// Handlers are still running; waiting for their estimates — or
+			// draining the update journals, whose shadow retrains can take
+			// minutes — would block past the deadline the operator asked
+			// for.
 			closeServer = false
 			drainPipeline = false
 			slog.Warn("drain timeout exceeded, exiting with requests in flight")
@@ -596,7 +531,7 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 	// Shutdown returned cleanly: handlers finished. Drain the update
 	// journals now (accepted batches are applied before exit — Close is
 	// idempotent, so the deferred call becomes a no-op); the deferred
-	// srv.Close() then drains inference batches.
+	// srv.Close() then finds no estimate left in flight.
 	if pipe != nil {
 		pipe.Close()
 	}
@@ -612,62 +547,45 @@ func run(addr string, models, data []string, cfg serve.Config, opts ingestOption
 // the model's durable state first (snapshot + write-ahead-log replay)
 // and the directory is scanned for journals whose models are not
 // configured, which would otherwise never replay.
-func attachIngest(srv *serve.Server, loaded map[string]estimator.Estimator, data []string, opts ingestOptions) (*ingest.Pipeline, error) {
+func attachIngest(srv *serve.Server, loaded map[string]estimator.Estimator, data []string, c *config) (*ingest.Pipeline, error) {
+	ic := c.ingest
 	if len(data) == 0 {
-		if opts.journalDir != "" {
-			warnOrphanJournals(opts.journalDir, nil)
+		if ic.Journal.Dir != "" {
+			warnOrphanJournals(ic.Journal.Dir, nil)
 		}
 		return nil, nil
 	}
-	tc := selnet.DefaultTrainConfig()
-	tc.AEPretrainEpochs = 0 // incremental retraining continues from current weights
-	pipe := ingest.New(ingest.Config{
-		Registry:       srv.Registry(),
-		QueueDepth:     opts.queueDepth,
-		CoalesceMax:    opts.coalesceMax,
-		RetrainWorkers: opts.retrainWorkers,
-		Train:          tc,
-		Update:         selnet.UpdateConfig{DeltaU: opts.deltaU, Patience: opts.patience, MaxEpochs: opts.maxEpochs},
-		Drift:          opts.drift,
-		Shadow:         opts.shadow,
-		Workload:       opts.workload,
-		Oracle:         ingest.OracleConfig{Budget: opts.oracleBudget},
-		Journal: ingest.JournalConfig{
-			Dir:           opts.journalDir,
-			SnapshotEvery: opts.snapshotEvery,
-			CompactBytes:  opts.compactBytes,
-			SyncInterval:  opts.syncInterval,
-			OnRecover: func(model string, r ingest.Recovery) {
-				slog.Info("journal recovered", "model", model, "snapshot_seq", r.SnapshotSeq,
-					"model_restored", r.RestoredModel, "replayed", r.Replayed, "discarded_bytes", r.DiscardedBytes)
-			},
-		},
-		OnCycle: func(model string, c ingest.Cycle) {
-			if c.Err != nil {
-				slog.Warn("ingest cycle failed", "model", model,
-					"first_seq", c.FirstSeq, "last_seq", c.LastSeq, "err", c.Err)
-				return
-			}
-			slog.Info("ingest cycle", "model", model,
-				"first_seq", c.FirstSeq, "last_seq", c.LastSeq,
-				"inserted", c.Inserted, "deleted", c.Deleted,
-				"retrained", c.Result.Retrained, "epochs", c.Result.EpochsRun,
-				"mae_before", c.Result.MAEBefore, "mae_after", c.Result.MAEAfter,
-				"generation", c.Generation, "duration", c.Duration.Round(time.Millisecond))
-		},
-	})
+	dist, err := distance.Parse(c.dist)
+	if err != nil {
+		return nil, err
+	}
+	ic.Journal.OnRecover = func(model string, r ingest.Recovery) {
+		slog.Info("journal recovered", "model", model, "snapshot_seq", r.SnapshotSeq,
+			"model_restored", r.RestoredModel, "replayed", r.Replayed, "discarded_bytes", r.DiscardedBytes)
+	}
+	ic.OnCycle = func(model string, cy ingest.Cycle) {
+		if cy.Err != nil {
+			slog.Warn("ingest cycle failed", "model", model,
+				"first_seq", cy.FirstSeq, "last_seq", cy.LastSeq, "err", cy.Err)
+			return
+		}
+		slog.Info("ingest cycle", "model", model,
+			"first_seq", cy.FirstSeq, "last_seq", cy.LastSeq,
+			"inserted", cy.Inserted, "deleted", cy.Deleted,
+			"retrained", cy.Result.Retrained, "epochs", cy.Result.EpochsRun,
+			"mae_before", cy.Result.MAEBefore, "mae_after", cy.Result.MAEAfter,
+			"generation", cy.Generation, "duration", cy.Duration.Round(time.Millisecond))
+	}
+	pipe := ingest.New(ic)
 	attached := map[string]bool{}
 	for _, spec := range data {
-		name, path, ok := strings.Cut(spec, "=")
-		if !ok {
-			name, path = "default", spec
-		}
+		name, path := splitSpec(spec)
 		m, okM := loaded[name]
 		if !okM {
 			pipe.Close()
 			return nil, fmt.Errorf("-data %s: no -model loaded under %q", spec, name)
 		}
-		db, err := vecdata.ReadCSVFile(path, opts.dist)
+		db, err := vecdata.ReadCSVFile(path, dist)
 		if err != nil {
 			pipe.Close()
 			return nil, fmt.Errorf("load -data %s: %w", spec, err)
@@ -680,7 +598,7 @@ func attachIngest(srv *serve.Server, loaded map[string]estimator.Estimator, data
 		// evolving database; generate them from the data itself. (With a
 		// journal, Attach relabels them against the recovered database.)
 		rng := rand.New(rand.NewSource(1))
-		wl := vecdata.GeometricWorkload(rng, db, opts.queries, 4)
+		wl := vecdata.GeometricWorkload(rng, db, c.updateQueries, 4)
 		cut := len(wl.Queries) * 3 / 4
 		if err := pipe.Attach(name, m, db, wl.Queries[:cut], wl.Queries[cut:]); err != nil {
 			pipe.Close()
@@ -688,10 +606,10 @@ func attachIngest(srv *serve.Server, loaded map[string]estimator.Estimator, data
 		}
 		attached[name] = true
 		slog.Info("attached for streaming updates", "model", name, "vectors", db.Size(),
-			"delta_u_queries", len(wl.Queries), "queue", opts.queueDepth, "durable", opts.journalDir != "")
+			"delta_u_queries", len(wl.Queries), "queue", ic.QueueDepth, "durable", ic.Journal.Dir != "")
 	}
-	if opts.journalDir != "" {
-		warnOrphanJournals(opts.journalDir, attached)
+	if ic.Journal.Dir != "" {
+		warnOrphanJournals(ic.Journal.Dir, attached)
 	}
 	srv.SetUpdater(pipe)
 	return pipe, nil

@@ -24,7 +24,7 @@ type Config struct {
 	// including Self, identical on every node so placement agrees.
 	Peers []string
 	// Replicas is the replication factor R: each model lives on R
-	// distinct nodes (clamped to the cluster size).
+	// distinct nodes (clamped to the cluster size; default 2).
 	Replicas int
 	// Models names every model in the cluster (all nodes list all
 	// models; placement decides which ones this node hosts).
@@ -58,6 +58,12 @@ type Config struct {
 	// Logger receives cluster lifecycle events (elections, demotions,
 	// replication stalls); nil discards them.
 	Logger *slog.Logger
+}
+
+// DefaultConfig returns the replication settings selestd starts from:
+// the defaults that zero fields of a Config take in NewNode.
+func DefaultConfig() Config {
+	return Config{Replicas: 2, Heartbeat: 250 * time.Millisecond, AckTimeout: 5 * time.Second}
 }
 
 // modelState is one model's replication state on this node. All fields
@@ -134,17 +140,18 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Pipe == nil {
 		return nil, fmt.Errorf("cluster: missing ingest pipeline")
 	}
+	d := DefaultConfig()
 	if cfg.Replicas <= 0 {
-		cfg.Replicas = 2
+		cfg.Replicas = d.Replicas
 	}
 	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 250 * time.Millisecond
+		cfg.Heartbeat = d.Heartbeat
 	}
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 6 * cfg.Heartbeat
 	}
 	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 5 * time.Second
+		cfg.AckTimeout = d.AckTimeout
 	}
 	if cfg.PullBatch <= 0 {
 		cfg.PullBatch = 64

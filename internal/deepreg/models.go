@@ -285,14 +285,3 @@ func (r *RMI) Estimate(x []float64, t float64) float64 {
 
 // Name returns the paper's model name.
 func (r *RMI) Name() string { return "RMI" }
-
-// Params returns all trainable tensors of the hierarchy.
-func (r *RMI) Params() []*nn.Param {
-	ps := r.embed.Params()
-	for _, level := range r.levels {
-		for _, m := range level {
-			ps = append(ps, m.ffn.Params()...)
-		}
-	}
-	return ps
-}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,30 @@ func microConfig() Config {
 		LValues:   []int{4, 8},
 		KValues:   []int{1, 3},
 		UpdateOps: 2, UpdateBatchSize: 3,
+	}
+}
+
+// tableConfig is smaller still, for the tables that train every SelNet
+// variant on all four settings (Table 6), the whole model zoo on all
+// four (Table 7), or the whole zoo once (Table 11). W >= 20 keeps
+// RunAblationTable from densifying the workload to 50 query vectors.
+func tableConfig() Config {
+	cfg := microConfig()
+	cfg.N, cfg.NumQueries, cfg.W, cfg.Epochs = 120, 8, 20, 1
+	return cfg
+}
+
+func TestScaleConfigs(t *testing.T) {
+	q, f := QuickConfig(), FullConfig()
+	// FullConfig is the fidelity run: larger than QuickConfig in every
+	// dimension that sets the cost of a table.
+	if q.N >= f.N || q.Dim >= f.Dim || q.NumQueries >= f.NumQueries || q.Epochs >= f.Epochs || q.GBMTrees >= f.GBMTrees {
+		t.Fatalf("QuickConfig %+v is not smaller than FullConfig %+v", q, f)
+	}
+	for _, cfg := range []Config{q, f} {
+		if len(cfg.LValues) == 0 || len(cfg.KValues) == 0 || cfg.UpdateOps == 0 || cfg.MonoQueries == 0 {
+			t.Fatalf("config %+v leaves a table empty", cfg)
+		}
 	}
 }
 
@@ -118,6 +143,64 @@ func TestRunMonotonicityTableSmoke(t *testing.T) {
 			}
 		}
 	}
+	if out := table.String(); !strings.Contains(out, "Table 5") || !strings.Contains(out, "SelNet") {
+		t.Fatalf("rendered table:\n%s", out)
+	}
+}
+
+func TestRunAblationTableSmoke(t *testing.T) {
+	table := RunAblationTable(tableConfig())
+	if len(table.Rows) != 3*len(Settings) {
+		t.Fatalf("rows = %d, want 3 variants x %d settings", len(table.Rows), len(Settings))
+	}
+	for _, r := range table.Rows {
+		if r.Test.MAE < 0 || r.Valid.MAE < 0 {
+			t.Fatalf("%s/%s: negative MAE %+v", r.Setting, r.Model, r)
+		}
+	}
+	out := table.String()
+	for _, want := range []string{"Table 6", "SelNet-ct", "SelNet-ad-ct", "youtube-cos"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rendered table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunTimingTableSmoke(t *testing.T) {
+	table := RunTimingTable(tableConfig())
+	if len(table.Rows) != len(AllModelNames)+2 {
+		t.Fatalf("rows = %d, want the zoo plus SelNet-ct and SelNet-ad-ct", len(table.Rows))
+	}
+	l2 := slices.Index(table.Settings, "fasttext-l2")
+	for _, r := range table.Rows {
+		for si, ms := range r.MS {
+			// LSH is inapplicable on fasttext-l2 (Table 2); every other
+			// cell is a measured time.
+			if inapplicable := r.Model == "LSH" && si == l2; inapplicable != (ms == -1) || (!inapplicable && ms < 0) {
+				t.Fatalf("%s on %s: %v ms", r.Model, table.Settings[si], ms)
+			}
+		}
+	}
+	out := table.String()
+	for _, want := range []string{"Table 7", "SelNet-ad-ct", "fasttext-l2", " -"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rendered table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunBetaWorkloadTableSmoke(t *testing.T) {
+	table := RunBetaWorkloadTable(tableConfig())
+	// A cosine setting: every model applies, LSH included.
+	if len(table.Rows) != len(AllModelNames) {
+		t.Fatalf("rows = %d, want %d", len(table.Rows), len(AllModelNames))
+	}
+	if !strings.Contains(table.Setting, "beta") {
+		t.Fatalf("setting %q", table.Setting)
+	}
+	if out := table.String(); !strings.Contains(out, "Table 11") || !strings.Contains(out, "Beta(3, 2.5)") {
+		t.Fatalf("rendered table:\n%s", out)
+	}
 }
 
 func TestRunSweepTablesSmoke(t *testing.T) {
@@ -179,6 +262,9 @@ func TestRunFigure4Smoke(t *testing.T) {
 			t.Fatalf("ad-ct tau differs across queries")
 		}
 	}
+	if out := r.String(); !strings.Contains(out, "Figure 4") || !strings.Contains(out, "query 2:") {
+		t.Fatalf("rendered figure:\n%s", out)
+	}
 }
 
 func TestRunFigure5Smoke(t *testing.T) {
@@ -191,6 +277,9 @@ func TestRunFigure5Smoke(t *testing.T) {
 		if p.MSE < 0 || p.MAPE < 0 {
 			t.Fatalf("negative error")
 		}
+	}
+	if out := r.String(); !strings.Contains(out, "Figure 5: data update on face-cos") {
+		t.Fatalf("rendered figure:\n%s", out)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestShadowSampledServeZeroAllocs(t *testing.T) {
 		}
 	}
 	db := vecdata.SyntheticFasttext(rand.New(rand.NewSource(3)), 500, net.Dim(), distance.Euclidean)
-	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 0.1, QueueDepth: 1024})
+	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 0.1})
 	sh.SetOracle("m", NewDBOracle(db, OracleConfig{}))
 	defer sh.Close()
 	scored := func() uint64 {

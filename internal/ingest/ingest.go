@@ -88,9 +88,6 @@ type Config struct {
 	// QueueDepth bounds each model's pending-batch journal; appends
 	// beyond it fail with serve.ErrUpdateQueueFull (default 64).
 	QueueDepth int
-	// CoalesceMax is the largest number of journaled batches fused into
-	// one apply+retrain cycle (default 8).
-	CoalesceMax int
 	// RetrainWorkers caps concurrent shadow retrains across all models
 	// (default 1): journaling and database application stay parallel, but
 	// training is CPU-heavy and serving shares the machine.
@@ -114,8 +111,8 @@ type Config struct {
 	// exact data the model serves. Mutating cycles coordinate with the
 	// oracle through its write lock.
 	Shadow *obs.Shadow
-	// Oracle tunes the shadow oracle's sampling bounds; zero values take
-	// the defaults (budget 2000, eps 0.05, delta 0.01).
+	// Oracle tunes the shadow oracle; a zero Budget takes the default
+	// (2000).
 	Oracle OracleConfig
 	// Workload, if set, receives a baseline snapshot of each model's
 	// training workload at Attach, against which the live query stream
@@ -129,8 +126,6 @@ type Config struct {
 	// fed into the monitor's rolling q-error window. Runs on the
 	// model's worker goroutine, off the serving path.
 	Drift *obs.DriftMonitor
-	// DriftSample caps the holdout queries scored per cycle (default 32).
-	DriftSample int
 	// Journal configures the durable write-ahead log; the zero value
 	// keeps the journal in memory only (the pre-WAL behavior).
 	Journal JournalConfig
@@ -166,15 +161,25 @@ type JournalConfig struct {
 	OnRecover func(model string, r Recovery)
 }
 
-func (c JournalConfig) withDefaults() JournalConfig {
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 64
+// DefaultConfig returns the pipeline settings selestd starts from: the
+// defaults that zero fields of a Config take in New, plus the paper's
+// Sec. 5.4 update procedure.
+func DefaultConfig() Config {
+	return Config{
+		QueueDepth:     64,
+		RetrainWorkers: 1,
+		Update:         selnet.DefaultUpdateConfig(),
+		Oracle:         OracleConfig{Budget: 2000},
+		Journal:        JournalConfig{SnapshotEvery: 64, CompactBytes: 4 << 20},
 	}
-	if c.CompactBytes <= 0 {
-		c.CompactBytes = 4 << 20
-	}
-	return c
 }
+
+// A cycle fuses at most coalesceMax journaled batches, and its drift
+// audit scores at most driftSample holdout queries.
+const (
+	coalesceMax = 8
+	driftSample = 32
+)
 
 // Recovery reports what Attach restored from the journal directory.
 type Recovery struct {
@@ -193,19 +198,19 @@ type Recovery struct {
 }
 
 func (c Config) withDefaults() Config {
+	d := DefaultConfig()
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.CoalesceMax <= 0 {
-		c.CoalesceMax = 8
+		c.QueueDepth = d.QueueDepth
 	}
 	if c.RetrainWorkers <= 0 {
-		c.RetrainWorkers = 1
+		c.RetrainWorkers = d.RetrainWorkers
 	}
-	if c.DriftSample <= 0 {
-		c.DriftSample = 32
+	if c.Journal.SnapshotEvery <= 0 {
+		c.Journal.SnapshotEvery = d.Journal.SnapshotEvery
 	}
-	c.Journal = c.Journal.withDefaults()
+	if c.Journal.CompactBytes <= 0 {
+		c.Journal.CompactBytes = d.Journal.CompactBytes
+	}
 	return c
 }
 
@@ -706,7 +711,7 @@ func (p *Pipeline) lookup(model string) *modelPipeline {
 func (p *Pipeline) worker(mp *modelPipeline) {
 	defer p.wg.Done()
 	for {
-		entries := mp.j.claim(p.cfg.CoalesceMax)
+		entries := mp.j.claim(coalesceMax)
 		if len(entries) == 0 {
 			return
 		}
@@ -777,7 +782,7 @@ func (p *Pipeline) scoreDrift(mp *modelPipeline, c Cycle) {
 	if m, ok := p.cfg.Registry.Get(mp.name); ok {
 		est = m.Est
 	}
-	n := p.cfg.DriftSample
+	n := driftSample
 	if n > len(mp.valid) {
 		n = len(mp.valid)
 	}

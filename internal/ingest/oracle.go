@@ -53,26 +53,16 @@ type OracleConfig struct {
 	// (default 2000, the paper's sampling budget). Databases no larger
 	// than the budget are scanned exactly.
 	Budget int
-	// Epsilon and Delta parameterize the VC sampling bound: the sampled
-	// selectivity is within Epsilon*|D| of truth with probability
-	// 1-Delta (defaults 0.05 and 0.01). The implied sample size is
-	// still capped by Budget.
-	Epsilon float64
-	Delta   float64
 }
 
-func (c OracleConfig) withDefaults() OracleConfig {
-	if c.Budget <= 0 {
-		c.Budget = 2000
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.05
-	}
-	if c.Delta <= 0 {
-		c.Delta = 0.01
-	}
-	return c
-}
+// oracleEpsilon and oracleDelta parameterize the VC sampling bound: the
+// sampled selectivity is within oracleEpsilon*|D| of truth with
+// probability 1-oracleDelta. The implied sample size is still capped by
+// the Budget.
+const (
+	oracleEpsilon = 0.05
+	oracleDelta   = 0.01
+)
 
 // VCSampleSize is the VC-bound sample size for an eps-approximation of
 // range counts over a range space of VC dimension vc with probability
@@ -87,7 +77,10 @@ func VCSampleSize(eps, delta float64, vc int) int {
 
 // NewDBOracle wraps the pipeline's private database copy.
 func NewDBOracle(db *vecdata.Database, cfg OracleConfig) *DBOracle {
-	return &DBOracle{cfg: cfg.withDefaults(), db: db}
+	if cfg.Budget <= 0 {
+		cfg.Budget = DefaultConfig().Oracle.Budget
+	}
+	return &DBOracle{cfg: cfg, db: db}
 }
 
 // BeginMutate takes the write lock; the ingest worker brackets every
@@ -124,7 +117,7 @@ func (o *DBOracle) TrueSelectivity(x []float64, t float64) (float64, string) {
 // sample (deterministic, and monotone in t like the paper's
 // consistency requirement), and the steady state allocates nothing.
 func (o *DBOracle) sampleSelectivity(x []float64, t float64, n int) float64 {
-	m := VCSampleSize(o.cfg.Epsilon, o.cfg.Delta, o.db.Dim+1)
+	m := VCSampleSize(oracleEpsilon, oracleDelta, o.db.Dim+1)
 	if m > o.cfg.Budget {
 		m = o.cfg.Budget
 	}

@@ -49,7 +49,7 @@ func TestDBOracleExactSmall(t *testing.T) {
 func TestDBOracleSampleLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	db := vecdata.SyntheticFasttext(rng, 5000, 4, distance.Euclidean)
-	o := NewDBOracle(db, OracleConfig{Budget: 1500, Epsilon: 0.05, Delta: 0.01})
+	o := NewDBOracle(db, OracleConfig{Budget: 1500})
 	x := db.Vecs[0]
 	t1 := 1.0
 	v, method := o.TrueSelectivity(x, t1)
@@ -59,7 +59,7 @@ func TestDBOracleSampleLarge(t *testing.T) {
 	// The VC bound promises |estimate - truth| <= eps*|D| w.p. 1-delta;
 	// allow 2x slack so the test never flakes.
 	truth := db.Selectivity(x, t1)
-	if diff := math.Abs(v - truth); diff > 2*0.05*float64(db.Size()) {
+	if diff := math.Abs(v - truth); diff > 2*oracleEpsilon*float64(db.Size()) {
 		t.Fatalf("sampled selectivity %v vs truth %v: off by %v", v, truth, diff)
 	}
 	// Deterministic: same query, same sample, same answer.

@@ -84,6 +84,15 @@ func ThresholdBucketLabel(i int) string {
 // ----------------------------------------------------------------------------
 // Rolling q-error aggregation
 
+// Every rolling q-error window, the drift monitor's and the shadow
+// aggregates' alike, keeps the qerrWindow most recent q-errors, floored
+// at qerrFloor on both estimate and truth (1, the paper's convention
+// for cardinalities).
+const (
+	qerrWindow = 512
+	qerrFloor  = 1
+)
+
 // qring is a fixed-capacity rolling window of q-errors. Pushes are O(1)
 // and allocation-free; quantiles are computed only at snapshot time
 // (scrapes and /debug/accuracy reads), never per observation.
@@ -93,6 +102,8 @@ type qring struct {
 	pos   int
 	count uint64 // lifetime observations
 }
+
+func newQring() qring { return qring{ring: make([]float64, qerrWindow)} }
 
 func (r *qring) push(v float64) {
 	r.ring[r.pos] = v
@@ -109,18 +120,9 @@ func (r *qring) quantiles(qs ...float64) []float64 {
 	return metrics.Quantiles(r.ring[:r.n], qs...)
 }
 
-// AccuracyConfig tunes the shadow-scoring aggregates.
-type AccuracyConfig struct {
-	// Window is how many recent q-errors each rolling aggregate keeps
-	// (default 512). Bucket and partition windows share the same size.
-	Window int
-	// Epsilon is the q-error floor applied to estimates and ground
-	// truth (default 1, the paper's convention).
-	Epsilon float64
-	// WorstN is how many highest-q-error samples are retained per model
-	// with their trace IDs (default 16).
-	WorstN int
-}
+// worstN is how many highest-q-error samples the AccuracyMonitor
+// retains per model with their trace IDs.
+const worstN = 16
 
 // AccuracySample is one shadow-scored request, produced by the Shadow
 // worker pool and pushed into the AccuracyMonitor.
@@ -188,7 +190,7 @@ type modelAccuracy struct {
 	overall qring
 	buckets [NumThresholdBuckets]qring
 	parts   map[int]*qring
-	worst   []worstEntry // capacity WorstN; min-replaced once full
+	worst   []worstEntry // capacity worstN; min-replaced once full
 	lastAt  time.Time
 }
 
@@ -198,24 +200,13 @@ type modelAccuracy struct {
 // are scrape-time reads that do their sorting on the scraper's
 // goroutine.
 type AccuracyMonitor struct {
-	cfg    AccuracyConfig
 	mu     sync.Mutex
 	models map[string]*modelAccuracy
 }
 
-// NewAccuracyMonitor builds a monitor, applying defaults for zero
-// fields.
-func NewAccuracyMonitor(cfg AccuracyConfig) *AccuracyMonitor {
-	if cfg.Window <= 0 {
-		cfg.Window = 512
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 1
-	}
-	if cfg.WorstN <= 0 {
-		cfg.WorstN = 16
-	}
-	return &AccuracyMonitor{cfg: cfg, models: make(map[string]*modelAccuracy)}
+// NewAccuracyMonitor builds an empty monitor.
+func NewAccuracyMonitor() *AccuracyMonitor {
+	return &AccuracyMonitor{models: make(map[string]*modelAccuracy)}
 }
 
 // Observe records one shadow-scored sample: the q-error lands in the
@@ -223,18 +214,18 @@ func NewAccuracyMonitor(cfg AccuracyConfig) *AccuracyMonitor {
 // sample carries a partition) that partition's window; sufficiently bad
 // samples displace the current minimum of the worst-N list.
 func (a *AccuracyMonitor) Observe(model string, s AccuracySample) {
-	qerr := metrics.QError(s.Estimate, s.Truth, a.cfg.Epsilon)
+	qerr := metrics.QError(s.Estimate, s.Truth, qerrFloor)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	m := a.models[model]
 	if m == nil {
 		m = &modelAccuracy{
-			parts: make(map[int]*qring),
-			worst: make([]worstEntry, 0, a.cfg.WorstN),
+			overall: newQring(),
+			parts:   make(map[int]*qring),
+			worst:   make([]worstEntry, 0, worstN),
 		}
-		m.overall.ring = make([]float64, a.cfg.Window)
 		for i := range m.buckets {
-			m.buckets[i].ring = make([]float64, a.cfg.Window)
+			m.buckets[i] = newQring()
 		}
 		a.models[model] = m
 	}
@@ -245,7 +236,8 @@ func (a *AccuracyMonitor) Observe(model string, s AccuracySample) {
 	if s.Partition >= 0 {
 		pr := m.parts[s.Partition]
 		if pr == nil {
-			pr = &qring{ring: make([]float64, a.cfg.Window)}
+			q := newQring()
+			pr = &q
 			m.parts[s.Partition] = pr
 		}
 		pr.push(qerr)
@@ -415,18 +407,18 @@ type ShadowConfig struct {
 	// deterministic per request and costs one multiply-shift on the
 	// serving path. 0 disables sampling entirely.
 	SampleRate float64
-	// QueueDepth bounds the channel between the serving tap and the
-	// oracle workers (default 256). A full queue drops the sample and
-	// increments a counter; the serving path never blocks.
-	QueueDepth int
-	// Workers is the oracle pool size (default 1).
-	Workers int
-	// Accuracy receives the scored q-errors (default a fresh monitor).
-	Accuracy *AccuracyMonitor
 	// Workload, when set, receives every sampled query vector for
 	// workload-shift detection.
 	Workload *WorkloadMonitor
 }
+
+// A Shadow's samples wait in a shadowQueueDepth-deep channel between
+// the serving tap and shadowWorkers oracle workers. A full queue drops
+// the sample and increments a counter; the serving path never blocks.
+const (
+	shadowQueueDepth = 256
+	shadowWorkers    = 1
+)
 
 // shadowSample rides the bounded channel from the tap to the workers.
 // The query slice is owned by the request handler's decode buffer only
@@ -460,6 +452,7 @@ func (s *shadowSample) query() []float64 {
 // AccuracyMonitor (and query vectors into the WorkloadMonitor).
 type Shadow struct {
 	cfg       ShadowConfig
+	accuracy  *AccuracyMonitor
 	threshold uint64 // sample iff mix64(key) < threshold
 	ch        chan shadowSample
 	quit      chan struct{}
@@ -481,15 +474,6 @@ type Shadow struct {
 // NewShadow builds the sampler and starts its worker pool. Close must
 // be called to stop the workers.
 func NewShadow(cfg ShadowConfig) *Shadow {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.Accuracy == nil {
-		cfg.Accuracy = NewAccuracyMonitor(AccuracyConfig{})
-	}
 	var threshold uint64
 	switch {
 	case cfg.SampleRate >= 1:
@@ -499,14 +483,15 @@ func NewShadow(cfg ShadowConfig) *Shadow {
 	}
 	s := &Shadow{
 		cfg:       cfg,
+		accuracy:  NewAccuracyMonitor(),
 		threshold: threshold,
-		ch:        make(chan shadowSample, cfg.QueueDepth),
+		ch:        make(chan shadowSample, shadowQueueDepth),
 		quit:      make(chan struct{}),
 		oracles:   make(map[string]Oracle),
 		methods:   make(map[string]uint64),
 	}
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	s.wg.Add(shadowWorkers)
+	for i := 0; i < shadowWorkers; i++ {
 		go s.worker()
 	}
 	return s
@@ -516,7 +501,7 @@ func NewShadow(cfg ShadowConfig) *Shadow {
 func (s *Shadow) Enabled() bool { return s != nil && s.threshold > 0 }
 
 // Accuracy returns the monitor receiving the scored samples.
-func (s *Shadow) Accuracy() *AccuracyMonitor { return s.cfg.Accuracy }
+func (s *Shadow) Accuracy() *AccuracyMonitor { return s.accuracy }
 
 // Workload returns the workload monitor, if any.
 func (s *Shadow) Workload() *WorkloadMonitor { return s.cfg.Workload }
@@ -634,7 +619,7 @@ func (s *Shadow) handle(sm *shadowSample) {
 	s.methodMu.Lock()
 	s.methods[method]++
 	s.methodMu.Unlock()
-	s.cfg.Accuracy.Observe(sm.model, AccuracySample{
+	s.accuracy.Observe(sm.model, AccuracySample{
 		TraceID:   sm.traceID,
 		Bucket:    ThresholdBucket(sm.t, sm.tmax),
 		Partition: part,
@@ -667,7 +652,7 @@ func (s *Shadow) Stats() ShadowStats {
 		NoOracle:      s.noOracle.Load(),
 		QueueDepth:    len(s.ch),
 		QueueCapacity: cap(s.ch),
-		Workers:       s.cfg.Workers,
+		Workers:       shadowWorkers,
 	}
 	s.methodMu.Lock()
 	if len(s.methods) > 0 {
@@ -696,7 +681,7 @@ func (s *Shadow) WriteMetrics(p *PromWriter) {
 	for _, m := range methods {
 		p.Value("selestd_shadow_oracle_truths_total", "Ground truths computed, by oracle method.", "counter", float64(st.Oracles[m]), "method", m)
 	}
-	s.cfg.Accuracy.WriteMetrics(p)
+	s.accuracy.WriteMetrics(p)
 	if s.cfg.Workload != nil {
 		s.cfg.Workload.WriteMetrics(p)
 	}

@@ -61,7 +61,7 @@ func TestQRingWraparound(t *testing.T) {
 }
 
 func TestAccuracyMonitorBucketsAndPartitions(t *testing.T) {
-	m := NewAccuracyMonitor(AccuracyConfig{Window: 8, WorstN: 4})
+	m := NewAccuracyMonitor()
 	// Two samples in bucket 0 / partition 0, one in bucket 3 / partition 2.
 	m.Observe("m", AccuracySample{Bucket: 0, Partition: 0, Estimate: 10, Truth: 10})
 	m.Observe("m", AccuracySample{Bucket: 0, Partition: 0, Estimate: 20, Truth: 10})
@@ -105,7 +105,7 @@ func TestAccuracyMonitorBucketsAndPartitions(t *testing.T) {
 }
 
 func TestAccuracyMonitorNegativePartitionOmitted(t *testing.T) {
-	m := NewAccuracyMonitor(AccuracyConfig{})
+	m := NewAccuracyMonitor()
 	m.Observe("m", AccuracySample{Bucket: 0, Partition: -1, Estimate: 1, Truth: 1})
 	st, _ := m.ModelStats("m", 0)
 	if len(st.Partitions) != 0 {
@@ -114,26 +114,30 @@ func TestAccuracyMonitorNegativePartitionOmitted(t *testing.T) {
 }
 
 func TestAccuracyMonitorEpsilonFloor(t *testing.T) {
-	// Estimate 0 vs truth 0 would be 0/0; the epsilon floor makes it 1.
-	m := NewAccuracyMonitor(AccuracyConfig{Epsilon: 1})
+	// Estimate 0 vs truth 0 would be 0/0; the floor makes it 1.
+	m := NewAccuracyMonitor()
 	m.Observe("m", AccuracySample{Estimate: 0, Truth: 0})
 	st, _ := m.ModelStats("m", 0)
 	if st.Max != 1 {
-		t.Fatalf("q-error of 0-vs-0 = %v, want 1 (epsilon floor)", st.Max)
+		t.Fatalf("q-error of 0-vs-0 = %v, want 1 (floor)", st.Max)
 	}
-	// With a larger floor, small counts are forgiven up to the floor.
-	m2 := NewAccuracyMonitor(AccuracyConfig{Epsilon: 10})
-	m2.Observe("m", AccuracySample{Estimate: 10, Truth: 1})
+	// Counts below the floor count as the floor: 0.25 vs 4 is 4, not 16.
+	m2 := NewAccuracyMonitor()
+	m2.Observe("m", AccuracySample{Estimate: 0.25, Truth: 4})
 	st2, _ := m2.ModelStats("m", 0)
-	if st2.Max != 1 {
-		t.Fatalf("q-error with eps=10 floor = %v, want 1", st2.Max)
+	if st2.Max != 4 {
+		t.Fatalf("q-error of 0.25-vs-4 = %v, want 4 (floor)", st2.Max)
 	}
 }
 
 func TestAccuracyMonitorWorstN(t *testing.T) {
-	m := NewAccuracyMonitor(AccuracyConfig{WorstN: 3})
-	// Six samples with q-errors 2..7; worst-3 must be {7,6,5}.
-	for i := 2; i <= 7; i++ {
+	m := NewAccuracyMonitor()
+	// worstN+4 samples with q-errors 2..worstN+5, in an order that is
+	// neither ascending nor descending; the worst worstN must be
+	// {worstN+5, ..., 6}.
+	const n = worstN + 4
+	for k := 0; k < n; k++ {
+		i := 2 + (k*7)%n
 		m.Observe("m", AccuracySample{
 			TraceID:  uint64(i),
 			Estimate: float64(i),
@@ -141,13 +145,12 @@ func TestAccuracyMonitorWorstN(t *testing.T) {
 		})
 	}
 	st, _ := m.ModelStats("m", 0)
-	if len(st.Worst) != 3 {
-		t.Fatalf("worst len = %d, want 3", len(st.Worst))
+	if len(st.Worst) != worstN {
+		t.Fatalf("worst len = %d, want %d", len(st.Worst), worstN)
 	}
-	wantQ := []float64{7, 6, 5}
 	for i, w := range st.Worst {
-		if w.QError != wantQ[i] {
-			t.Fatalf("worst[%d].QError = %v, want %v (worst=%+v)", i, w.QError, wantQ[i], st.Worst)
+		if want := float64(n + 1 - i); w.QError != want {
+			t.Fatalf("worst[%d].QError = %v, want %v (worst=%+v)", i, w.QError, want, st.Worst)
 		}
 		if w.TraceID != FormatTraceID(uint64(w.QError)) {
 			t.Fatalf("worst[%d] trace id %q does not match sample %v", i, w.TraceID, w.QError)
@@ -155,13 +158,13 @@ func TestAccuracyMonitorWorstN(t *testing.T) {
 	}
 	// worstLimit caps the list.
 	st, _ = m.ModelStats("m", 1)
-	if len(st.Worst) != 1 || st.Worst[0].QError != 7 {
-		t.Fatalf("worstLimit=1 => %+v, want single entry with q-error 7", st.Worst)
+	if len(st.Worst) != 1 || st.Worst[0].QError != n+1 {
+		t.Fatalf("worstLimit=1 => %+v, want single entry with q-error %d", st.Worst, n+1)
 	}
 }
 
 func TestAccuracyMonitorConcurrent(t *testing.T) {
-	m := NewAccuracyMonitor(AccuracyConfig{Window: 32})
+	m := NewAccuracyMonitor()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -198,7 +201,7 @@ type exactOracle struct{ v float64 }
 func (o exactOracle) TrueSelectivity([]float64, float64) (float64, string) { return o.v, "exact" }
 
 func TestShadowOfferDeterministic(t *testing.T) {
-	sh := NewShadow(ShadowConfig{SampleRate: 0.5, QueueDepth: 4096})
+	sh := NewShadow(ShadowConfig{SampleRate: 0.5})
 	defer sh.Close()
 	q := []float64{1, 2, 3}
 	// Same trace ID must decide the same way every time.
@@ -208,14 +211,16 @@ func TestShadowOfferDeterministic(t *testing.T) {
 			t.Fatal("sampling decision not deterministic per trace ID")
 		}
 	}
-	// Rate 0.5 over many IDs should sample roughly half.
-	sampled := 0
+	// Rate 0.5 over many IDs should sample roughly half. More are
+	// sampled than the queue holds, so a sampled request counts whether
+	// it was enqueued or dropped.
+	decided := func() uint64 { st := sh.Stats(); return st.Sampled + st.Dropped }
+	before := decided()
 	const n = 2000
 	for id := uint64(1); id <= n; id++ {
-		if sh.Offer("m", id, 0, q, 0.5, 1, 0.1) {
-			sampled++
-		}
+		sh.Offer("m", id, 0, q, 0.5, 1, 0.1)
 	}
+	sampled := decided() - before
 	if sampled < n/3 || sampled > 2*n/3 {
 		t.Fatalf("rate 0.5 sampled %d of %d", sampled, n)
 	}
@@ -238,7 +243,7 @@ func TestShadowRateExtremes(t *testing.T) {
 		t.Fatal("nil shadow sampled a request")
 	}
 
-	all := NewShadow(ShadowConfig{SampleRate: 1, QueueDepth: 4096})
+	all := NewShadow(ShadowConfig{SampleRate: 1})
 	defer all.Close()
 	for id := uint64(1); id <= 100; id++ {
 		if !all.Offer("m", id, 0, []float64{1}, 0.1, 1, 0) {
@@ -248,7 +253,7 @@ func TestShadowRateExtremes(t *testing.T) {
 }
 
 func TestShadowSaltVariesWithinRequest(t *testing.T) {
-	sh := NewShadow(ShadowConfig{SampleRate: 0.5, QueueDepth: 4096})
+	sh := NewShadow(ShadowConfig{SampleRate: 0.5})
 	defer sh.Close()
 	// Across one batch request (fixed trace ID, varying salt) decisions
 	// must not be all-or-nothing.
@@ -263,18 +268,15 @@ func TestShadowSaltVariesWithinRequest(t *testing.T) {
 }
 
 func TestShadowDropCounter(t *testing.T) {
-	// No oracle registered and a tiny queue: with the worker stalled
-	// behind a slow first sample, overflow must drop, not block.
+	// With the worker stalled behind a slow first sample, overflow
+	// past shadowQueueDepth must drop, not block.
 	block := make(chan struct{})
-	sh := NewShadow(ShadowConfig{
-		SampleRate: 1,
-		QueueDepth: 1,
-		Accuracy:   NewAccuracyMonitor(AccuracyConfig{}),
-	})
+	sh := NewShadow(ShadowConfig{SampleRate: 1})
 	sh.SetOracle("m", blockingOracle{ch: block})
 	q := []float64{1}
 	// First offer is consumed by the worker and blocks in the oracle;
-	// second fills the queue; subsequent ones must drop. Allow a few
+	// the next shadowQueueDepth fill the queue; subsequent ones must
+	// drop. Allow a few
 	// tries for the worker to pick up the first sample.
 	deadline := time.Now().Add(2 * time.Second)
 	dropped := false
@@ -304,8 +306,8 @@ func (o blockingOracle) TrueSelectivity([]float64, float64) (float64, string) {
 }
 
 func TestShadowScoresThroughOracle(t *testing.T) {
-	acc := NewAccuracyMonitor(AccuracyConfig{})
-	sh := NewShadow(ShadowConfig{SampleRate: 1, Accuracy: acc, QueueDepth: 1024})
+	sh := NewShadow(ShadowConfig{SampleRate: 1})
+	acc := sh.Accuracy()
 	sh.SetOracle("m", exactOracle{v: 100})
 	sh.SetLocate(func(model string, x []float64, t float64) (int, bool) { return 3, true })
 	q := []float64{1, 2}
@@ -338,7 +340,7 @@ func TestShadowScoresThroughOracle(t *testing.T) {
 }
 
 func TestShadowNoOracleCounted(t *testing.T) {
-	sh := NewShadow(ShadowConfig{SampleRate: 1, QueueDepth: 64})
+	sh := NewShadow(ShadowConfig{SampleRate: 1})
 	for id := uint64(1); id <= 8; id++ {
 		sh.Offer("unknown", id, 0, []float64{1}, 0.1, 1, 0)
 	}
@@ -349,8 +351,8 @@ func TestShadowNoOracleCounted(t *testing.T) {
 }
 
 func TestShadowCloseDrains(t *testing.T) {
-	acc := NewAccuracyMonitor(AccuracyConfig{})
-	sh := NewShadow(ShadowConfig{SampleRate: 1, Accuracy: acc, QueueDepth: 1024})
+	sh := NewShadow(ShadowConfig{SampleRate: 1})
+	acc := sh.Accuracy()
 	sh.SetOracle("m", exactOracle{v: 1})
 	for id := uint64(1); id <= 500; id++ {
 		sh.Offer("m", id, 0, []float64{1}, 0.1, 1, 1)
@@ -368,8 +370,7 @@ func TestShadowCloseDrains(t *testing.T) {
 }
 
 func TestShadowSpillLargeQueries(t *testing.T) {
-	acc := NewAccuracyMonitor(AccuracyConfig{})
-	sh := NewShadow(ShadowConfig{SampleRate: 1, Accuracy: acc, QueueDepth: 16})
+	sh := NewShadow(ShadowConfig{SampleRate: 1})
 	var got []float64
 	var mu sync.Mutex
 	sh.SetOracle("m", oracleFunc(func(x []float64, t float64) (float64, string) {

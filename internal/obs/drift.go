@@ -11,15 +11,9 @@ import (
 
 // DriftConfig tunes the online accuracy drift monitor.
 type DriftConfig struct {
-	// Window is how many recent q-errors are kept per model for the
-	// rolling quantiles (default 512).
-	Window int
 	// Threshold is the p95 q-error above which a cycle increments the
 	// model's exceeded counter; 0 disables the counter.
 	Threshold float64
-	// Epsilon is the q-error floor applied to predictions and labels
-	// (default 1, the paper's convention for cardinalities).
-	Epsilon float64
 }
 
 // DriftStats is one model's rolling accuracy picture: quantiles over
@@ -36,16 +30,14 @@ type DriftStats struct {
 }
 
 type driftWindow struct {
-	ring  []float64 // capacity cfg.Window; n valid entries, pos = next write
-	n     int
-	pos   int
+	q     qring
 	stats DriftStats
 }
 
 // DriftMonitor tracks online estimation accuracy per model: after each
 // ingest cycle the pipeline scores the *serving* model against a
 // holdout of freshly relabelled queries and feeds the q-errors here.
-// The monitor keeps a rolling window per model and publishes
+// The monitor keeps a rolling qerrWindow-sample window per model and publishes
 // p50/p95/max quantiles plus an exceeded counter — retraining lag
 // becomes visible before users see bad estimates.
 //
@@ -58,14 +50,8 @@ type DriftMonitor struct {
 	models map[string]*driftWindow
 }
 
-// NewDriftMonitor builds a monitor, applying defaults for zero fields.
+// NewDriftMonitor builds an empty monitor.
 func NewDriftMonitor(cfg DriftConfig) *DriftMonitor {
-	if cfg.Window <= 0 {
-		cfg.Window = 512
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 1
-	}
 	return &DriftMonitor{cfg: cfg, models: make(map[string]*driftWindow)}
 }
 
@@ -82,21 +68,17 @@ func (d *DriftMonitor) Observe(model string, pred, label []float64) DriftStats {
 	defer d.mu.Unlock()
 	w := d.models[model]
 	if w == nil {
-		w = &driftWindow{ring: make([]float64, d.cfg.Window)}
+		w = &driftWindow{q: newQring()}
 		d.models[model] = w
 	}
 	for i := 0; i < n; i++ {
-		w.ring[w.pos] = metrics.QError(pred[i], label[i], d.cfg.Epsilon)
-		w.pos = (w.pos + 1) % len(w.ring)
-		if w.n < len(w.ring) {
-			w.n++
-		}
+		w.q.push(metrics.QError(pred[i], label[i], qerrFloor))
 	}
-	qs := metrics.Quantiles(w.ring[:w.n], 0.5, 0.95, 1)
+	qs := w.q.quantiles(0.5, 0.95, 1)
 	w.stats.P50, w.stats.P95, w.stats.Max = qs[0], qs[1], qs[2]
-	w.stats.Window = w.n
+	w.stats.Window = w.q.n
 	w.stats.Cycles++
-	w.stats.Samples += uint64(n)
+	w.stats.Samples = w.q.count
 	w.stats.LastAt = time.Now()
 	if d.cfg.Threshold > 0 && w.stats.P95 > d.cfg.Threshold {
 		w.stats.Exceeded++

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDriftMonitorObserve(t *testing.T) {
-	d := NewDriftMonitor(DriftConfig{Window: 8, Threshold: 3})
+	d := NewDriftMonitor(DriftConfig{Threshold: 3})
 	// Perfect estimates: every q-error is 1.
 	st := d.Observe("m", []float64{10, 20, 30}, []float64{10, 20, 30})
 	if st.P50 != 1 || st.P95 != 1 || st.Max != 1 {
@@ -17,8 +17,12 @@ func TestDriftMonitorObserve(t *testing.T) {
 		t.Fatalf("counters %+v", st)
 	}
 
-	// A badly drifted cycle: q-errors of 10 dominate the window.
-	st = d.Observe("m", []float64{100, 100, 100, 100, 100, 100}, []float64{10, 10, 10, 10, 10, 10})
+	// A badly drifted cycle: a window's worth of q-errors of 10.
+	pred, label := make([]float64, qerrWindow), make([]float64, qerrWindow)
+	for i := range pred {
+		pred[i], label[i] = 100, 10
+	}
+	st = d.Observe("m", pred, label)
 	if st.Max != 10 {
 		t.Fatalf("max %v, want 10", st.Max)
 	}
@@ -28,8 +32,11 @@ func TestDriftMonitorObserve(t *testing.T) {
 	if st.Exceeded != 1 {
 		t.Fatalf("exceeded %d, want 1", st.Exceeded)
 	}
-	if st.Window != 8 { // 3 + 6 observations, capped at the window
-		t.Fatalf("window %d, want 8", st.Window)
+	if st.Window != qerrWindow { // 3 + qerrWindow observations, capped at the window
+		t.Fatalf("window %d, want %d", st.Window, qerrWindow)
+	}
+	if st.Samples != 3+qerrWindow {
+		t.Fatalf("samples %d, want %d", st.Samples, 3+qerrWindow)
 	}
 	if st.LastAt.IsZero() || time.Since(st.LastAt) > time.Minute {
 		t.Fatalf("last_cycle_at %v", st.LastAt)
@@ -37,9 +44,9 @@ func TestDriftMonitorObserve(t *testing.T) {
 }
 
 func TestDriftMonitorRollingWindow(t *testing.T) {
-	d := NewDriftMonitor(DriftConfig{Window: 4})
+	d := NewDriftMonitor(DriftConfig{})
 	d.Observe("m", []float64{1000}, []float64{1}) // q-error 1000
-	for i := 0; i < 4; i++ {
+	for i := 0; i < qerrWindow; i++ {
 		d.Observe("m", []float64{5}, []float64{5}) // q-error 1
 	}
 	st := d.ModelStats("m")

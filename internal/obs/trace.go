@@ -77,14 +77,22 @@ func (sp Span) MarshalJSON() ([]byte, error) {
 
 // TracerConfig sizes a Tracer.
 type TracerConfig struct {
-	// Capacity is the recent-span ring size (default 256).
-	Capacity int
 	// SlowThreshold retains spans with Total at or above it in the
-	// slowest-N list (default 100ms).
+	// slowest-N list (DefaultTracerConfig: 100ms; 0 takes that default).
 	SlowThreshold time.Duration
-	// SlowCapacity bounds the slowest-N list (default 32).
-	SlowCapacity int
 }
+
+// DefaultTracerConfig returns the daemon's tracer settings.
+func DefaultTracerConfig() TracerConfig {
+	return TracerConfig{SlowThreshold: 100 * time.Millisecond}
+}
+
+// A Tracer keeps the traceCapacity most recent spans and the
+// slowCapacity slowest.
+const (
+	traceCapacity = 256
+	slowCapacity  = 32
+)
 
 // traceSlot is one seqlock-guarded ring entry. seq is even when the
 // slot is stable; a writer or reader CASes it odd to claim the slot and
@@ -114,20 +122,14 @@ type Tracer struct {
 	slow   []Span // unordered; Slow() sorts a copy
 }
 
-// NewTracer builds a Tracer, applying defaults for zero config fields.
+// NewTracer builds a Tracer.
 func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 256
-	}
 	if cfg.SlowThreshold <= 0 {
-		cfg.SlowThreshold = 100 * time.Millisecond
-	}
-	if cfg.SlowCapacity <= 0 {
-		cfg.SlowCapacity = 32
+		cfg.SlowThreshold = DefaultTracerConfig().SlowThreshold
 	}
 	t := &Tracer{
 		cfg:   cfg,
-		slots: make([]traceSlot, cfg.Capacity),
+		slots: make([]traceSlot, traceCapacity),
 		total: NewHistogram(LatencyBuckets()...),
 	}
 	for i := range t.stages {
@@ -169,7 +171,7 @@ func (t *Tracer) Record(sp Span) {
 func (t *Tracer) addSlow(sp Span) {
 	t.slowMu.Lock()
 	defer t.slowMu.Unlock()
-	if len(t.slow) < t.cfg.SlowCapacity {
+	if len(t.slow) < slowCapacity {
 		t.slow = append(t.slow, sp)
 		return
 	}
@@ -221,7 +223,7 @@ func (t *Tracer) Slow() []Span {
 	out := make([]Span, len(t.slow))
 	copy(out, t.slow)
 	t.slowMu.Unlock()
-	for i := 1; i < len(out); i++ { // insertion sort: N ≤ SlowCapacity
+	for i := 1; i < len(out); i++ { // insertion sort: N ≤ slowCapacity
 		for j := i; j > 0 && out[j].Total > out[j-1].Total; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}

@@ -17,48 +17,51 @@ func span(id uint64, total time.Duration) Span {
 }
 
 func TestTracerRecordAndRecent(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 8, SlowThreshold: time.Hour})
-	for i := uint64(1); i <= 20; i++ {
+	tr := NewTracer(TracerConfig{SlowThreshold: time.Hour})
+	const n = traceCapacity + 12
+	for i := uint64(1); i <= n; i++ {
 		tr.Record(span(i, time.Duration(i)*time.Millisecond))
 	}
 	st := tr.Stats()
-	if st.Recorded != 20 || st.Dropped != 0 {
+	if st.Recorded != n || st.Dropped != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 	recent := tr.Recent(0)
-	if len(recent) != 8 {
-		t.Fatalf("recent returned %d spans, want 8 (ring capacity)", len(recent))
+	if len(recent) != traceCapacity {
+		t.Fatalf("recent returned %d spans, want %d (ring capacity)", len(recent), traceCapacity)
 	}
-	// Newest first: the ring holds 13..20.
-	if recent[0].TraceID != 20 || recent[len(recent)-1].TraceID != 13 {
+	// Newest first: the ring holds the last traceCapacity spans.
+	if recent[0].TraceID != n || recent[len(recent)-1].TraceID != n-traceCapacity+1 {
 		t.Fatalf("recent order: first %d last %d", recent[0].TraceID, recent[len(recent)-1].TraceID)
 	}
-	if got := tr.Recent(3); len(got) != 3 || got[0].TraceID != 20 {
+	if got := tr.Recent(3); len(got) != 3 || got[0].TraceID != n {
 		t.Fatalf("limited recent: %+v", got)
 	}
 }
 
 func TestTracerSlowList(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 4, SlowThreshold: 10 * time.Millisecond, SlowCapacity: 2})
-	tr.Record(span(1, time.Millisecond))    // below threshold
-	tr.Record(span(2, 20*time.Millisecond)) // retained
-	tr.Record(span(3, 50*time.Millisecond)) // retained
-	tr.Record(span(4, 30*time.Millisecond)) // evicts the 20ms span
-	tr.Record(span(5, 10*time.Millisecond)) // at threshold but slower spans win
+	tr := NewTracer(TracerConfig{SlowThreshold: 10 * time.Millisecond})
+	tr.Record(span(1, time.Millisecond)) // below threshold
+	// slowCapacity+1 spans past the threshold, 20ms, 21ms, ...: the last
+	// one evicts the 20ms span.
+	for i := uint64(0); i <= slowCapacity; i++ {
+		tr.Record(span(2+i, time.Duration(20+i)*time.Millisecond))
+	}
+	tr.Record(span(100, 10*time.Millisecond)) // at threshold but slower spans win
 	slow := tr.Slow()
-	if len(slow) != 2 {
-		t.Fatalf("slow retained %d, want 2", len(slow))
+	if len(slow) != slowCapacity {
+		t.Fatalf("slow retained %d, want %d", len(slow), slowCapacity)
 	}
-	if slow[0].TraceID != 3 || slow[1].TraceID != 4 {
-		t.Fatalf("slow order: %d, %d", slow[0].TraceID, slow[1].TraceID)
+	if slow[0].TraceID != 2+slowCapacity || slow[len(slow)-1].TraceID != 3 {
+		t.Fatalf("slow order: first %d, last %d", slow[0].TraceID, slow[len(slow)-1].TraceID)
 	}
-	if st := tr.Stats(); st.SlowRetained != 2 || st.SlowThresholdSeconds != 0.01 {
+	if st := tr.Stats(); st.SlowRetained != slowCapacity || st.SlowThresholdSeconds != 0.01 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
 func TestTracerStageHistograms(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 4})
+	tr := NewTracer(TracerConfig{})
 	sp := Span{TraceID: 1, Total: time.Millisecond}
 	sp.Stages[StageExecute] = 20 * time.Microsecond
 	// Other stages zero: they must not be observed.
@@ -74,7 +77,7 @@ func TestTracerStageHistograms(t *testing.T) {
 // TestTracerConcurrent exercises the seqlock ring from concurrent
 // writers and readers; run under -race in CI.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 16, SlowThreshold: time.Hour})
+	tr := NewTracer(TracerConfig{SlowThreshold: time.Hour})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -144,7 +147,7 @@ func TestSpanJSONCarriesAllStages(t *testing.T) {
 }
 
 func TestTracerWriteMetrics(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 4})
+	tr := NewTracer(TracerConfig{})
 	tr.Record(span(1, time.Millisecond))
 	var b strings.Builder
 	pw := NewPromWriter(&b)

@@ -22,17 +22,19 @@ import (
 
 // WorkloadConfig tunes the shift detector.
 type WorkloadConfig struct {
-	// Bins is the per-feature histogram resolution (default 16).
-	Bins int
 	// Threshold is the average total-variation divergence above which a
 	// model's live workload counts as shifted; 0 disables the alarm
 	// (divergence is still computed and published).
 	Threshold float64
-	// MinSamples is how many live queries must accumulate before
-	// divergence is computed at all (default 64) — below that the
-	// histogram comparison is noise.
-	MinSamples int
 }
+
+// Each feature's histogram has workloadBins bins, and divergence is
+// computed only once workloadMinSamples live queries have accumulated:
+// below that the histogram comparison is noise.
+const (
+	workloadBins       = 16
+	workloadMinSamples = 64
+)
 
 // workloadState is one model's baseline + live histograms. Bin edges
 // are equal-width per feature over the baseline's [lo, hi] range; live
@@ -73,15 +75,8 @@ type WorkloadMonitor struct {
 	models map[string]*workloadState
 }
 
-// NewWorkloadMonitor builds a monitor, applying defaults for zero
-// fields.
+// NewWorkloadMonitor builds an empty monitor.
 func NewWorkloadMonitor(cfg WorkloadConfig) *WorkloadMonitor {
-	if cfg.Bins <= 0 {
-		cfg.Bins = 16
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 64
-	}
 	return &WorkloadMonitor{cfg: cfg, models: make(map[string]*workloadState)}
 }
 
@@ -108,8 +103,8 @@ func (m *WorkloadMonitor) SetBaseline(model string, queries [][]float64, ts []fl
 		baseN: uint64(len(queries)),
 	}
 	for f := 0; f < features; f++ {
-		st.base[f] = make([]float64, m.cfg.Bins)
-		st.live[f] = make([]uint64, m.cfg.Bins)
+		st.base[f] = make([]float64, workloadBins)
+		st.live[f] = make([]uint64, workloadBins)
 	}
 	feat := func(q []float64, t float64, f int) float64 {
 		if f < dim {
@@ -133,7 +128,7 @@ func (m *WorkloadMonitor) SetBaseline(model string, queries [][]float64, ts []fl
 	inc := 1 / float64(len(queries))
 	for i, q := range queries {
 		for f := 0; f < features; f++ {
-			st.base[f][binIndex(feat(q, tAt(ts, i), f), st.lo[f], st.hi[f], m.cfg.Bins)] += inc
+			st.base[f][binIndex(feat(q, tAt(ts, i), f), st.lo[f], st.hi[f], workloadBins)] += inc
 		}
 	}
 	m.mu.Lock()
@@ -184,11 +179,11 @@ func (m *WorkloadMonitor) Observe(model string, q []float64, t float64) {
 		if f < len(q) {
 			v = q[f]
 		}
-		st.live[f][binIndex(v, st.lo[f], st.hi[f], m.cfg.Bins)]++
+		st.live[f][binIndex(v, st.lo[f], st.hi[f], workloadBins)]++
 	}
 	st.liveN++
 	st.lastAt = time.Now()
-	if st.liveN < uint64(m.cfg.MinSamples) {
+	if st.liveN < workloadMinSamples {
 		return
 	}
 	st.div = divergence(st)
@@ -222,7 +217,7 @@ func divergence(st *workloadState) float64 {
 func (m *WorkloadMonitor) statsLocked(st *workloadState) WorkloadStats {
 	return WorkloadStats{
 		Features:        len(st.lo),
-		Bins:            m.cfg.Bins,
+		Bins:            workloadBins,
 		BaselineSamples: st.baseN,
 		LiveSamples:     st.liveN,
 		Divergence:      st.div,

@@ -21,10 +21,10 @@ func baselineQueries(rng *rand.Rand, n, dim int, shift float64) ([][]float64, []
 }
 
 func TestWorkloadNoShiftLowDivergence(t *testing.T) {
-	// MinSamples must be large enough that the first computed divergence
-	// is already stable — a 10-sample histogram against a 2000-sample
-	// baseline is mostly sparsity, not shift.
-	m := NewWorkloadMonitor(WorkloadConfig{Threshold: 0.5, MinSamples: 400})
+	// workloadMinSamples is large enough that the first computed
+	// divergence is already stable — a 10-sample histogram against a
+	// 2000-sample baseline is mostly sparsity, not shift.
+	m := NewWorkloadMonitor(WorkloadConfig{Threshold: 0.5})
 	rng := rand.New(rand.NewSource(1))
 	qs, ts := baselineQueries(rng, 2000, 3, 0)
 	m.SetBaseline("m", qs, ts)
@@ -52,7 +52,7 @@ func TestWorkloadNoShiftLowDivergence(t *testing.T) {
 }
 
 func TestWorkloadShiftDetected(t *testing.T) {
-	m := NewWorkloadMonitor(WorkloadConfig{Threshold: 0.5, MinSamples: 10})
+	m := NewWorkloadMonitor(WorkloadConfig{Threshold: 0.5})
 	rng := rand.New(rand.NewSource(2))
 	qs, ts := baselineQueries(rng, 1000, 3, 0)
 	m.SetBaseline("m", qs, ts)
@@ -69,34 +69,34 @@ func TestWorkloadShiftDetected(t *testing.T) {
 	if !st.ShiftAdvised {
 		t.Fatal("shift not advised for disjoint workload")
 	}
-	// Exceeded counts per-observation alarms past MinSamples.
+	// Exceeded counts per-observation alarms past workloadMinSamples.
 	if st.Exceeded == 0 || st.Exceeded > 200 {
 		t.Fatalf("exceeded = %d, want within (0, 200]", st.Exceeded)
 	}
 }
 
 func TestWorkloadMinSamplesGate(t *testing.T) {
-	m := NewWorkloadMonitor(WorkloadConfig{Threshold: 0.01, MinSamples: 50})
+	m := NewWorkloadMonitor(WorkloadConfig{Threshold: 0.01})
 	rng := rand.New(rand.NewSource(3))
 	qs, ts := baselineQueries(rng, 100, 2, 0)
 	m.SetBaseline("m", qs, ts)
-	shifted, shiftedT := baselineQueries(rng, 49, 2, 10)
+	shifted, shiftedT := baselineQueries(rng, workloadMinSamples-1, 2, 10)
 	for i, q := range shifted {
 		m.Observe("m", q, shiftedT[i])
 	}
 	st, _ := m.ModelStats("m")
 	if st.Divergence != 0 || st.Exceeded != 0 {
-		t.Fatalf("divergence computed below MinSamples: %+v", st)
+		t.Fatalf("divergence computed below workloadMinSamples: %+v", st)
 	}
-	m.Observe("m", shifted[0], shiftedT[0]) // 50th sample crosses the gate
+	m.Observe("m", shifted[0], shiftedT[0]) // this sample crosses the gate
 	st, _ = m.ModelStats("m")
 	if st.Divergence == 0 {
-		t.Fatal("divergence still zero past MinSamples")
+		t.Fatal("divergence still zero past workloadMinSamples")
 	}
 }
 
 func TestWorkloadZeroThresholdNeverAlarms(t *testing.T) {
-	m := NewWorkloadMonitor(WorkloadConfig{MinSamples: 1})
+	m := NewWorkloadMonitor(WorkloadConfig{})
 	rng := rand.New(rand.NewSource(4))
 	qs, ts := baselineQueries(rng, 100, 2, 0)
 	m.SetBaseline("m", qs, ts)
@@ -114,7 +114,7 @@ func TestWorkloadZeroThresholdNeverAlarms(t *testing.T) {
 }
 
 func TestWorkloadIgnoresUnknownAndMismatched(t *testing.T) {
-	m := NewWorkloadMonitor(WorkloadConfig{MinSamples: 1})
+	m := NewWorkloadMonitor(WorkloadConfig{})
 	m.Observe("nobody", []float64{1}, 0.1) // no baseline: ignored
 	if _, ok := m.ModelStats("nobody"); ok {
 		t.Fatal("stats appeared for model without baseline")
@@ -132,10 +132,10 @@ func TestWorkloadIgnoresUnknownAndMismatched(t *testing.T) {
 func TestWorkloadDegenerateRange(t *testing.T) {
 	// A constant feature (lo == hi) must not divide by zero; identical
 	// live traffic stays at divergence 0.
-	m := NewWorkloadMonitor(WorkloadConfig{MinSamples: 1})
+	m := NewWorkloadMonitor(WorkloadConfig{})
 	qs := [][]float64{{5, 1}, {5, 2}, {5, 3}}
 	m.SetBaseline("m", qs, []float64{0.1, 0.1, 0.1})
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 3*workloadMinSamples; i++ {
 		m.Observe("m", qs[i%3], 0.1)
 	}
 	st, _ := m.ModelStats("m")
@@ -146,7 +146,7 @@ func TestWorkloadDegenerateRange(t *testing.T) {
 
 func TestWorkloadBaselineNoThresholds(t *testing.T) {
 	// Without per-query thresholds only the vector dims are profiled.
-	m := NewWorkloadMonitor(WorkloadConfig{MinSamples: 1})
+	m := NewWorkloadMonitor(WorkloadConfig{})
 	m.SetBaseline("m", [][]float64{{1, 2}, {3, 4}}, nil)
 	st, _ := m.ModelStats("m")
 	if st.Features != 2 {
@@ -160,7 +160,7 @@ func TestWorkloadBaselineNoThresholds(t *testing.T) {
 }
 
 func TestWorkloadConcurrent(t *testing.T) {
-	m := NewWorkloadMonitor(WorkloadConfig{Threshold: 0.3, MinSamples: 5})
+	m := NewWorkloadMonitor(WorkloadConfig{Threshold: 0.3})
 	rng := rand.New(rand.NewSource(6))
 	qs, ts := baselineQueries(rng, 200, 2, 0)
 	m.SetBaseline("m", qs, ts)

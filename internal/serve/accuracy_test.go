@@ -49,9 +49,9 @@ func (o fixedOracle) TrueSelectivity([]float64, float64) (float64, string) { ret
 func newShadowServer(t *testing.T) (*Server, *obs.Shadow, *httptest.Server) {
 	t.Helper()
 	s := NewServer(Config{})
-	wl := obs.NewWorkloadMonitor(obs.WorkloadConfig{Threshold: 0.9, MinSamples: 1})
+	wl := obs.NewWorkloadMonitor(obs.WorkloadConfig{Threshold: 0.9})
 	wl.SetBaseline("default", [][]float64{{0, 0}, {1, 1}, {-1, -1}}, []float64{0.1, 0.2, 0.3})
-	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 1, QueueDepth: 1024, Workload: wl})
+	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 1, Workload: wl})
 	sh.SetOracle("default", fixedOracle{v: 50})
 	s.SetShadow(sh)
 	s.SetTracer(obs.NewTracer(obs.TracerConfig{SlowThreshold: time.Nanosecond}))

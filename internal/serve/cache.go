@@ -15,16 +15,22 @@ type CacheConfig struct {
 	// cache entirely.
 	Capacity int
 	// Quantum is the grid step used to quantize query coordinates and
-	// thresholds into cache keys (default 1e-6). Two requests landing in
-	// the same grid cell share a cache entry, so a coarser quantum trades
-	// estimate fidelity for hit rate. SelNet estimates are continuous and
+	// thresholds into cache keys (0 takes DefaultCacheConfig's). Two
+	// requests landing in the same grid cell share a cache entry, so a
+	// coarser quantum trades estimate fidelity for hit rate. SelNet estimates are continuous and
 	// piece-wise linear in t, so nearby inputs give nearby outputs.
 	Quantum float64
 }
 
+// DefaultCacheConfig returns the cache selestd starts with: 4096
+// entries on a 1e-6 grid.
+func DefaultCacheConfig() CacheConfig {
+	return CacheConfig{Capacity: 4096, Quantum: 1e-6}
+}
+
 func (c CacheConfig) withDefaults() CacheConfig {
 	if c.Quantum <= 0 {
-		c.Quantum = 1e-6
+		c.Quantum = DefaultCacheConfig().Quantum
 	}
 	return c
 }

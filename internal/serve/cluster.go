@@ -84,20 +84,12 @@ func hopCount(r *http.Request) int {
 	return n
 }
 
-// retryAfter stamps the backoff hint on throttling and failover
-// responses (429, leaderless 503) so clients back off deliberately
-// instead of hammering.
-func (s *Server) retryAfter(w http.ResponseWriter) {
-	d := s.cfg.RetryAfter
-	if d <= 0 {
-		d = time.Second
-	}
-	secs := int(d.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
+// retryAfterSecs is the backoff hint, in whole seconds, stamped on
+// throttling and failover responses (429, leaderless 503) so clients
+// back off deliberately instead of hammering.
+const retryAfterSecs = "1"
+
+func retryAfter(w http.ResponseWriter) { w.Header().Set("Retry-After", retryAfterSecs) }
 
 // forward proxies a request (with its already-buffered body) to the
 // first reachable target, streaming the response back verbatim. The
@@ -118,7 +110,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, targets []strin
 		if id, ok := obs.TraceIDFrom(r.Context()); ok {
 			req.Header.Set("X-Trace-Id", obs.FormatTraceID(id))
 		}
-		resp, err := s.forwardClient().Do(req)
+		resp, err := forwardClient.Do(req)
 		if err != nil {
 			// Dead or unreachable replica: try the next candidate.
 			continue
@@ -133,22 +125,15 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, targets []strin
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	s.retryAfter(w)
+	retryAfter(w)
 	writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no replica reachable for this request"))
 	return http.StatusServiceUnavailable
 }
 
-func (s *Server) forwardClient() *http.Client {
-	if s.cfg.ForwardClient != nil {
-		return s.cfg.ForwardClient
-	}
-	return defaultForwardClient
-}
-
-// defaultForwardClient bounds a forwarded request end to end; estimate
+// forwardClient bounds a forwarded request end to end; estimate
 // and update handlers on the remote side answer in milliseconds, so 10s
 // only guards against a hung peer.
-var defaultForwardClient = &http.Client{Timeout: 10 * time.Second}
+var forwardClient = &http.Client{Timeout: 10 * time.Second}
 
 // handleClusterMap serves the shard map for client-side routing.
 func (s *Server) handleClusterMap(w http.ResponseWriter, r *http.Request) {
@@ -214,7 +199,7 @@ func (s *Server) routeWrite(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		if target == "" {
-			s.retryAfter(w)
+			retryAfter(w)
 			writeError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("no leader for model %q (failover in progress)", model))
 			return

@@ -50,9 +50,9 @@ func TestMetricsExposition(t *testing.T) {
 	// forced but its counter family still appears, and a workload
 	// baseline with live observations. Close drains the queue so the
 	// scrape below sees deterministic counts.
-	wl := obs.NewWorkloadMonitor(obs.WorkloadConfig{Threshold: 0.5, MinSamples: 1})
+	wl := obs.NewWorkloadMonitor(obs.WorkloadConfig{Threshold: 0.5})
 	wl.SetBaseline("m", [][]float64{{0, 0, 0}, {1, 1, 1}}, []float64{0.2, 0.4})
-	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 1, QueueDepth: 64, Workload: wl})
+	sh := obs.NewShadow(obs.ShadowConfig{SampleRate: 1, Workload: wl})
 	sh.SetOracle("m", fixedOracle{v: 5})
 	sh.SetOracle("b", fixedOracle{v: 3})
 	sh.SetLocate(func(string, []float64, float64) (int, bool) { return 1, true })

@@ -154,8 +154,8 @@ func (r *Registry) publish(name string, est estimator.Estimator, source string, 
 		}
 	}
 	if r.newBatcher != nil {
-		// Built under the writer lock so a failed conditional publish
-		// never spawns (and then has to reap) a worker pool.
+		// Built after the conditional check, so a failed publish builds
+		// no Batcher. A Batcher starts no goroutine of its own.
 		m.batcher = r.newBatcher(est)
 	}
 	r.generation[name]++

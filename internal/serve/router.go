@@ -27,19 +27,20 @@ type RouterConfig struct {
 	// kinds the model codec serves) pinning the virtual names to that
 	// kind. Empty disables routing.
 	Mode string
-	// DimThreshold is the query dimensionality above which "auto"
-	// prefers a SelNet-class model over sampling (default 8): in high
-	// dimension the sampling estimators need prohibitively many probes
-	// for the same guarantee.
-	DimThreshold int
-	// Epsilon and Delta parameterize the VC sampling bound
-	// m* = (d + 1 + ln(1/delta)) / (2 epsilon^2): a sampling-backed
-	// estimator whose data size is within m* is already an
-	// (epsilon, delta)-approximation, so "auto" serves from it directly.
-	// Both default to 0.05.
-	Epsilon float64
-	Delta   float64
 }
+
+// "auto" prefers a SelNet-class model over sampling above
+// routeDimThreshold query dimensions: in high dimension the sampling
+// estimators need prohibitively many probes for the same guarantee.
+// Below it, vcEpsilon and vcDelta parameterize the VC sampling bound
+// m* = (d + 1 + ln(1/delta)) / (2 epsilon^2): a sampling-backed
+// estimator whose data size is within m* is already an
+// (epsilon, delta)-approximation, so "auto" serves from it directly.
+const (
+	routeDimThreshold = 8
+	vcEpsilon         = 0.05
+	vcDelta           = 0.05
+)
 
 // ValidRouterMode reports whether mode names a routing policy: "auto",
 // "ensemble", or the slug of a kind the model codec serves — every one
@@ -91,18 +92,9 @@ type decisionKey struct {
 	backend string // chosen backend: model name or "ensemble"
 }
 
-// NewRouter builds a router over reg. Zero-valued thresholds take the
-// documented defaults; mode must already be validated.
+// NewRouter builds a router over reg; cfg.Mode must already be
+// validated.
 func NewRouter(reg *Registry, cfg RouterConfig) *Router {
-	if cfg.DimThreshold <= 0 {
-		cfg.DimThreshold = 8
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.05
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 0.05
-	}
 	rt := &Router{cfg: cfg, reg: reg}
 	empty := map[decisionKey]*atomic.Uint64{}
 	rt.counters.Store(&empty)
@@ -118,10 +110,10 @@ func (rt *Router) Routes(name string) bool {
 
 // SampleBound returns the VC sampling bound m* for queries of the given
 // dimensionality: the sample size beyond which a sampling-backed
-// estimator stops being preferable under the configured (epsilon, delta).
+// estimator stops being preferable under (vcEpsilon, vcDelta).
 func (rt *Router) SampleBound(dim int) int {
 	vc := float64(dim) + 1 // halfspace/ball range spaces over R^dim
-	return int(math.Ceil((vc + math.Log(1/rt.cfg.Delta)) / (2 * rt.cfg.Epsilon * rt.cfg.Epsilon)))
+	return int(math.Ceil((vc + math.Log(1/vcDelta)) / (2 * vcEpsilon * vcEpsilon)))
 }
 
 // Route resolves the virtual name for a query of the given
@@ -238,10 +230,10 @@ func (rt *Router) decideAuto(candidates []*Model, dim int) *routeEntry {
 	}
 	bound := rt.SampleBound(dim)
 	switch {
-	case dim > rt.cfg.DimThreshold && selnetClass != nil:
+	case dim > routeDimThreshold && selnetClass != nil:
 		return &routeEntry{m: selnetClass, backend: selnetClass.Name,
-			reason: fmt.Sprintf("dim %d > %d: selnet-class", dim, rt.cfg.DimThreshold)}
-	case dim <= rt.cfg.DimThreshold && sampling != nil && samplingSize <= bound:
+			reason: fmt.Sprintf("dim %d > %d: selnet-class", dim, routeDimThreshold)}
+	case dim <= routeDimThreshold && sampling != nil && samplingSize <= bound:
 		return &routeEntry{m: sampling, backend: sampling.Name,
 			reason: fmt.Sprintf("data size %d <= vc bound %d: sampling-class", samplingSize, bound)}
 	case selnetClass != nil:
@@ -312,9 +304,9 @@ type RouterStats struct {
 func (rt *Router) Stats() RouterStats {
 	st := RouterStats{
 		Mode:         rt.cfg.Mode,
-		DimThreshold: rt.cfg.DimThreshold,
-		Epsilon:      rt.cfg.Epsilon,
-		Delta:        rt.cfg.Delta,
+		DimThreshold: routeDimThreshold,
+		Epsilon:      vcEpsilon,
+		Delta:        vcDelta,
 	}
 	if c := rt.cache.Load(); c != nil && c.table == rt.reg.table.Load() {
 		for dim, e := range c.byDim {

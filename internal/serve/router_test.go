@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"selnet/internal/distance"
 	"selnet/internal/modeltest"
 	"selnet/internal/tensor"
 )
@@ -49,7 +50,7 @@ func TestRouterAutoPrefersSamplingOnSmallData(t *testing.T) {
 
 func TestRouterAutoPrefersSelNetInHighDim(t *testing.T) {
 	// A dim-16 SelNet and a dim-16 KDE: the KDE's sample count is within
-	// the bound, but dim 16 > DimThreshold sends queries to SelNet.
+	// the bound, but dim 16 > routeDimThreshold sends queries to SelNet.
 	reg := NewRegistry(nil)
 	mustPublish(t, reg, "wide-net", modeltest.TinySelNet(1, 16))
 	db, queries := modeltest.Workload(0, 200, 16, 40)
@@ -65,15 +66,16 @@ func TestRouterAutoPrefersSelNetInHighDim(t *testing.T) {
 }
 
 func TestRouterAutoFallsBackToSelNetOverBound(t *testing.T) {
-	// The LSH estimator's data size (full db) above m* disqualifies the
+	// A KDE fitted on 1500 vectors, above m*, is disqualified as the
 	// sampling class; SelNet takes over.
 	reg := NewRegistry(nil)
 	mustPublish(t, reg, "net", modeltest.TinySelNet(1, 3))
-	mustPublish(t, reg, "lsh", modeltest.Builders()["lsh"]())
-	rt := NewRouter(reg, RouterConfig{Mode: "auto", Epsilon: 0.5, Delta: 0.5})
-	// Epsilon 0.5 shrinks m*(3) to ceil((4+ln2)/0.5) = 10 < 200 vectors.
-	if b := rt.SampleBound(3); b >= 200 {
-		t.Fatalf("bound = %d, want < 200", b)
+	db, queries := modeltest.Workload(distance.Euclidean, 1500, 3, 20)
+	mustPublish(t, reg, "kde", modeltest.FitKDE(db, queries))
+	rt := NewRouter(reg, RouterConfig{Mode: "auto"})
+	// m*(3) = ceil((4+ln 20)/(2*0.05^2)) = 1400 < 1500 vectors.
+	if b := rt.SampleBound(3); b != 1400 {
+		t.Fatalf("bound = %d, want 1400", b)
 	}
 	m, err := rt.Route("auto", 3)
 	if err != nil {

@@ -26,12 +26,6 @@ type Config struct {
 	Batcher BatcherConfig
 	// Cache tunes the shared estimate cache (Capacity 0 disables it).
 	Cache CacheConfig
-	// RetryAfter is the backoff hint stamped on 429 backpressure and
-	// leaderless-503 responses (default 1s).
-	RetryAfter time.Duration
-	// ForwardClient overrides the HTTP client used to proxy requests to
-	// other cluster nodes (tests inject short timeouts).
-	ForwardClient *http.Client
 }
 
 // Server is the HTTP model-serving front end: it owns the model
@@ -128,8 +122,9 @@ func (s *Server) SetShadow(sh *obs.Shadow) {
 // traffic.
 func (s *Server) SetAccessLog(l *slog.Logger) { s.logger = l }
 
-// Close drains every model's in-flight batches and releases the worker
-// pools. Call after the HTTP listener has stopped accepting requests.
+// Close stops every model's Batcher from admitting estimates and waits
+// for the single estimates already admitted. Call after the HTTP
+// listener has stopped accepting requests.
 func (s *Server) Close() { s.registry.Close() }
 
 // Handler returns the route table:
@@ -716,7 +711,7 @@ func (s *Server) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, err)
 		return
 	case errors.Is(err, ErrUpdateQueueFull):
-		s.retryAfter(w)
+		retryAfter(w)
 		fail(http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrNotUpdatable):
@@ -725,7 +720,7 @@ func (s *Server) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrNotLeader), errors.Is(err, ErrReplicationTimeout):
 		// Leadership moved under us, or follower acks timed out: the
 		// client retries (the batch is unacknowledged either way).
-		s.retryAfter(w)
+		retryAfter(w)
 		fail(http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrUpdaterClosed):
