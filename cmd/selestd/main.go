@@ -193,7 +193,6 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.StringVar(&ic.Journal.Dir, "journal-dir", ic.Journal.Dir, "directory for the durable update journal (empty keeps it in memory)")
 	fs.IntVar(&ic.Journal.SnapshotEvery, "snapshot-every", ic.Journal.SnapshotEvery, "applied update batches between durable snapshots (with -journal-dir)")
 	fs.Int64Var(&ic.Journal.CompactBytes, "journal-compact-bytes", ic.Journal.CompactBytes, "WAL size forcing a snapshot+compaction (with -journal-dir)")
-	fs.DurationVar(&ic.Journal.SyncInterval, "journal-sync-interval", ic.Journal.SyncInterval, "tick-based WAL fsync window: batch records per fsync at the cost of up to this much added ack latency (0 = fsync per group commit)")
 	fs.StringVar(&c.debugAddr, "debug-addr", c.debugAddr, "secondary listen address serving net/http/pprof under /debug/pprof/ (empty disables)")
 	fs.DurationVar(&c.trace.SlowThreshold, "trace-slow", c.trace.SlowThreshold, "requests at least this slow are retained in the /debug/traces slowest-N list")
 	fs.Float64Var(&c.drift.Threshold, "drift-qerror", c.drift.Threshold, "rolling p95 q-error above which an ingest cycle counts as drift_exceeded (0 disables the alarm counter)")
@@ -310,9 +309,6 @@ func validateFlags(c *config) error {
 	}
 	if ic.Journal.CompactBytes < 1 {
 		return fmt.Errorf("-journal-compact-bytes must be >= 1, got %d", ic.Journal.CompactBytes)
-	}
-	if ic.Journal.SyncInterval < 0 {
-		return fmt.Errorf("-journal-sync-interval must be >= 0, got %s", ic.Journal.SyncInterval)
 	}
 	if c.drain <= 0 {
 		return fmt.Errorf("-drain must be > 0, got %s", c.drain)

@@ -149,14 +149,6 @@ type JournalConfig struct {
 	// CompactBytes forces a snapshot+compaction once a model's WAL
 	// exceeds this size regardless of batch count (default 4 MiB).
 	CompactBytes int64
-	// SyncInterval > 0 replaces the immediate per-append group commit
-	// with a tick-based fsync window: the producer that wins the commit
-	// lock sleeps this long before fsyncing, so sustained ingest load
-	// batches many records per fsync at the cost of up to SyncInterval
-	// of added ack latency. 0 (the default) fsyncs as soon as the commit
-	// lock is free — the lowest-latency setting, but one fsync per idle
-	// producer.
-	SyncInterval time.Duration
 	// OnRecover, if set, observes each model's boot-time recovery.
 	OnRecover func(model string, r Recovery)
 }
@@ -469,7 +461,6 @@ func (p *Pipeline) recover(mp *modelPipeline) error {
 	if err != nil {
 		return err
 	}
-	w.SetSyncInterval(cfg.SyncInterval)
 	if walRec.BaseApplied > rec.SnapshotSeq {
 		// The log was compacted past what any surviving snapshot covers:
 		// the dropped prefix is unrecoverable and silently resuming would
@@ -521,17 +512,8 @@ func (p *Pipeline) Enqueue(model string, insert, del [][]float64) (serve.UpdateA
 	if mp == nil {
 		return serve.UpdateAck{}, serve.ErrNotUpdatable
 	}
-	for i, v := range insert {
-		if len(v) != mp.db.Dim {
-			return serve.UpdateAck{}, fmt.Errorf("%w: insert %d has dim %d, model %q expects %d",
-				serve.ErrInvalidUpdate, i, len(v), model, mp.db.Dim)
-		}
-	}
-	for i, v := range del {
-		if len(v) != mp.db.Dim {
-			return serve.UpdateAck{}, fmt.Errorf("%w: delete %d has dim %d, model %q expects %d",
-				serve.ErrInvalidUpdate, i, len(v), model, mp.db.Dim)
-		}
+	if err := mp.checkDims(insert, del); err != nil {
+		return serve.UpdateAck{}, err
 	}
 	e, depth, err := mp.j.append(insert, del)
 	if err != nil {
@@ -555,13 +537,8 @@ func (p *Pipeline) Replicate(model string, entries []Entry) (accepted int, err e
 		return 0, serve.ErrNotUpdatable
 	}
 	for _, e := range entries {
-		for _, set := range [2][][]float64{e.Insert, e.Delete} {
-			for _, v := range set {
-				if len(v) != mp.db.Dim {
-					return 0, fmt.Errorf("%w: replicated seq %d has dim %d, model %q expects %d",
-						serve.ErrInvalidUpdate, e.Seq, len(v), model, mp.db.Dim)
-				}
-			}
+		if err := mp.checkDims(e.Insert, e.Delete); err != nil {
+			return 0, fmt.Errorf("replicated seq %d: %w", e.Seq, err)
 		}
 	}
 	for _, e := range entries {
@@ -587,6 +564,20 @@ func (p *Pipeline) Replicate(model string, entries []Entry) (accepted int, err e
 		}
 	}
 	return accepted, nil
+}
+
+// checkDims rejects a batch holding a vector whose width is not the
+// model's, with an error wrapping serve.ErrInvalidUpdate.
+func (mp *modelPipeline) checkDims(insert, del [][]float64) error {
+	for k, set := range [2][][]float64{insert, del} {
+		for i, v := range set {
+			if len(v) != mp.db.Dim {
+				return fmt.Errorf("%w: %s %d has dim %d, model %q expects %d",
+					serve.ErrInvalidUpdate, [2]string{"insert", "delete"}[k], i, len(v), mp.name, mp.db.Dim)
+			}
+		}
+	}
+	return nil
 }
 
 // TailWAL opens a streaming reader over the named model's write-ahead
@@ -821,10 +812,16 @@ func (p *Pipeline) snapshotter() {
 
 // cycle runs one coalesced apply + shadow-retrain + swap pass. The
 // database and query labels mutate first (they are pipeline-private);
-// the serving model only changes at the final registry publish.
-func (p *Pipeline) cycle(mp *modelPipeline, entries []Entry) Cycle {
+// the serving model only changes at the final registry publish. Every
+// outcome, a failed one included, leaves through the deferred exit
+// that times the cycle and folds it into the stats.
+func (p *Pipeline) cycle(mp *modelPipeline, entries []Entry) (c Cycle) {
 	start := time.Now()
-	c := Cycle{FirstSeq: entries[0].Seq, LastSeq: entries[len(entries)-1].Seq, Batches: len(entries)}
+	c = Cycle{FirstSeq: entries[0].Seq, LastSeq: entries[len(entries)-1].Seq, Batches: len(entries)}
+	defer func() {
+		c.Duration = time.Since(start)
+		p.recordCycle(mp, c)
+	}()
 	// Entries apply in journal order (a delete only matches vectors
 	// present at its position in the stream). Deletions are resolved
 	// through a value index built at most once per cycle and maintained
@@ -871,56 +868,72 @@ func (p *Pipeline) cycle(mp *modelPipeline, entries []Entry) Cycle {
 	// A static estimator is done: the database and journal carry the
 	// update; the published model is immutable by construction.
 	if mp.mode == modeStatic {
-		c.Duration = time.Since(start)
-		p.recordCycle(mp, c)
 		return c
 	}
 
-	// Shadow step under the retrain semaphore: clone, register the
-	// structural change, run the mode's rebuild — the δ_U check +
-	// incremental training, or a database rebind + refresh.
+	// Shadow step under the retrain semaphore: adopt a manual swap,
+	// clone, and run the mode's rebuild.
 	p.sem <- struct{}{}
 	p.adoptManualSwap(mp, &c)
-	shadowEst, err := mp.cur.(estimator.Cloner).CloneEstimator()
+	shadow, publish, err := p.rebuild(mp, &c, inserted, deleted)
+	<-p.sem
 	if err != nil {
-		<-p.sem
 		c.Err = err
-		c.Duration = time.Since(start)
-		p.recordCycle(mp, c)
 		return c
 	}
 
+	// The shadow carries the authoritative state (cluster membership,
+	// ball radii, the rebound database) even when δ_U absorbed the
+	// change, so it always becomes the next cycle's base.
+	mp.cur = shadow
+	if !publish {
+		return c
+	}
+	source := fmt.Sprintf("ingest: seq %d-%d", c.FirstSeq, c.LastSeq)
 	if mp.mode == modeRefresh {
-		r := shadowEst.(estimator.Refresher)
+		source = fmt.Sprintf("ingest: refresh seq %d-%d", c.FirstSeq, c.LastSeq)
+	}
+	// Conditional on the registry still holding what this pipeline last
+	// published: if a manual load slipped in while the shadow was being
+	// rebuilt, the swap is abandoned and the next cycle adopts the
+	// operator's model instead.
+	m, swapped, err := p.cfg.Registry.PublishIf(mp.name, shadow, source, mp.published)
+	switch {
+	case err != nil:
+		c.Err = err
+	case swapped:
+		c.Swapped = true
+		c.Generation = m.Generation
+		mp.published = shadow
+		// The δ_U baseline restarts at the published model's MAE (zero,
+		// and unused, in refresh mode).
+		mp.baseline = c.Result.MAEAfter
+	}
+	return c
+}
+
+// rebuild clones the shadow base and runs the mode's update step on the
+// clone, reporting whether the result is to be published. Refresh mode
+// rebinds the clone to a copy of the updated database and rebuilds it,
+// and always publishes. Retrain mode registers the structural change
+// and runs the Sec. 5.4 δ_U check + incremental training into
+// c.Result, and publishes only when it retrained.
+func (p *Pipeline) rebuild(mp *modelPipeline, c *Cycle, inserted, deleted [][]float64) (estimator.Estimator, bool, error) {
+	shadow, err := mp.cur.(estimator.Cloner).CloneEstimator()
+	if err != nil {
+		return nil, false, err
+	}
+	if mp.mode == modeRefresh {
+		r := shadow.(estimator.Refresher)
 		// The clone gets its own copy of the updated database so later
 		// worker cycles never mutate what it serves from.
 		if err := r.BindDB(mp.db.Clone()); err != nil {
-			<-p.sem
-			c.Err = err
-			c.Duration = time.Since(start)
-			p.recordCycle(mp, c)
-			return c
+			return nil, false, err
 		}
 		r.Refresh()
-		<-p.sem
-		mp.cur = shadowEst
-		m, swapped, perr := p.cfg.Registry.PublishIf(mp.name, shadowEst,
-			fmt.Sprintf("ingest: refresh seq %d-%d", c.FirstSeq, c.LastSeq), mp.published)
-		switch {
-		case perr != nil:
-			c.Err = perr
-		case swapped:
-			c.Swapped = true
-			c.Generation = m.Generation
-			mp.published = shadowEst
-		}
-		c.Duration = time.Since(start)
-		p.recordCycle(mp, c)
-		return c
+		return shadow, true, nil
 	}
-
-	shadow := shadowEst.(Updatable)
-	if ba, ok := shadowEst.(estimator.BulkApplier); ok {
+	if ba, ok := shadow.(estimator.BulkApplier); ok {
 		if len(inserted) > 0 {
 			ba.ApplyInsert(inserted)
 		}
@@ -930,33 +943,8 @@ func (p *Pipeline) cycle(mp *modelPipeline, entries []Entry) Cycle {
 	}
 	uc := p.cfg.Update
 	uc.BaselineMAE = mp.baseline
-	c.Result = shadow.HandleUpdate(p.cfg.Train, uc, mp.db, mp.train, mp.valid)
-	<-p.sem
-
-	// The shadow carries the authoritative structural state (cluster
-	// membership, ball radii) even when δ_U absorbed the change, so it
-	// always becomes the next cycle's base.
-	mp.cur = shadow
-	if c.Result.Retrained {
-		// Conditional on the registry still holding what this pipeline
-		// last published: if a manual load slipped in while the shadow was
-		// training, the swap is abandoned and the next cycle adopts the
-		// operator's model instead.
-		m, swapped, perr := p.cfg.Registry.PublishIf(mp.name, shadow,
-			fmt.Sprintf("ingest: seq %d-%d", c.FirstSeq, c.LastSeq), mp.published)
-		switch {
-		case perr != nil:
-			c.Err = perr
-		case swapped:
-			c.Swapped = true
-			c.Generation = m.Generation
-			mp.published = shadow
-			mp.baseline = c.Result.MAEAfter
-		}
-	}
-	c.Duration = time.Since(start)
-	p.recordCycle(mp, c)
-	return c
+	c.Result = shadow.(Updatable).HandleUpdate(p.cfg.Train, uc, mp.db, mp.train, mp.valid)
+	return shadow, c.Result.Retrained, nil
 }
 
 // adoptManualSwap takes over an operator's manually loaded model as the

@@ -7,6 +7,7 @@ import (
 
 	"selnet/internal/distance"
 	"selnet/internal/lshsampling"
+	"selnet/internal/metrics"
 	"selnet/internal/obs"
 	"selnet/internal/vecdata"
 )
@@ -64,17 +65,6 @@ const (
 	oracleDelta   = 0.01
 )
 
-// VCSampleSize is the VC-bound sample size for an eps-approximation of
-// range counts over a range space of VC dimension vc with probability
-// 1-delta: m = ceil((c/eps^2) * (vc + ln(1/delta))), c = 0.5.
-func VCSampleSize(eps, delta float64, vc int) int {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 || vc < 1 {
-		return 1
-	}
-	m := 0.5 / (eps * eps) * (float64(vc) + math.Log(1/delta))
-	return int(math.Ceil(m))
-}
-
 // NewDBOracle wraps the pipeline's private database copy.
 func NewDBOracle(db *vecdata.Database, cfg OracleConfig) *DBOracle {
 	if cfg.Budget <= 0 {
@@ -117,7 +107,7 @@ func (o *DBOracle) TrueSelectivity(x []float64, t float64) (float64, string) {
 // sample (deterministic, and monotone in t like the paper's
 // consistency requirement), and the steady state allocates nothing.
 func (o *DBOracle) sampleSelectivity(x []float64, t float64, n int) float64 {
-	m := VCSampleSize(oracleEpsilon, oracleDelta, o.db.Dim+1)
+	m := metrics.VCSampleSize(oracleEpsilon, oracleDelta, o.db.Dim+1)
 	if m > o.cfg.Budget {
 		m = o.cfg.Budget
 	}

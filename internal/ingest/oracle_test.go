@@ -7,28 +7,24 @@ import (
 	"testing"
 
 	"selnet/internal/distance"
+	"selnet/internal/metrics"
 	"selnet/internal/vecdata"
 )
 
 func TestVCSampleSize(t *testing.T) {
-	// m = ceil(0.5/eps^2 * (vc + ln(1/delta)))
-	got := VCSampleSize(0.05, 0.01, 4)
+	// m = ceil(0.5/eps^2 * (vc + ln(1/delta))), at the oracle's eps and
+	// delta.
+	got := metrics.VCSampleSize(oracleEpsilon, oracleDelta, 4)
 	want := int(math.Ceil(0.5 / (0.05 * 0.05) * (4 + math.Log(100))))
 	if got != want {
 		t.Fatalf("VCSampleSize(0.05, 0.01, 4) = %d, want %d", got, want)
 	}
 	// Tighter eps demands more samples; higher VC dimension too.
-	if VCSampleSize(0.01, 0.01, 4) <= got {
+	if metrics.VCSampleSize(0.01, 0.01, 4) <= got {
 		t.Fatal("smaller eps should need more samples")
 	}
-	if VCSampleSize(0.05, 0.01, 10) <= got {
+	if metrics.VCSampleSize(0.05, 0.01, 10) <= got {
 		t.Fatal("larger VC dim should need more samples")
-	}
-	// Degenerate parameters fall back to 1 instead of exploding.
-	for _, bad := range [][3]float64{{0, 0.01, 4}, {1, 0.01, 4}, {0.05, 0, 4}, {0.05, 1, 4}, {0.05, 0.01, 0}} {
-		if got := VCSampleSize(bad[0], bad[1], int(bad[2])); got != 1 {
-			t.Fatalf("VCSampleSize(%v) = %d, want 1", bad, got)
-		}
 	}
 }
 

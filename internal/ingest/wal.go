@@ -71,12 +71,6 @@ type WAL struct {
 	synced      int64 // bytes known durable
 	syncs       uint64
 	compactions uint64
-
-	// syncInterval > 0 turns Sync into a tick-based group-commit window:
-	// the caller that wins the sync lock sleeps for the interval before
-	// fsyncing, so every record appended meanwhile shares the same fsync.
-	// Set once via SetSyncInterval before concurrent use.
-	syncInterval time.Duration
 }
 
 // WALRecovered reports what OpenWAL found in an existing log.
@@ -225,31 +219,16 @@ func (w *WAL) Append(e Entry) error {
 	return nil
 }
 
-// SetSyncInterval configures the tick-based fsync window: with d > 0,
-// the Sync caller that wins the group-commit lock sleeps d before
-// fsyncing, so under sustained load one fsync covers every record
-// appended during the window instead of one fsync per idle producer.
-// Ack latency is bounded by roughly d plus one fsync. d = 0 (the
-// default) keeps the immediate group-commit behavior. Call before the
-// WAL sees concurrent traffic.
-func (w *WAL) SetSyncInterval(d time.Duration) {
-	w.mu.Lock()
-	w.syncInterval = d
-	w.mu.Unlock()
-}
-
 // Sync makes every previously appended record durable. Concurrent
 // callers group-commit: whoever wins the sync lock fsyncs on behalf of
 // every record written before it, and the rest return without another
-// fsync. With SetSyncInterval the winner additionally holds the lock
-// for the window, widening the group it commits.
+// fsync.
 func (w *WAL) Sync() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	target := w.size
 	f, closed, failed, synced := w.f, w.closed, w.failed, w.synced
-	interval := w.syncInterval
 	w.mu.Unlock()
 	switch {
 	case closed:
@@ -261,24 +240,6 @@ func (w *WAL) Sync() error {
 		return fmt.Errorf("ingest: wal %s is poisoned by an earlier write/sync failure", w.path)
 	case synced >= target:
 		return nil
-	}
-	if interval > 0 {
-		// Fsync window: absorb the appends that arrive while we sleep so
-		// they ride the same fsync. Followers queue on syncMu and find
-		// their bytes already durable.
-		time.Sleep(interval)
-		w.mu.Lock()
-		if w.size > target {
-			target = w.size
-		}
-		closed, failed = w.closed, w.failed
-		w.mu.Unlock()
-		switch {
-		case closed:
-			return fmt.Errorf("ingest: wal %s is closed", w.path)
-		case failed:
-			return fmt.Errorf("ingest: wal %s is poisoned by an earlier write/sync failure", w.path)
-		}
 	}
 	if err := f.Sync(); err != nil {
 		// Latch the failure: after a reported fsync error the kernel may

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -598,64 +597,9 @@ func TestJournalCompactedPastSnapshotFails(t *testing.T) {
 	}
 }
 
-// With a sync interval, concurrent producers' records ride shared
-// fsyncs: the window leader sleeps, absorbing the appends that arrive
-// meanwhile, and followers find their bytes already durable. Everything
-// acknowledged must still be recoverable.
-func TestWALSyncIntervalGroupsFsyncs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.wal")
-	w, _ := openTestWAL(t, path)
-	w.SetSyncInterval(10 * time.Millisecond)
-
-	const producers, perProducer = 8, 5
-	var mu sync.Mutex // orders Append calls the way the journal lock does
-	seq := uint64(0)
-	var wg sync.WaitGroup
-	for g := 0; g < producers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				mu.Lock()
-				seq++
-				e := testEntry(seq, float64(seq))
-				err := w.Append(e)
-				mu.Unlock()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := w.Sync(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	st := w.Stats()
-	if st.Appends != producers*perProducer {
-		t.Fatalf("appends = %d, want %d", st.Appends, producers*perProducer)
-	}
-	if st.Syncs == 0 || st.Syncs >= st.Appends/2 {
-		t.Fatalf("syncs = %d for %d appends; the window should batch well below half", st.Syncs, st.Appends)
-	}
-	if st.Synced != st.Size {
-		t.Fatalf("synced %d != size %d after all Syncs returned", st.Synced, st.Size)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := openTestWAL(t, path)
-	if len(rec.Entries) != producers*perProducer {
-		t.Fatalf("recovered %d entries, want %d", len(rec.Entries), producers*perProducer)
-	}
-}
-
-// Interval zero keeps the immediate group-commit semantics: a lone
-// producer's Sync fsyncs without sleeping.
-func TestWALSyncIntervalZeroIsImmediate(t *testing.T) {
+// Sync is an immediate group commit: a lone producer's Sync fsyncs
+// once, without waiting for company.
+func TestWALLoneSyncIsImmediate(t *testing.T) {
 	w, _ := openTestWAL(t, filepath.Join(t.TempDir(), "m.wal"))
 	start := time.Now()
 	appendAll(t, w, testEntry(1, 1))

@@ -1,6 +1,8 @@
 // Package metrics implements the paper's evaluation measures: MSE, MAE and
-// MAPE (Appendix B.3), the empirical monotonicity score of Table 5, and
-// estimation-time measurement for Table 7. It scores any estimator.Model.
+// MAPE (Appendix B.3), the empirical monotonicity score of Table 5,
+// estimation-time measurement for Table 7, and the VC sampling bound the
+// router and the shadow oracle size samples by. It scores any
+// estimator.Model.
 package metrics
 
 import (
@@ -142,4 +144,13 @@ func AvgEstimationTime(est estimator.Model, queries []vecdata.Query) float64 {
 	}
 	elapsed := time.Since(start)
 	return float64(elapsed.Nanoseconds()) / 1e6 / float64(len(queries))
+}
+
+// VCSampleSize is the sample size that estimates every range count of a
+// range space of VC dimension vc within eps*|D| with probability
+// 1-delta ("The VC-Dimension of Queries and Selectivity Estimation
+// Through Sampling"): m = ceil((vc + ln(1/delta)) / (2 eps^2)).
+// Distance-threshold queries over R^d are balls, VC dimension d+1.
+func VCSampleSize(eps, delta float64, vc int) int {
+	return int(math.Ceil(0.5 / (eps * eps) * (float64(vc) + math.Log(1/delta))))
 }

@@ -51,21 +51,32 @@ var ErrInconsistentKind = errors.New("modelcodec: model kind cannot guarantee es
 // directions.
 const magic = "SELMODL1"
 
-// Wire kind strings. The selnet kinds must never change: model files on
-// disk carry them (testdata/net-tagged.model).
-const (
-	kindNet  = "selnet.Net"
-	kindPart = "selnet.Partitioned"
-	kindKDE  = "kde.Estimator"
-	kindLSH  = "lshsampling.Estimator"
-	kindGBM  = "gbm.SelectivityEstimator"
-	kindDLN  = "dln.Model"
-	kindUMNN = "umnn.Model"
-)
+// kinds is every servable kind, written once: its slug (/v1/models and
+// the router configuration), its wire tag and its decoder. The selnet
+// wire tags must never change: model files on disk carry them
+// (testdata/net-tagged.model).
+var kinds = []struct {
+	slug, wire string
+	load       func(io.Reader) (estimator.Estimator, error)
+}{
+	{"selnet", "selnet.Net", func(r io.Reader) (estimator.Estimator, error) { return selnet.LoadNet(r) }},
+	{"selnet-part", "selnet.Partitioned", func(r io.Reader) (estimator.Estimator, error) { return selnet.LoadPartitioned(r) }},
+	{"kde", "kde.Estimator", func(r io.Reader) (estimator.Estimator, error) { return kde.Load(r) }},
+	{"lsh", "lshsampling.Estimator", func(r io.Reader) (estimator.Estimator, error) { return lshsampling.Load(r) }},
+	{"gbm", "gbm.SelectivityEstimator", func(r io.Reader) (estimator.Estimator, error) { return gbm.Load(r) }},
+	{"dln", "dln.Model", func(r io.Reader) (estimator.Estimator, error) { return dln.Load(r) }},
+	{"umnn", "umnn.Model", func(r io.Reader) (estimator.Estimator, error) { return umnn.Load(r) }},
+}
 
-// Kind returns the short estimator-kind slug used in /v1/models and the
-// router configuration ("selnet", "selnet-part", "kde", "lsh", "gbm",
-// "dln", "umnn"), or "unknown" for types the codec does not handle.
+// saver is the serialization every servable kind implements; Save
+// writes its stream after the container's kind tag.
+type saver interface {
+	Save(w io.Writer) error
+}
+
+// Kind returns the slug of est's row in kinds, as /v1/models and the
+// router configuration name it, or "unknown" for types the codec does
+// not handle.
 func Kind(est any) string {
 	switch est.(type) {
 	case *selnet.Net:
@@ -86,35 +97,36 @@ func Kind(est any) string {
 	return "unknown"
 }
 
+// IsKind reports whether slug names a kind the codec serves.
+func IsKind(slug string) bool {
+	_, ok := wireTag(slug)
+	return ok
+}
+
+// wireTag returns the container kind tag of the kind named slug.
+func wireTag(slug string) (string, bool) {
+	for _, k := range kinds {
+		if k.slug == slug {
+			return k.wire, true
+		}
+	}
+	return "", false
+}
+
 // Save writes est to w in the kind-tagged container format.
 func Save(w io.Writer, est estimator.Estimator) error {
-	var kind string
-	var save func(io.Writer) error
-	switch v := est.(type) {
-	case *selnet.Net:
-		kind, save = kindNet, v.Save
-	case *selnet.Partitioned:
-		kind, save = kindPart, v.Save
-	case *kde.Estimator:
-		kind, save = kindKDE, v.Save
-	case *lshsampling.Estimator:
-		kind, save = kindLSH, v.Save
-	case *gbm.SelectivityEstimator:
-		kind, save = kindGBM, v.Save
-	case *dln.Model:
-		kind, save = kindDLN, v.Save
-	case *umnn.Model:
-		kind, save = kindUMNN, v.Save
-	default:
+	wire, ok := wireTag(Kind(est))
+	s, canSave := est.(saver)
+	if !ok || !canSave {
 		return fmt.Errorf("modelcodec: cannot save model of type %T", est)
 	}
 	if _, err := io.WriteString(w, magic); err != nil {
 		return fmt.Errorf("modelcodec: write magic: %w", err)
 	}
-	if err := gob.NewEncoder(w).Encode(kind); err != nil {
+	if err := gob.NewEncoder(w).Encode(wire); err != nil {
 		return fmt.Errorf("modelcodec: encode kind: %w", err)
 	}
-	return save(w)
+	return s.Save(w)
 }
 
 // Load reads one container written by Save (or by an older build).
@@ -147,21 +159,12 @@ func decode(r io.Reader) (estimator.Estimator, error) {
 	if err := gob.NewDecoder(r).Decode(&kind); err != nil {
 		return nil, fmt.Errorf("modelcodec: decode kind: %w", err)
 	}
+	for _, k := range kinds {
+		if k.wire == kind {
+			return recovering(func() (estimator.Estimator, error) { return k.load(r) })
+		}
+	}
 	switch kind {
-	case kindNet:
-		return recovering(func() (estimator.Estimator, error) { return selnet.LoadNet(r) })
-	case kindPart:
-		return recovering(func() (estimator.Estimator, error) { return selnet.LoadPartitioned(r) })
-	case kindKDE:
-		return recovering(func() (estimator.Estimator, error) { return kde.Load(r) })
-	case kindLSH:
-		return recovering(func() (estimator.Estimator, error) { return lshsampling.Load(r) })
-	case kindGBM:
-		return recovering(func() (estimator.Estimator, error) { return gbm.Load(r) })
-	case kindDLN:
-		return recovering(func() (estimator.Estimator, error) { return dln.Load(r) })
-	case kindUMNN:
-		return recovering(func() (estimator.Estimator, error) { return umnn.Load(r) })
 	case "deepreg.DNN", "deepreg.MoE", "deepreg.RMI":
 		// Older builds served the deep baselines; they are not consistent.
 		return nil, fmt.Errorf("%w: retired kind %q", ErrInconsistentKind, kind)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"selnet/internal/estimator"
+	"selnet/internal/metrics"
 	"selnet/internal/modelcodec"
 	"selnet/internal/obs"
 	"selnet/internal/tensor"
@@ -46,12 +47,7 @@ const (
 // "ensemble", or the slug of a kind the model codec serves — every one
 // of them consistent, so no routing policy can break monotonicity in t.
 func ValidRouterMode(mode string) bool {
-	switch mode {
-	case "auto", "ensemble",
-		"selnet", "selnet-part", "kde", "lsh", "gbm", "dln", "umnn":
-		return true
-	}
-	return false
+	return mode == "auto" || mode == "ensemble" || modelcodec.IsKind(mode)
 }
 
 // Router resolves the virtual model names ("default" when no concrete
@@ -112,8 +108,7 @@ func (rt *Router) Routes(name string) bool {
 // dimensionality: the sample size beyond which a sampling-backed
 // estimator stops being preferable under (vcEpsilon, vcDelta).
 func (rt *Router) SampleBound(dim int) int {
-	vc := float64(dim) + 1 // halfspace/ball range spaces over R^dim
-	return int(math.Ceil((vc + math.Log(1/vcDelta)) / (2 * vcEpsilon * vcEpsilon)))
+	return metrics.VCSampleSize(vcEpsilon, vcDelta, dim+1)
 }
 
 // Route resolves the virtual name for a query of the given

@@ -82,9 +82,8 @@ type UpdaterStats struct {
 	// queued for replay at boot.
 	JournaledBatches uint64 `json:"journaled_batches,omitempty"`
 	ReplayedBatches  uint64 `json:"replayed_batches,omitempty"`
-	// JournalSyncs counts fsyncs the WAL performed; with a tick-based
-	// sync window (-journal-sync-interval) it grows much slower than
-	// JournaledBatches under sustained load.
+	// JournalSyncs counts fsyncs the WAL performed; concurrent producers
+	// group-commit, so under load it grows slower than JournaledBatches.
 	JournalSyncs uint64 `json:"journal_syncs,omitempty"`
 	// JournalBytes is the WAL's current size; SnapshotSeq the applied
 	// sequence of the last durable snapshot; Compactions the number of
